@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 def _bool(value):
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"expected true/false, got {value!r}")
+    raise ValueError(f"expected true/false, got {value!r}")
 
 
 # Per-study parameters: name -> (caster, default).  The caster validates
@@ -45,6 +45,17 @@ SCHEMAS = {
 # Which pseudo-random draw the global --seed feeds, per study.
 SEED_DEFAULTS = {"fault-lab": 1, "lightning": 1, "dist": 1,
                  "stability": 0, "ml": 7}
+
+_S_BASE_MW = stability.SmibModel().s_base_mva  # rating: the most P any power factor allows
+
+# Range checks on resolved values: key -> (predicate, allowed range).
+LIMITS = {
+    "threads": (lambda v: v >= 1, ">= 1"),
+    "n": (lambda v: v >= 1, ">= 1"),
+    "hours": (lambda v: v >= 1, ">= 1"),
+    "runs": (lambda v: v >= 0, ">= 0"),
+    "power_mw": (lambda v: 0 < v <= _S_BASE_MW, f"in (0, {_S_BASE_MW:g}]"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,39 +138,30 @@ def _load_config_file(path) -> dict:
 
 def _resolve(args) -> dict:
     """Defaults, then config file, then explicit flags; strict keys."""
-    schema = SCHEMAS[args.study]
+    schema = {**SCHEMAS[args.study],
+              "seed": (int, SEED_DEFAULTS[args.study]),
+              "out": (str, os.path.join("runs", args.study)),
+              "threads": (int, 1)}
     resolved = {name: default for name, (_, default) in schema.items()}
-    resolved["seed"] = SEED_DEFAULTS[args.study]
-    resolved["out"] = os.path.join("runs", args.study)
-    resolved["threads"] = 1
 
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
-            if key == "seed":
-                resolved["seed"] = int(value)
-            elif key == "out":
-                resolved["out"] = str(value)
-            elif key == "threads":
-                resolved["threads"] = int(value)
-            elif key in schema:
-                caster = schema[key][0]
-                try:
-                    resolved[key] = caster(value)
-                except ConfigError:
-                    raise
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"bad value for config key '{key}': {value!r}") from None
-            else:
+            if key not in schema:
                 raise ConfigError(f"unknown config key '{key}'")
+            try:
+                resolved[key] = schema[key][0](value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"bad value for config key '{key}': {value!r}") from None
 
-    for key in ("seed", "out", "threads", *schema):
+    for key in schema:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
 
-    if resolved["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
+    for key, (ok, allowed) in LIMITS.items():
+        if key in resolved and not ok(resolved[key]):
+            raise ConfigError(f"{key} must be {allowed}, got {resolved[key]!r}")
     if args.study == "dist":
         if resolved["case"] not in distsim.CASE_NAMES:
             raise ConfigError(f"unknown case '{resolved['case']}', pick one "

@@ -4,8 +4,8 @@ Lumped elements become trapezoidal companion models (a conductance in
 parallel with a history current source), distributed lines become lossless
 travelling-wave models with history buffers, and every step solves one nodal
 conductance system G v = i.  The conductance matrix is LU-factored once and
-refactored only when a switch changes state; closed switches merge their end
-nodes exactly instead of stamping a large conductance.
+refactored only when a flashover switch closes; closed switches merge their
+end nodes exactly instead of stamping a large conductance.
 
 Companion models (step dt):
     resistor   G = 1/R                history 0
@@ -21,75 +21,19 @@ non-integer tau/dt).
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
 1..N at t = dt .. N*dt.  Sources that jump at t = 0 keep second-order accuracy
-when the declared initial state is the post-jump one.  Switch close/open
-events detected at step n take effect at step n+1.
+when the declared initial state is the post-jump one.  A flashover detected
+at step n takes effect at step n+1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-GROUND = 0
-
-
-@dataclass
-class TimeGrid:
-    """Uniform simulation grid; states live at t = 0, dt, ..., step_count*dt."""
-
-    dt: float
-    t_end: float
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-
-    @property
-    def step_count(self) -> int:
-        return int(math.ceil(self.t_end / self.dt - 1e-12))
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.step_count + 1) * self.dt
-
-
-@dataclass
-class CompanionBranch:
-    """Trapezoidal companion model of one R, L or C element."""
-
-    kind: str
-    value: float
-    dt: float
-    conductance: float = field(init=False)
-    history_current: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError(f"nonpositive element value {self.value} for kind '{self.kind}'")
-        if self.kind == "R":
-            self.conductance = 1.0 / self.value
-        elif self.kind == "L":
-            self.conductance = self.dt / (2.0 * self.value)
-        elif self.kind == "C":
-            self.conductance = 2.0 * self.value / self.dt
-        else:
-            raise ValueError(f"unknown element kind '{self.kind}'")
-
-    def current(self, v_branch: float) -> float:
-        return self.conductance * v_branch + self.history_current
-
-    def advance(self, v_branch: float):
-        """Update the history source from the just-solved branch voltage."""
-        if self.kind == "L":
-            self.history_current += 2.0 * self.conductance * v_branch
-        elif self.kind == "C":
-            self.history_current = -self.history_current - 2.0 * self.conductance * v_branch
-
-
-def discretize(kind: str, value: float, dt: float) -> CompanionBranch:
-    return CompanionBranch(kind, value, dt)
+from .nodal import NodeRegistry, merge_nodes, stamp
 
 
 @dataclass
@@ -138,23 +82,6 @@ class FlashoverSwitch:
 
 
 @dataclass
-class TimedSwitch:
-    node_a: int
-    node_b: int
-    close_at: float | None = None
-    open_at: float | None = None
-    initially_closed: bool = False
-
-    def state_at(self, t: float) -> bool:
-        closed = self.initially_closed
-        if self.close_at is not None and t >= self.close_at:
-            closed = True
-        if self.open_at is not None and t >= self.open_at:
-            closed = False
-        return closed
-
-
-@dataclass
 class BergeronLine:
     """v0 is the line's interior pre-history voltage per end; i0 the t=0
     current into the line at each end (nonzero when a source is already
@@ -174,40 +101,23 @@ class BergeronLine:
             raise ValueError("surge impedance and travel time must be positive")
 
 
-class EmtNetwork:
+class EmtNetwork(NodeRegistry):
     """Element container; `assemble(dt)` compiles it into a stepper."""
 
     def __init__(self):
-        self._names: dict[str, int] = {"ground": GROUND, "0": GROUND}
-        self._ids: list[str] = ["ground"]
+        super().__init__()
         self.resistors: list[tuple[int, int, float]] = []
         self.storage: list[tuple[int, int, str, float, float]] = []  # a, b, kind, value, i0
         self.lines: list[BergeronLine] = []
         self.current_sources: list[tuple[int, object]] = []
         self.voltage_sources: list[tuple[int, object, float]] = []
         self.flashover_switches: list[FlashoverSwitch] = []
-        self.timed_switches: list[TimedSwitch] = []
         self.initial_voltages: dict[int, float] = {}
-
-    def node(self, name: str) -> int:
-        if name in self._names:
-            return self._names[name]
-        idx = len(self._ids)
-        self._names[name] = idx
-        self._ids.append(name)
-        return idx
 
     def require_node(self, name: str) -> int:
         if name not in self._names:
             raise KeyError(f"unknown node '{name}'")
         return self._names[name]
-
-    def node_name(self, idx: int) -> str:
-        return self._ids[idx]
-
-    @property
-    def node_count(self) -> int:
-        return len(self._ids) - 1
 
     def add_resistor(self, a: str, b: str, ohms: float) -> int:
         if ohms <= 0:
@@ -248,13 +158,6 @@ class EmtNetwork:
     def add_flashover_switch(self, a: str, b: str, strength_volts: float) -> FlashoverSwitch:
         sw = FlashoverSwitch(self.node(a), self.node(b), strength_volts)
         self.flashover_switches.append(sw)
-        return sw
-
-    def add_timed_switch(self, a: str, b: str, close_at: float | None = None,
-                         open_at: float | None = None,
-                         initially_closed: bool = False) -> TimedSwitch:
-        sw = TimedSwitch(self.node(a), self.node(b), close_at, open_at, initially_closed)
-        self.timed_switches.append(sw)
         return sw
 
     def set_initial_voltage(self, node: str, volts: float):
@@ -300,7 +203,7 @@ class EmtSimulation:
         self._lc_a = np.array([e[0] for e in net.storage], dtype=np.intp)
         self._lc_b = np.array([e[1] for e in net.storage], dtype=np.intp)
         self._lc_g = np.array(
-            [discretize(kind, val, dt).conductance
+            [dt / (2.0 * val) if kind == "L" else 2.0 * val / dt
              for (_a, _b, kind, val, _i0) in net.storage])
         self._lc_sign = np.array(
             [1.0 if kind == "L" else -1.0 for (_a, _b, kind, _v, _i0) in net.storage])
@@ -362,75 +265,30 @@ class EmtSimulation:
 
     # -- assembly -------------------------------------------------------------
 
-    def _closed_pairs(self) -> list[tuple[int, int]]:
-        t_next = (self.n + 1) * self.dt
-        pairs = [(sw.node_a, sw.node_b) for sw in self.net.flashover_switches if sw.closed]
-        pairs += [(sw.node_a, sw.node_b) for sw in self.net.timed_switches
-                  if sw.state_at(t_next)]
-        return pairs
-
     def _rebuild(self):
         """Merge nodes joined by closed switches, stamp G, refactor."""
         net = self.net
-        n_all = len(net._ids)
-        parent = list(range(n_all))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in self._closed_pairs():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        reps = [find(i) for i in range(n_all)]
-
-        ground_rep = reps[GROUND]
-        rows: dict[int, int] = {}
-        for idx in range(n_all):
-            r = reps[idx]
-            if r != ground_rep and r not in rows:
-                rows[r] = len(rows)
-        self._n_red = len(rows)
+        row, roots = merge_nodes(
+            len(net._ids),
+            [(sw.node_a, sw.node_b) for sw in net.flashover_switches if sw.closed])
+        self._n_red = len(roots)
         # ext index: 0 = ground slot, 1.. = reduced unknowns
-        self._ext = np.zeros(n_all, dtype=np.intp)
-        for idx in range(n_all):
-            r = reps[idx]
-            self._ext[idx] = 0 if r == ground_rep else rows[r] + 1
+        self._ext = np.array(row, dtype=np.intp) + 1
 
         g = np.zeros((self._n_red, self._n_red))
-
-        def stamp(a, b, cond):
-            ia, ib = self._ext[a] - 1, self._ext[b] - 1
-            if ia == ib:
-                return
-            if ia >= 0:
-                g[ia, ia] += cond
-            if ib >= 0:
-                g[ib, ib] += cond
-            if ia >= 0 and ib >= 0:
-                g[ia, ib] -= cond
-                g[ib, ia] -= cond
-
         for a, b, ohms in net.resistors:
-            stamp(a, b, 1.0 / ohms)
+            stamp(g, row[a], row[b], 1.0 / ohms)
         for a, b, cond in zip(self._lc_a, self._lc_b, self._lc_g):
-            stamp(a, b, cond)
-        for e in range(len(self._ln_ends)):
-            ia = self._ext[self._ln_ends[e]] - 1
-            if ia >= 0:
-                g[ia, ia] += 1.0 / self._ln_zc[e]
+            stamp(g, row[a], row[b], cond)
+        for node, zc in zip(self._ln_ends, self._ln_zc):
+            stamp(g, row[node], -1, 1.0 / zc)
         for node, _emf, r in net.voltage_sources:
-            ia = self._ext[node] - 1
-            if ia >= 0:
-                g[ia, ia] += 1.0 / r
+            stamp(g, row[node], -1, 1.0 / r)
 
-        for r_rep, row in rows.items():
-            if g[row, row] == 0.0:
+        for r, root in enumerate(roots):
+            if g[r, r] == 0.0:
                 raise ValueError(
-                    f"node '{net.node_name(r_rep)}' has no conductance to anything")
+                    f"node '{net.node_name(root)}' has no conductance to anything")
         self._lu = scipy.linalg.lu_factor(g) if self._n_red else None
 
         self._lc_ea = self._ext[self._lc_a] if len(self._lc_a) else self._lc_a
@@ -487,7 +345,6 @@ class EmtSimulation:
 
         out = v_ext[self._ext]  # copy under the pre-transition node mapping
 
-        changed = False
         if len(self._fo_strength):
             stress = np.abs(v_ext[self._fo_ea] - v_ext[self._fo_eb])
             hits = (stress >= self._fo_strength) & ~self._fo_closed
@@ -498,14 +355,7 @@ class EmtSimulation:
                     sw.close_time = t
                     sw.stress_at_close = float(stress[k])
                     self.flashover_events.append((int(k), t, float(stress[k])))
-                changed = True
-        if self.net.timed_switches:
-            t_next = (n + 1) * self.dt
-            for sw in self.net.timed_switches:
-                if sw.state_at(t_next) != sw.state_at(t):
-                    changed = True
-        if changed:
-            self._rebuild()
+                self._rebuild()
 
         return out
 
@@ -564,8 +414,9 @@ class EmtSimulation:
         and the currents of selected L/C branches (by storage index)."""
         if self.n != 0:
             raise RuntimeError("run() must start from the initial state")
-        grid = TimeGrid(self.dt, t_end)
-        steps = grid.step_count
+        if t_end <= 0:
+            raise ValueError("t_end must be positive")
+        steps = int(math.ceil(t_end / self.dt - 1e-12))
         rec_nodes = [self.net.require_node(name) for name in record]
         node_traces = {name: np.zeros(steps + 1) for name in record}
         branch_traces = {k: np.zeros(steps + 1) for k in record_storage}
@@ -573,7 +424,7 @@ class EmtSimulation:
             node_traces[name][0] = self._v_init[node]
         for k in record_storage:
             branch_traces[k][0] = self.net.storage[k][4]
-        times = grid.times()
+        times = np.arange(steps + 1) * self.dt
         last = steps
         while self.n < steps:
             h_before = self._lc_h.copy() if record_storage else None

@@ -149,29 +149,6 @@ def base_network(config: CaseOneConfig | None = None) -> PhasorNetwork:
     return net
 
 
-def healthy_row(config: CaseOneConfig | None = None,
-                position_index: int = 10) -> DatasetRow:
-    """Solve the unfaulted system, split at a grid junction so all nine
-    measurement voltages exist.  The returned row carries code 0."""
-    config = config or CaseOneConfig()
-    case = FaultCase(position_index, 1)  # placement only; no fault attached
-    net = base_network(config)
-    d = case.distance_km
-    rest = config.line.length_km - d
-    net.add_coupled_branch("bus", "fault",
-                           config.line.series_matrix(d),
-                           config.line.shunt_matrix_per_end(d))
-    net.add_coupled_branch("fault", "load",
-                           config.line.series_matrix(rest),
-                           config.line.shunt_matrix_per_end(rest))
-    sol = solve_steady_state(net)
-
-    def pu(group: str) -> tuple[float, float, float]:
-        return tuple(sol.rms(f"{group}.{p}") / VOLTAGE_BASE_V for p in PHASES)
-
-    return DatasetRow(pu("bus"), pu("load"), pu("fault"), d, 0)
-
-
 def build_row(case: FaultCase, config: CaseOneConfig | None = None) -> DatasetRow:
     """Solve one fault case and reduce it to a per-unit dataset row."""
     config = config or CaseOneConfig()
@@ -203,37 +180,6 @@ def write_dataset(rows: list[DatasetRow], path) -> None:
                 row.fault_type,
                 row.code,
             ])
-
-
-def read_dataset(path) -> list[DatasetRow]:
-    """Inverse of write_dataset; malformed input reports the offending line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("line 1: empty file, expected header") from None
-        if tuple(header) != DATASET_HEADER:
-            raise ValueError(f"line 1: bad header {header!r}")
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(DATASET_HEADER):
-                raise ValueError(
-                    f"line {lineno}: expected {len(DATASET_HEADER)} fields, got {len(record)}")
-            try:
-                values = [float(x) for x in record[:10]]
-                ftype = int(record[10])
-                code = int(record[11])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if code % 100 != ftype:
-                raise ValueError(
-                    f"line {lineno}: type column {ftype} does not match code {code}")
-            rows.append(DatasetRow(tuple(values[0:3]), tuple(values[3:6]),
-                                   tuple(values[6:9]), values[9], code))
-    return rows
 
 
 def rows_to_dataset(rows: list[DatasetRow]) -> Dataset:

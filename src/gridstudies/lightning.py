@@ -673,8 +673,3 @@ def summary_lines(result: StudyResult) -> list:
     if c.failures:
         lines += ["", f"Number of failed surge replays = {c.failures}"]
     return lines
-
-
-def write_summary(path, result: StudyResult):
-    with open(path, "w") as fh:
-        fh.write("\n".join(summary_lines(result)) + "\n")

@@ -10,7 +10,6 @@ Models serialize to JSON so a trained predictor can be reloaded bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -95,11 +94,6 @@ class MinMaxScaler:
             raise RuntimeError("scaler not fitted")
         return (np.asarray(features, dtype=float) - self.lo) / self._span()
 
-    def inverse_transform(self, scaled) -> np.ndarray:
-        if self.lo is None:
-            raise RuntimeError("scaler not fitted")
-        return np.asarray(scaled, dtype=float) * self._span() + self.lo
-
     def fit_transform(self, features) -> np.ndarray:
         return self.fit(features).transform(features)
 
@@ -113,47 +107,6 @@ def one_hot(values) -> tuple[np.ndarray, list]:
     for i, v in enumerate(values):
         out[i, index[v]] = 1.0
     return out, cats
-
-
-def load_dataset(path, label_column: str) -> Dataset:
-    """CSV to Dataset: numeric columns pass through, text columns are one-hot
-    expanded, the label column is kept categorical (ints if they all parse)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    if label_column not in header:
-        raise ValueError(f"{path}: no column named '{label_column}'")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
-
-    def parse_all(vals, cast):
-        try:
-            return [cast(v) for v in vals]
-        except ValueError:
-            return None
-
-    feats, names = [], []
-    for name in header:
-        if name == label_column:
-            continue
-        numeric = parse_all(columns[name], float)
-        if numeric is not None:
-            feats.append(np.asarray(numeric)[:, None])
-            names.append(name)
-        else:
-            block, cats = one_hot(columns[name])
-            feats.append(block)
-            names.extend(f"{name}={c}" for c in cats)
-    raw = columns[label_column]
-    labels = parse_all(raw, int)
-    if labels is None:
-        labels = raw
-    return Dataset(np.hstack(feats), np.asarray(labels), tuple(names), label_column)
 
 
 @dataclass
@@ -203,12 +156,6 @@ class KnnModel:
 
 def knn_fit(train: Dataset, k: int) -> KnnModel:
     return KnnModel(k, train.features.copy(), train.labels.copy())
-
-
-def knn_predict(model: KnnModel, x):
-    """Majority vote among the k nearest; ties fall to the label with the
-    smaller mean distance, then to the lower label."""
-    return model.predict_one(x)
 
 
 # -- support vector machine ---------------------------------------------------
@@ -377,10 +324,6 @@ def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
                 neg, pos, float(sigma), C,
                 x[keep], (alpha * y)[keep], float(b), res))
     return model
-
-
-def svm_predict(model: SvmModel, x):
-    return model.predict(np.atleast_2d(x))[0]
 
 
 # -- feed-forward network -----------------------------------------------------

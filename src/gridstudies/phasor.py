@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import copy
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-GROUND = 0
+from .nodal import GROUND, NodeRegistry, merge_nodes, stamp
 
 PHASES = ("A", "B", "C")
 
@@ -147,38 +146,15 @@ class LineSectionModel:
         return y * (length / 2.0)
 
 
-class PhasorNetwork:
+class PhasorNetwork(NodeRegistry):
     """Mutable container for nodes, branches, sources and injections."""
 
     def __init__(self):
-        self._names: dict[str, int] = {"ground": GROUND, "0": GROUND}
-        self._ids: list[str] = ["ground"]
+        super().__init__()
         self.branches: list[Branch] = []
         self.coupled: list[CoupledBranch] = []
         self.sources: list[Source] = []
         self.injections: list[tuple[int, complex]] = []
-
-    # -- node bookkeeping ---------------------------------------------------
-
-    def node(self, name: str) -> int:
-        """Return the id for `name`, creating the node on first use."""
-        if name in self._names:
-            return self._names[name]
-        idx = len(self._ids)
-        self._names[name] = idx
-        self._ids.append(name)
-        return idx
-
-    def node_name(self, idx: int) -> str:
-        return self._ids[idx]
-
-    def has_node(self, name: str) -> bool:
-        return name in self._names
-
-    @property
-    def node_count(self) -> int:
-        """Number of non-ground nodes."""
-        return len(self._ids) - 1
 
     def phase_nodes(self, group: str) -> tuple[int, int, int]:
         return tuple(self.node(f"{group}.{p}") for p in PHASES)
@@ -224,104 +200,6 @@ class PhasorNetwork:
 
     def copy(self) -> "PhasorNetwork":
         return copy.deepcopy(self)
-
-    # -- internals ----------------------------------------------------------
-
-    def _short_representatives(self) -> list[int]:
-        """Union-find representative per node id after merging bolted branches."""
-        parent = list(range(len(self._ids)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for br in self.branches:
-            if br.is_short:
-                ra, rb = find(br.from_node), find(br.to_node)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return [find(i) for i in range(len(self._ids))]
-
-
-def assemble_admittance(net: PhasorNetwork) -> np.ndarray:
-    """Nodal admittance matrix over the non-ground nodes (1..node_count).
-
-    Zero-impedance branches cannot be stamped as admittances; solve the
-    network instead (the solver merges their end nodes).
-    """
-    if net.node_count == 0:
-        raise SingularNetworkError("network has no nodes besides ground")
-    if any(br.is_short for br in net.branches):
-        raise ValueError("zero-impedance branch present; use solve_steady_state, "
-                         "which merges bolted connections")
-    n = net.node_count
-    y = np.zeros((n, n), dtype=complex)
-    _stamp_passives(net, y, index=lambda node: node - 1)
-    for i in range(n):
-        if y[i, i] == 0:
-            raise SingularNetworkError(
-                f"node '{net.node_name(i + 1)}' is isolated (zero diagonal)",
-                node=net.node_name(i + 1))
-    return y
-
-
-def _stamp_passives(net: PhasorNetwork, y: np.ndarray, index):
-    """Stamp finite branches and coupled branches into `y`.
-
-    `index` maps node id -> matrix row, returning a negative value for rows
-    that must be dropped (ground and ground-merged nodes).
-    """
-
-    def stamp(a: int, b: int, g: complex):
-        ia, ib = index(a), index(b)
-        if ia == ib:
-            return
-        if ia >= 0:
-            y[ia, ia] += g
-        if ib >= 0:
-            y[ib, ib] += g
-        if ia >= 0 and ib >= 0:
-            y[ia, ib] -= g
-            y[ib, ia] -= g
-
-    def stamp_shunt(a: int, g: complex):
-        ia = index(a)
-        if ia >= 0:
-            y[ia, ia] += g
-
-    for br in net.branches:
-        if br.is_short:
-            continue
-        stamp(br.from_node, br.to_node, 1.0 / br.series_impedance)
-        if br.shunt_admittance_per_end != 0:
-            stamp_shunt(br.from_node, br.shunt_admittance_per_end)
-            stamp_shunt(br.to_node, br.shunt_admittance_per_end)
-
-    for cb in net.coupled:
-        yblk = np.linalg.inv(cb.series_impedance)
-        for r in range(3):
-            for c in range(3):
-                g = yblk[r, c]
-                fr, fc = cb.from_nodes[r], cb.from_nodes[c]
-                tr, tc = cb.to_nodes[r], cb.to_nodes[c]
-                ir, ic = index(fr), index(fc)
-                jr, jc = index(tr), index(tc)
-                if ir >= 0 and ic >= 0:
-                    y[ir, ic] += g
-                if jr >= 0 and jc >= 0:
-                    y[jr, jc] += g
-                if ir >= 0 and jc >= 0:
-                    y[ir, jc] -= g
-                if jr >= 0 and ic >= 0:
-                    y[jr, ic] -= g
-                ys = cb.shunt_admittance_per_end[r, c]
-                if ys != 0:
-                    if ir >= 0 and ic >= 0:
-                        y[ir, ic] += ys
-                    if jr >= 0 and jc >= 0:
-                        y[jr, jc] += ys
 
 
 @dataclass
@@ -372,41 +250,61 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
     if not net.sources and not net.injections:
         raise SingularNetworkError("network has no sources")
 
-    reps = net._short_representatives()
-    ground_rep = reps[GROUND]
-    rep_rows: dict[int, int] = {}
-    for idx in range(len(reps)):
-        r = reps[idx]
-        if r != ground_rep and r not in rep_rows:
-            rep_rows[r] = len(rep_rows)
-    n = len(rep_rows)
+    row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
+                                             for br in net.branches if br.is_short])
+    n = len(roots)
     if n == 0:
         raise SingularNetworkError("all nodes are bolted to ground")
 
-    def index(node: int) -> int:
-        r = reps[node]
-        return -1 if r == ground_rep else rep_rows[r]
-
     y = np.zeros((n, n), dtype=complex)
     rhs = np.zeros(n, dtype=complex)
-    _stamp_passives(net, y, index)
+    for br in net.branches:
+        if br.is_short:
+            continue
+        ia, ib = row[br.from_node], row[br.to_node]
+        stamp(y, ia, ib, 1.0 / br.series_impedance)
+        if br.shunt_admittance_per_end != 0:
+            stamp(y, ia, -1, br.shunt_admittance_per_end)
+            stamp(y, ib, -1, br.shunt_admittance_per_end)
+
+    for cb in net.coupled:
+        yblk = np.linalg.inv(cb.series_impedance)
+        for r in range(3):
+            for c in range(3):
+                g = yblk[r, c]
+                ir, ic = row[cb.from_nodes[r]], row[cb.from_nodes[c]]
+                jr, jc = row[cb.to_nodes[r]], row[cb.to_nodes[c]]
+                if ir >= 0 and ic >= 0:
+                    y[ir, ic] += g
+                if jr >= 0 and jc >= 0:
+                    y[jr, jc] += g
+                if ir >= 0 and jc >= 0:
+                    y[ir, jc] -= g
+                if jr >= 0 and ic >= 0:
+                    y[jr, ic] -= g
+                ys = cb.shunt_admittance_per_end[r, c]
+                if ys != 0:
+                    if ir >= 0 and ic >= 0:
+                        y[ir, ic] += ys
+                    if jr >= 0 and jc >= 0:
+                        y[jr, jc] += ys
 
     for src in net.sources:
-        i = index(src.node)
+        i = row[src.node]
         g = 1.0 / src.internal_impedance
         if i >= 0:
             y[i, i] += g
             rhs[i] += src.emf * g
     for (node, amps) in net.injections:
-        i = index(node)
+        i = row[node]
         if i >= 0:
             rhs[i] += amps
 
-    for r, row in rep_rows.items():
-        if y[row, row] == 0:
+    for r, root in enumerate(roots):
+        if y[r, r] == 0:
             raise SingularNetworkError(
-                f"node '{net.node_name(r)}' is isolated (zero diagonal)",
-                node=net.node_name(r))
+                f"node '{net.node_name(root)}' is isolated (zero diagonal)",
+                node=net.node_name(root))
 
     try:
         with warnings.catch_warnings():
@@ -424,9 +322,8 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
         raise SingularNetworkError(
             f"KCL residual {residual:.3e} exceeds 1e-9; matrix is numerically singular")
 
-    voltages = np.zeros(len(reps), dtype=complex)
-    for idx in range(len(reps)):
-        i = index(idx)
+    voltages = np.zeros(len(row), dtype=complex)
+    for idx, i in enumerate(row):
         voltages[idx] = v_red[i] if i >= 0 else 0j
 
     branch_currents = [
@@ -443,11 +340,11 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
     ]
 
     sol = PhasorSolution(net, voltages, branch_currents, coupled_currents, source_currents)
-    _complete_short_currents(net, sol, reps)
+    _complete_short_currents(net, sol, row)
     return sol
 
 
-def _complete_short_currents(net: PhasorNetwork, sol: PhasorSolution, reps: list[int]):
+def _complete_short_currents(net: PhasorNetwork, sol: PhasorSolution, row: list[int]):
     """Recover currents through bolted branches from KCL at the merged nodes.
 
     Flows are the minimum-norm solution of the component incidence system,
@@ -459,7 +356,7 @@ def _complete_short_currents(net: PhasorNetwork, sol: PhasorSolution, reps: list
         return
     v = sol.node_voltages
 
-    imbalance = np.zeros(len(reps), dtype=complex)  # net current leaving each node
+    imbalance = np.zeros(len(row), dtype=complex)  # net current leaving each node
     for br, i in zip(net.branches, sol.branch_currents):
         if br.is_short:
             continue
@@ -481,24 +378,23 @@ def _complete_short_currents(net: PhasorNetwork, sol: PhasorSolution, reps: list
     for (node, amps) in net.injections:
         imbalance[node] -= amps
 
-    by_rep: dict[int, list[tuple[int, Branch]]] = {}
+    by_row: dict[int, list[tuple[int, Branch]]] = {}
     for k, br in shorts:
-        by_rep.setdefault(reps[br.from_node], []).append((k, br))
+        by_row.setdefault(row[br.from_node], []).append((k, br))
 
-    ground_rep = reps[GROUND]
-    for rep, members in by_rep.items():
+    for r, members in by_row.items():
         nodes = sorted({br.from_node for _, br in members} | {br.to_node for _, br in members})
-        if rep == ground_rep and GROUND not in nodes:
+        if r < 0 and GROUND not in nodes:
             nodes.insert(0, GROUND)
-        row = {nd: i for i, nd in enumerate(nodes)}
+        pos = {nd: i for i, nd in enumerate(nodes)}
         a = np.zeros((len(nodes), len(members)), dtype=complex)
         b = np.zeros(len(nodes), dtype=complex)
         for col, (_, br) in enumerate(members):
-            a[row[br.from_node], col] = 1.0
-            a[row[br.to_node], col] = -1.0
+            a[pos[br.from_node], col] = 1.0
+            a[pos[br.to_node], col] = -1.0
         for nd in nodes:
             # ground supplies/absorbs whatever the merged group needs
-            b[row[nd]] = 0j if nd == GROUND else -imbalance[nd]
+            b[pos[nd]] = 0j if nd == GROUND else -imbalance[nd]
         flows, *_ = np.linalg.lstsq(a, b, rcond=None)
         for col, (k, _) in enumerate(members):
             sol.branch_currents[k] = flows[col]
@@ -543,77 +439,3 @@ def apply_fault(net: PhasorNetwork, fault: FaultSpec, line: LineSectionModel,
     if grounded:
         out.add_branch(common, "ground", complex(fault.ground_resistance))
     return out
-
-
-# -- reporting ----------------------------------------------------------------
-
-
-def rms_report(sol: PhasorSolution, nodes: list[str] | None = None) -> list[tuple[str, str, float, float]]:
-    """Rows of (node, phase, rms_volts, angle_deg); RMS is the phasor magnitude."""
-    net = sol.network
-    if nodes is None:
-        nodes = [name for name in net._ids[1:]]
-    rows = []
-    for name in nodes:
-        if not net.has_node(name):
-            raise KeyError(f"unknown node '{name}'")
-        base, dot, suffix = name.rpartition(".")
-        phase = suffix if dot and suffix in PHASES else ""
-        label = base if phase else name
-        rows.append((label, phase, sol.rms(name), sol.angle_deg(name)))
-    return rows
-
-
-def write_rms_csv(sol: PhasorSolution, path, nodes: list[str] | None = None):
-    rows = rms_report(sol, nodes)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "phase", "rms_volts", "angle_deg"])
-        for label, phase, rms, ang in rows:
-            writer.writerow([label, phase, repr(float(rms)), repr(float(ang))])
-
-
-# -- text form ----------------------------------------------------------------
-
-
-def parse_network(text: str) -> tuple[PhasorNetwork, list[FaultSpec]]:
-    """Build a network from its line-oriented text form.
-
-    Directives (one per line, '#' starts a comment):
-        node NAME
-        branch FROM TO SERIES_Z [SHUNT_Y_PER_END]
-        source NODE EMF_VOLTS [ANGLE_DEG] [INTERNAL_Z]
-        inject NODE AMPS
-        fault TYPE DISTANCE_KM RA RB RC RGROUND
-    Complex values use Python syntax without spaces, e.g. 1+10j.
-    """
-    net = PhasorNetwork()
-    faults: list[FaultSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0].lower(), parts[1:]
-        try:
-            if kind == "node" and len(args) == 1:
-                net.node(args[0])
-            elif kind == "branch" and len(args) in (3, 4):
-                shunt = complex(args[3]) if len(args) == 4 else 0j
-                net.add_branch(args[0], args[1], complex(args[2]), shunt)
-            elif kind == "source" and len(args) in (2, 3, 4):
-                mag = float(args[1])
-                ang = math.radians(float(args[2])) if len(args) >= 3 else 0.0
-                zint = complex(args[3]) if len(args) == 4 else 1 + 10j
-                net.add_source(args[0], mag * complex(math.cos(ang), math.sin(ang)), zint)
-            elif kind == "inject" and len(args) == 2:
-                net.add_injection(args[0], complex(args[1]))
-            elif kind == "fault" and len(args) == 6:
-                faults.append(FaultSpec(int(args[0]), float(args[1]),
-                                        (float(args[2]), float(args[3]), float(args[4])),
-                                        float(args[5])))
-            else:
-                raise ValueError(f"unrecognized directive '{line}'")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    return net, faults

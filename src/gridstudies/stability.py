@@ -393,26 +393,3 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
         for row in rows:
             writer.writerow([repr(float(row.power_mw)),
                              repr(float(row.duration_ms)), row.stability])
-
-
-def read_sweep_csv(path) -> list[SweepRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("line 1: empty file, expected header") from None
-        if header != ["Power", "Duration", "Stability"]:
-            raise ValueError(f"line 1: bad header {header!r}")
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(record)}")
-            try:
-                rows.append(SweepRow(float(record[0]), float(record[1]),
-                                     int(record[2])))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return rows

@@ -156,6 +156,30 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["seed", "threads"])
+def test_bad_shared_config_value_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "abc"}))
+    out = tmp_path / "x"
+    assert run("lightning", "--config", cfg, "--out", out) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("lightning", "--n", 0), "n"),
+    (("dist", "--hours", 0), "hours"),
+    (("dist", "--runs", -1), "runs"),
+    (("stability", "--power-mw", 0), "power_mw"),
+    (("stability", "--power-mw", 2500), "power_mw"),
+])
+def test_out_of_range_value_exits_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "x"
+    assert run(*argv, "--out", out) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_dist_case_exits_2(tmp_path, capsys):
     assert run("dist", "--case", "Z9", "--out", tmp_path / "x") == 2
     assert "Z9" in capsys.readouterr().err
@@ -168,11 +192,13 @@ def test_external_mode_without_table_exits_2(tmp_path, capsys):
 
 
 def test_runtime_error_still_writes_manifest(tmp_path):
+    # full load at unity power factor passes the range check, but no
+    # terminal voltage can push it through the network
     out = tmp_path / "boom"
-    assert run("stability", "--power-mw", 9999, "--out", out) == 1
+    assert run("stability", "--power-mw", 2220, "--out", out) == 1
     man = read_manifest(out)
     assert man["error"] is not None
-    assert "power factor" in man["error"]
+    assert "no terminal voltage" in man["error"]
     assert man["outputs"] == []
 
 

@@ -29,8 +29,8 @@ from gridstudies.lightning import (
     striking_distances,
     summary_lines,
     write_events_csv,
-    write_summary,
 )
+from gridstudies.report import write_text
 
 
 # ---------------------------------------------------------------- sampling
@@ -472,7 +472,7 @@ class TestOutputs:
     def test_summary_file(self, tmp_path):
         res = run_study(StudyConfig(n=250, seed=15))
         path = tmp_path / "summary.txt"
-        write_summary(path, res)
+        write_text(path, summary_lines(res))
         text = path.read_text()
         lines = text.strip().split("\n")
         assert len(lines) == len(summary_lines(res))

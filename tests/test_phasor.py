@@ -2,17 +2,16 @@
 
 Proves:
   Group 1 - assembly
-    admittance matrix matches the hand-stamped single-branch case,
-    symmetry to 1e-12 on random networks, isolated node named in the error
+    the shared two-terminal stamp matches the hand-stamped single-branch
+    case and stays exactly symmetric, node merging is order-independent,
+    random networks with coupled branches are reciprocal, isolated node
+    named in the error
   Group 2 - solving against independent oracles
     voltage divider, two-mesh ladder vs a loop-current oracle,
     superposition and reciprocity to 1e-9, complex power balance to 1e-8
   Group 3 - faults
     bolted faults merge nodes exactly, every fault code stamps the right
     branch set, code 12 rejected, fault application leaves the input intact
-  Group 4 - reporting and text form
-    RMS is the phasor magnitude (400 kV source -> 230940.1 V per phase),
-    CSV export columns, parse errors carry the line number
 """
 
 import math
@@ -20,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from gridstudies.nodal import merge_nodes, stamp
 from gridstudies.phasor import (
     FAULT_CONNECTIONS,
     FaultSpec,
@@ -27,11 +27,7 @@ from gridstudies.phasor import (
     PhasorNetwork,
     SingularNetworkError,
     apply_fault,
-    assemble_admittance,
-    parse_network,
-    rms_report,
     solve_steady_state,
-    write_rms_csv,
 )
 
 
@@ -61,14 +57,35 @@ def ladder_oracle(z0, z1, z2, z3, z4, emf=1.0 + 0j):
 
 
 def test_single_branch_admittance():
-    net = PhasorNetwork()
-    net.add_branch("a", "b", 1.0 + 0j)
-    y = assemble_admittance(net)
-    assert np.allclose(y, np.array([[1, -1], [-1, 1]], dtype=complex))
+    y = np.zeros((2, 2), dtype=complex)
+    stamp(y, 0, 1, 1.0 + 0j)
+    assert np.array_equal(y, np.array([[1, -1], [-1, 1]], dtype=complex))
+    stamp(y, 1, -1, 2.0 + 0j)   # shunt to ground touches the diagonal only
+    stamp(y, 0, 0, 5.0 + 0j)    # both ends merged into one row: no-op
+    stamp(y, -1, -1, 5.0 + 0j)  # both ends on ground: no-op
+    assert np.array_equal(y, np.array([[1, -1], [-1, 3]], dtype=complex))
+
+
+def test_merge_nodes_order_independent():
+    pairs = [(4, 2), (5, 0), (3, 1), (2, 6)]
+    row, roots = merge_nodes(8, pairs)
+    assert (row, roots) == merge_nodes(8, pairs[::-1])
+    # groups {1,3} {2,4,6} {7} in node-id order; {0,5} is ground
+    assert roots == [1, 2, 7]
+    assert row == [-1, 0, 1, 0, 1, -1, 1, 2]
 
 
 def test_admittance_symmetry_random_networks():
     rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(3, 8))
+        y = np.zeros((n, n), dtype=complex)
+        for _ in range(3 * n):
+            ia, ib = (int(k) for k in rng.integers(-1, n, size=2))
+            stamp(y, ia, ib, complex(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0)))
+        assert np.array_equal(y, y.T)
+
+    # a symmetric nodal matrix makes every network reciprocal
     for _ in range(20):
         net = PhasorNetwork()
         n_nodes = int(rng.integers(3, 8))
@@ -76,29 +93,45 @@ def test_admittance_symmetry_random_networks():
         for _ in range(int(rng.integers(n_nodes, 3 * n_nodes))):
             a, b = rng.choice(len(names), size=2, replace=False)
             z = complex(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0))
-            y_end = complex(0, rng.uniform(0, 1e-3))
+            y_end = complex(0, rng.uniform(1e-4, 1e-3))
             net.add_branch(names[a], names[b], z, y_end)
         line = LineSectionModel(0.02 + 0.3j, 0.2 + 1.0j, 1e-9j, 5e-10j,
                                 length_km=50.0, mutual_skew=0.15)
         net.add_coupled_branch("p", "q", line.series_matrix(), line.shunt_matrix_per_end())
-        y = assemble_admittance(net)
-        assert np.max(np.abs(y - y.T)) < 1e-12
+        net.add_branch("n0", "p.A", 1.0 + 1.0j)
+        for phase in "ABC":
+            net.add_branch(f"q.{phase}", "ground", 2.0 + 0.5j)
+        probes = ("n0", "p.B", "q.A")
+        v = {}
+        for src in probes:
+            driven = net.copy()
+            driven.add_injection(src, 1.0 + 0j)
+            sol = solve_steady_state(driven)
+            for dst in probes:
+                v[src, dst] = sol.voltage(dst)
+        for src in probes:
+            for dst in probes:
+                assert abs(v[src, dst] - v[dst, src]) < 1e-9 * max(abs(v[src, dst]), 1.0)
 
 
 def test_isolated_node_named():
     net = PhasorNetwork()
+    net.add_source("a", 1.0, 1.0 + 0j)
     net.add_branch("a", "b", 1.0 + 0j)
     net.node("floating")
     with pytest.raises(SingularNetworkError) as err:
-        assemble_admittance(net)
+        solve_steady_state(net)
     assert err.value.node == "floating"
 
 
 def test_empty_network_rejected():
     with pytest.raises(SingularNetworkError):
-        assemble_admittance(PhasorNetwork())
-    with pytest.raises(SingularNetworkError):
         solve_steady_state(PhasorNetwork())
+    bolted = PhasorNetwork()  # a source, but its only node is bolted to ground
+    bolted.add_injection("a", 1.0 + 0j)
+    bolted.add_branch("a", "ground", 0j)
+    with pytest.raises(SingularNetworkError, match="bolted to ground"):
+        solve_steady_state(bolted)
 
 
 # -- Group 2: solving ----------------------------------------------------------
@@ -271,55 +304,3 @@ def test_transposed_line_rotation_symmetry():
             rhs = sol_bg.rms(f"{group}.{rotate[p]}") / base
             assert abs(lhs - rhs) < 1e-6
 
-
-# -- Group 4: reporting and text form -------------------------------------------
-
-
-def test_rms_report_source_magnitude():
-    net = PhasorNetwork()
-    net.add_three_phase_source("bus", 230940.1076758503, 1 + 10j)
-    # unloaded source: node voltage equals the emf
-    sol = solve_steady_state(net)
-    rows = rms_report(sol, [f"bus.{p}" for p in "ABC"])
-    for (label, phase, rms, _ang), expect_phase in zip(rows, "ABC"):
-        assert label == "bus" and phase == expect_phase
-        assert rms == pytest.approx(230940.1, abs=0.05)
-
-
-def test_rms_csv_export(tmp_path):
-    net = PhasorNetwork()
-    net.add_source("n1", 100.0, 1.0 + 0j)
-    net.add_branch("n1", "ground", 1.0 + 0j)
-    sol = solve_steady_state(net)
-    path = tmp_path / "rms.csv"
-    write_rms_csv(sol, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node,phase,rms_volts,angle_deg"
-    assert lines[1].startswith("n1,,50.0")
-
-
-def test_rms_report_unknown_node():
-    net = PhasorNetwork()
-    net.add_source("n1", 1.0, 1.0 + 0j)
-    net.add_branch("n1", "ground", 1.0)
-    sol = solve_steady_state(net)
-    with pytest.raises(KeyError):
-        rms_report(sol, ["nope"])
-
-
-def test_parse_network_round_trip():
-    text = """
-    # small divider
-    branch mid ground 1+0j
-    source mid 1.0 0 1+0j
-    fault 9 25.0 0 0 0 0.5
-    """
-    net, faults = parse_network(text)
-    sol = solve_steady_state(net)
-    assert abs(sol.voltage("mid") - 0.5) < 1e-12
-    assert faults[0].fault_type == 9 and faults[0].ground_resistance == 0.5
-
-
-def test_parse_network_error_carries_line_number():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_network("branch a b 1+0j\nbogus directive here\n")

