@@ -23,21 +23,16 @@ class ConfigError(ValueError):
     """Bad flag or config-file entry; the run never starts."""
 
 
-def _bool(value):
-    if isinstance(value, bool):
-        return value
-    raise ValueError(f"expected true/false, got {value!r}")
-
-
-# Per-study parameters: name -> (caster, default).  The caster validates
-# config-file values as well as command-line ones.
+# Per-study parameters: name -> (type, default).  Command-line values get
+# the type from argparse; config-file values must already have its JSON
+# type (see _from_json).
 SCHEMAS = {
     "fault-lab": {"r_max": (float, 1.0), "k_max": (int, 4)},
     "lightning": {"n": (int, 5000)},
     "dist": {"case": (str, "A1"), "hours": (int, 200), "runs": (int, 0),
              "mode": (str, "internal"), "table": (str, "")},
     "stability": {"power_mw": (float, 1776.0), "duration_ms": (float, 100.0),
-                  "sweep": (_bool, False)},
+                  "sweep": (bool, False)},
     "ml": {"svm_c": (float, 10.0), "epochs": (int, 2000), "lr": (float, 1.0),
            "mlp_seed": (int, 8), "split": (float, 0.5)},
 }
@@ -56,6 +51,20 @@ LIMITS = {
     "runs": (lambda v: v >= 0, ">= 0"),
     "power_mw": (lambda v: 0 < v <= _S_BASE_MW, f"in (0, {_S_BASE_MW:g}]"),
 }
+
+
+def _from_json(kind, value):
+    """A config-file value that already has kind's JSON type: int keys take
+    integers only, float keys any number, and no key takes a boolean in
+    place of a number or null in place of a string."""
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"expected {kind.__name__}")
+    return kind(value)
+
+
+def _operating_point(power_mw: float):
+    return stability.OperatingPoint.from_power_factor(power_mw / _S_BASE_MW)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,8 +158,8 @@ def _resolve(args) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown config key '{key}'")
             try:
-                resolved[key] = schema[key][0](value)
-            except (TypeError, ValueError, OverflowError):
+                resolved[key] = _from_json(schema[key][0], value)
+            except (ValueError, OverflowError):
                 raise ConfigError(
                     f"bad value for config key '{key}': {value!r}") from None
 
@@ -162,6 +171,13 @@ def _resolve(args) -> dict:
     for key, (ok, allowed) in LIMITS.items():
         if key in resolved and not ok(resolved[key]):
             raise ConfigError(f"{key} must be {allowed}, got {resolved[key]!r}")
+    if args.study == "stability" and not resolved["sweep"]:
+        try:
+            stability.init_conditions(stability.SmibModel(),
+                                      _operating_point(resolved["power_mw"]))
+        except stability.InfeasibleOperatingPoint as exc:
+            raise ConfigError(f"power_mw must be a feasible operating point, "
+                              f"got {resolved['power_mw']!r}: {exc}") from None
     if args.study == "dist":
         if resolved["case"] not in distsim.CASE_NAMES:
             raise ConfigError(f"unknown case '{resolved['case']}', pick one "
@@ -231,26 +247,24 @@ def _run_lightning(cfg, out, man):
     man.add_output(events)
     _write_summary(out, man, lightning.summary_lines(result))
 
-    on_line = np.asarray([im.on_line for im in result.impacts])
+    impacts, sample = result.impacts, result.sample
+    if not impacts.on_line.any():
+        return
     chart = svg.render_histogram(
-        result.sample.peak_ka[on_line], 40,
+        sample.peak_ka[impacts.on_line], 40,
         ChartStyle("Peak current of strokes reaching the line",
                    "peak current (kA)", "count"))
     _write_chart(out, man, "peaks.svg", chart)
 
     groups = []
-    for label in (lightning.WIRE_SHIELD, lightning.WIRE_PHASE_A,
-                  lightning.WIRE_PHASE_C):
-        idx = [i for i, im in enumerate(result.impacts)
-               if im.wire_label == label]
-        if idx:
-            groups.append(DataSeries(result.sample.x_m[idx],
-                                     result.sample.y_m[idx], label))
-    if groups:
-        chart = svg.render_scatter(
-            groups, ChartStyle("Stroke terminations along the line",
-                               "x (m)", "y (m)"))
-        _write_chart(out, man, "impacts.svg", chart)
+    for wire, label in enumerate(lightning.WIRE_LABELS):
+        sel = impacts.wire == wire
+        if wire != lightning.GROUND and sel.any():
+            groups.append(DataSeries(sample.x_m[sel], sample.y_m[sel], label))
+    chart = svg.render_scatter(
+        groups, ChartStyle("Stroke terminations along the line",
+                           "x (m)", "y (m)"))
+    _write_chart(out, man, "impacts.svg", chart)
 
 
 def _run_dist(cfg, out, man):
@@ -330,8 +344,7 @@ def _run_stability(cfg, out, man):
         _write_summary(out, man, report.summary_block(pairs))
         return
 
-    op = stability.OperatingPoint.from_power_factor(
-        cfg["power_mw"] / model.s_base_mva)
+    op = _operating_point(cfg["power_mw"])
     fault = stability.FaultEvent(duration=cfg["duration_ms"] / 1e3)
     result = stability.simulate(model, op, fault)
 

@@ -29,13 +29,11 @@ RADIUS_KA_EXPONENT = 0.75
 TOWER_BAND_HIGH_KA = 64.0
 TOWER_BAND_LOW_KA = 25.0
 
-WIRE_GROUND = "Ground"
-WIRE_SHIELD = "Shield wire"
-WIRE_PHASE_A = "Phase A"
-WIRE_PHASE_C = "Phase C"
-
-PLACE_TOWER = "Tower"
-PLACE_SPAN = "Span"
+# Impact codes: `wire` indexes WIRE_LABELS, `place` indexes PLACE_LABELS.
+GROUND, SHIELD, PHASE_A, PHASE_C = range(4)
+TOWER, SPAN = 1, 2
+WIRE_LABELS = ("Ground", "Shield wire", "Phase A", "Phase C")
+PLACE_LABELS = ("", "Tower", "Span")
 
 EVENTS_HEADER = ("PhaseAngle", "StrokePeak", "FrontTime", "HalfPeak",
                  "Wire", "Tower", "Flashover")
@@ -101,54 +99,49 @@ class LineGeometry:
 DEFAULT_GEOMETRY = LineGeometry()
 
 
-def striking_distances(peak_ka: float) -> tuple:
-    """Attraction radii (wire, ground) in meters for a peak current in kA."""
-    if peak_ka <= 0:
+def striking_distances(peak_ka) -> tuple:
+    """Attraction radii (wire, ground) in meters for peak currents in kA."""
+    peak_ka = np.asarray(peak_ka, dtype=float)
+    if np.any(peak_ka <= 0):
         raise ValueError("peak current must be positive")
     scale = peak_ka ** RADIUS_KA_EXPONENT
     return WIRE_RADIUS_KA_COEFF * scale, GROUND_RADIUS_KA_COEFF * scale
 
 
 @dataclass(frozen=True)
-class Impact:
-    """Where one stroke terminates."""
+class Impacts:
+    """Where strokes terminate, one integer code per stroke in each field.
 
-    target: str            # "ground", "shield", or "phase"
-    place: str = ""        # "tower" or "span" for line strokes
-    index: int = -1        # tower index or span index for line strokes
-    phase: str = ""        # "a" or "c" for phase strokes
+    `wire` indexes WIRE_LABELS, `place` indexes PLACE_LABELS (0 on ground),
+    and `index` is the tower or span number, -1 on ground.  `impacts[i]` is
+    the record of stroke i alone, with scalar fields.
+    """
 
-    @property
-    def on_line(self) -> bool:
-        return self.target != "ground"
-
-    @property
-    def wire_label(self) -> str:
-        if self.target == "ground":
-            return WIRE_GROUND
-        if self.target == "shield":
-            return WIRE_SHIELD
-        return WIRE_PHASE_A if self.phase == "a" else WIRE_PHASE_C
+    wire: np.ndarray
+    place: np.ndarray
+    index: np.ndarray
 
     @property
-    def place_label(self) -> str:
-        if self.target == "ground":
-            return ""
-        return PLACE_TOWER if self.place == "tower" else PLACE_SPAN
+    def on_line(self) -> np.ndarray:
+        return self.wire != GROUND
+
+    def __getitem__(self, i) -> "Impacts":
+        return Impacts(self.wire[i], self.place[i], self.index[i])
 
 
-def _capture_height(y: float, wire_y: float, wire_h: float, radius: float) -> float:
-    """Height where a channel descending at y meets the wire's circle."""
+def _capture_height(y, wire_y: float, wire_h: float, radius):
+    """Height where a channel descending at y meets the wire's circle,
+    -inf where it passes the circle by."""
     gap = radius * radius - (y - wire_y) ** 2
-    if gap < 0:
-        return -math.inf
-    return wire_h + math.sqrt(gap)
+    with np.errstate(invalid="ignore"):
+        return np.where(gap >= 0, wire_h + np.sqrt(gap), -np.inf)
 
 
-def classify_impact(x_m: float, y_m: float, peak_ka: float,
-                    geometry: LineGeometry = DEFAULT_GEOMETRY) -> Impact:
-    """Attribute one stroke to ground, a shield wire, or an outer phase.
+def classify_impact(x_m, y_m, peak_ka,
+                    geometry: LineGeometry = DEFAULT_GEOMETRY) -> Impacts:
+    """Attribute strokes to ground, a shield wire, or an outer phase.
 
+    Takes arrays (or scalars, as 0-d arrays) of strike points and peaks.
     The channel descends vertically at y and terminates on whatever surface
     it meets first: a wire's attraction circle or the ground plane.  Wire
     attribution always uses the tower cross-section; the middle phase is
@@ -156,33 +149,29 @@ def classify_impact(x_m: float, y_m: float, peak_ka: float,
     tower or within a span depending on how close x falls to a structure,
     with a capture band that widens with the peak current.
     """
-    rc, rg = striking_distances(peak_ka)
-    shield = max(_capture_height(y_m, wy, wh, rc)
-                 for wy, wh in geometry.shield_positions())
-    left, right = geometry.outer_phase_positions()
-    phase_left = _capture_height(y_m, left[0], left[1], rc)
-    phase_right = _capture_height(y_m, right[0], right[1], rc)
-    phase = max(phase_left, phase_right)
-    if max(shield, phase) <= rg:
-        return Impact("ground")
+    x, y, peak = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                       for v in (x_m, y_m, peak_ka)))
+    rc, rg = striking_distances(peak)
+    shield = np.maximum.reduce([_capture_height(y, wy, wh, rc)
+                                for wy, wh in geometry.shield_positions()])
+    left, right = (_capture_height(y, wy, wh, rc)
+                   for wy, wh in geometry.outer_phase_positions())
+    phase = np.maximum(left, right)
+    on_line = np.maximum(shield, phase) > rg
+    wire = np.where(phase > shield,
+                    np.where(left >= right, PHASE_A, PHASE_C), SHIELD)
 
-    target = "phase" if phase > shield else "shield"
-    towers = geometry.towers_x()
-    nearest = int(np.argmin(np.abs(towers - x_m)))
-    distance = abs(towers[nearest] - x_m)
-    if peak_ka > TOWER_BAND_HIGH_KA:
-        band = geometry.span_m / 4.0
-    elif peak_ka >= TOWER_BAND_LOW_KA:
-        band = geometry.span_m / 8.0
-    else:
-        band = geometry.span_m / 16.0
-    if distance <= band:
-        place, index = "tower", nearest
-    else:
-        place = "span"
-        index = min(int(x_m // geometry.span_m), geometry.span_count - 1)
-    side = "a" if phase_left >= phase_right else "c"
-    return Impact(target, place, index, side if target == "phase" else "")
+    distances = np.abs(geometry.towers_x() - x[..., None])
+    nearest = np.argmin(distances, axis=-1)
+    span = geometry.span_m
+    band = np.select([peak > TOWER_BAND_HIGH_KA, peak >= TOWER_BAND_LOW_KA],
+                     [span / 4.0, span / 8.0], span / 16.0)
+    at_tower = distances.min(axis=-1) <= band
+    span_index = np.minimum(x // span, geometry.span_count - 1).astype(int)
+    return Impacts(wire=np.where(on_line, wire, GROUND),
+                   place=np.where(on_line, np.where(at_tower, TOWER, SPAN), 0),
+                   index=np.where(on_line, np.where(at_tower, nearest,
+                                                    span_index), -1))
 
 
 def exposure_width(geometry: LineGeometry, peak_ka: float,
@@ -198,16 +187,8 @@ def exposure_width(geometry: LineGeometry, peak_ka: float,
     phases = geometry.outer_phase_positions(at_midspan)
     reach = max(abs(p[0]) for p in phases) + rc + 2.0
     y = np.linspace(0.0, reach, grid_points)
-
-    def capture(wire_y, wire_h):
-        gap = rc * rc - (y - wire_y) ** 2
-        height = np.full_like(y, -np.inf)
-        ok = gap >= 0
-        height[ok] = wire_h + np.sqrt(gap[ok])
-        return height
-
-    shield_best = np.maximum.reduce([capture(*w) for w in shields])
-    phase_best = np.maximum.reduce([capture(*w) for w in phases])
+    shield_best = np.maximum.reduce([_capture_height(y, *w, rc) for w in shields])
+    phase_best = np.maximum.reduce([_capture_height(y, *w, rc) for w in phases])
     exposed = (phase_best > shield_best) & (phase_best > rg)
     return 2.0 * float(exposed.sum()) * (y[1] - y[0])
 
@@ -391,7 +372,7 @@ class StudyConfig:
                                 / self.tower_base_radius_m) - 1.0)
 
 
-def build_strike_network(event: StrokeEvent, impact: Impact,
+def build_strike_network(event: StrokeEvent, impact: Impacts,
                          config: StudyConfig) -> tuple:
     """Assemble the traveling-wave network for one line stroke.
 
@@ -399,10 +380,14 @@ def build_strike_network(event: StrokeEvent, impact: Impact,
     conductor ends in its matched impedance, the phases behind steady
     sources that hold the instantaneous power-frequency voltage, so the
     network sits in exact equilibrium until the surge arrives.  Returns
-    the network and the insulator switches on the real towers.
+    the network and the insulator switches on the real towers.  `impact`
+    holds the codes of this one stroke.
     """
-    if not impact.on_line:
+    wire, place, index = int(impact.wire), int(impact.place), int(impact.index)
+    if wire == GROUND:
         raise ValueError("only line strokes get a network")
+    phase = {PHASE_A: "a", PHASE_C: "c"}.get(wire)
+    split_span = index if place == SPAN else None
     geom = config.geometry
     ext = config.extension_towers
     total = geom.tower_count + 2 * ext
@@ -426,16 +411,14 @@ def build_strike_network(event: StrokeEvent, impact: Impact,
     inject = None
     for k in range(total - 1):
         span = k - ext  # real span index for k between the real towers
-        if impact.target == "shield" and impact.place == "span" and span == impact.index:
+        if wire == SHIELD and span == split_span:
             net.add_line(f"s{k}", "mid", z_shield, tau_span / 2.0)
             net.add_line("mid", f"s{k + 1}", z_shield, tau_span / 2.0)
             inject = "mid"
         else:
             net.add_line(f"s{k}", f"s{k + 1}", z_shield, tau_span)
         for p in "abc":
-            hit = (impact.target == "phase" and impact.place == "span"
-                   and span == impact.index and p == impact.phase)
-            if hit:
+            if p == phase and span == split_span:
                 net.set_initial_voltage("mid", volts[p])
                 net.add_line(f"p{p}{k}", "mid", z_phase, tau_span / 2.0,
                              v0_a=volts[p], v0_b=volts[p])
@@ -458,8 +441,8 @@ def build_strike_network(event: StrokeEvent, impact: Impact,
                 for k in range(ext, ext + geom.tower_count) for p in "abc"]
 
     if inject is None:
-        k = ext + impact.index
-        inject = f"s{k}" if impact.target == "shield" else f"p{impact.phase}{k}"
+        k = ext + index
+        inject = f"s{k}" if wire == SHIELD else f"p{phase}{k}"
     front = event.front_us * 1e-6
     half = max(event.half_us * 1e-6, front * 1.001)
     net.add_current_source(inject, DoubleRampSource(-event.peak_ka * 1e3,
@@ -474,7 +457,7 @@ class EventResult:
     failed: bool = False
 
 
-def simulate_event(event: StrokeEvent, impact: Impact,
+def simulate_event(event: StrokeEvent, impact: Impacts,
                    config: StudyConfig) -> EventResult:
     """Replay one line stroke; a solver failure is reported, not raised."""
     try:
@@ -546,31 +529,32 @@ def flashover_rate(n_strokes: int, n_flashovers: int, l1_km: float,
 class StudyResult:
     config: StudyConfig
     sample: StrokeSample
-    impacts: list
+    impacts: Impacts
     flashover: np.ndarray      # bool per stroke
     failed: np.ndarray         # bool per stroke
     counts: StrokeCounts
     rate: FlashoverRate
 
 
-def _count(sample: StrokeSample, impacts: list, flash: np.ndarray,
+def _count(impacts: Impacts, flash: np.ndarray,
            failed: np.ndarray) -> StrokeCounts:
-    n = len(sample)
-    ground = sum(1 for im in impacts if not im.on_line)
-    shield = sum(1 for im in impacts if im.target == "shield")
-    phase = sum(1 for im in impacts if im.target == "phase")
-    s_t = sum(1 for im in impacts if im.target == "shield" and im.place == "tower")
-    p_t = sum(1 for im in impacts if im.target == "phase" and im.place == "tower")
-    f_t = sum(1 for im, f in zip(impacts, flash) if f and im.place == "tower")
-    nf = int(flash.sum())
-    return StrokeCounts(total=n, ground=ground, line=n - ground,
-                        shield=shield, phase=phase,
-                        tower=s_t + p_t, span=n - ground - s_t - p_t,
-                        shield_tower=s_t, shield_span=shield - s_t,
-                        phase_tower=p_t, phase_span=phase - p_t,
-                        flashovers=nf, flashover_tower=f_t,
-                        flashover_span=nf - f_t,
-                        failures=int(failed.sum()))
+    def count(mask):
+        return int(np.count_nonzero(mask))
+
+    line, shield = impacts.on_line, impacts.wire == SHIELD
+    phase = line & ~shield
+    tower, span = impacts.place == TOWER, impacts.place == SPAN
+    return StrokeCounts(total=impacts.wire.size, ground=count(~line),
+                        line=count(line), shield=count(shield),
+                        phase=count(phase), tower=count(tower),
+                        span=count(span), shield_tower=count(shield & tower),
+                        shield_span=count(shield & span),
+                        phase_tower=count(phase & tower),
+                        phase_span=count(phase & span),
+                        flashovers=count(flash),
+                        flashover_tower=count(flash & tower),
+                        flashover_span=count(flash & span),
+                        failures=count(failed))
 
 
 def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
@@ -581,13 +565,12 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
     configuration and seed, never on the worker count.
     """
     sample = sample_strokes(config.n, config.seed, config.geometry)
-    impacts = [classify_impact(sample.x_m[i], sample.y_m[i],
-                               sample.peak_ka[i], config.geometry)
-               for i in range(config.n)]
+    impacts = classify_impact(sample.x_m, sample.y_m, sample.peak_ka,
+                              config.geometry)
     flash = np.zeros(config.n, dtype=bool)
     failed = np.zeros(config.n, dtype=bool)
     jobs = [(i, sample.event(i), impacts[i], config)
-            for i in range(config.n) if impacts[i].on_line]
+            for i in np.flatnonzero(impacts.on_line).tolist()]
     if config.threads > 1 and len(jobs) > 1:
         with multiprocessing.Pool(config.threads) as pool:
             results = pool.map(_simulate_indexed, jobs, chunksize=16)
@@ -596,7 +579,7 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
     for i, res in results:
         flash[i] = res.flashover
         failed[i] = res.failed
-    counts = _count(sample, impacts, flash, failed)
+    counts = _count(impacts, flash, failed)
     rate = flashover_rate(config.n, counts.flashovers, config.strip_length_km,
                           config.geometry.line_length_m / 1e3,
                           config.ground_flash_density)
@@ -607,18 +590,17 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
 
 def write_events_csv(path, result: StudyResult):
     """One row per stroke: waveshape, termination, and the verdict."""
-    sample = result.sample
+    s, im = result.sample, result.impacts
+    rows = zip(s.angle_deg.tolist(), s.peak_ka.tolist(), s.front_us.tolist(),
+               s.half_us.tolist(), im.wire.tolist(), im.place.tolist(),
+               result.flashover.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENTS_HEADER)
-        for i in range(len(sample)):
-            im = result.impacts[i]
-            writer.writerow((repr(float(sample.angle_deg[i])),
-                             repr(float(sample.peak_ka[i])),
-                             repr(float(sample.front_us[i])),
-                             repr(float(sample.half_us[i])),
-                             im.wire_label, im.place_label,
-                             int(result.flashover[i])))
+        for angle, peak, front, half, wire, place, flash in rows:
+            writer.writerow((repr(angle), repr(peak), repr(front), repr(half),
+                             WIRE_LABELS[wire], PLACE_LABELS[place],
+                             int(flash)))
 
 
 def flashover_dataset(result: StudyResult):
@@ -626,15 +608,16 @@ def flashover_dataset(result: StudyResult):
     waveshape columns numeric, termination columns one-hot."""
     from . import ml
 
-    keep = [i for i, im in enumerate(result.impacts) if im.on_line]
-    if not keep:
+    keep = result.impacts.on_line
+    if not keep.any():
         raise ValueError("no strokes reached the line")
     s = result.sample
     numeric = np.column_stack([s.angle_deg[keep], s.peak_ka[keep],
                                s.front_us[keep], s.half_us[keep]])
     names = ["PhaseAngle", "StrokePeak", "FrontTime", "HalfPeak"]
-    wires, wire_cats = ml.one_hot([result.impacts[i].wire_label for i in keep])
-    places, place_cats = ml.one_hot([result.impacts[i].place_label for i in keep])
+    line = result.impacts[keep]
+    wires, wire_cats = ml.one_hot(WIRE_LABELS[w] for w in line.wire.tolist())
+    places, place_cats = ml.one_hot(PLACE_LABELS[p] for p in line.place.tolist())
     names += [f"Wire={c}" for c in wire_cats] + [f"Tower={c}" for c in place_cats]
     features = np.hstack([numeric, wires, places])
     labels = result.flashover[keep].astype(int)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .nodal import GROUND, NodeRegistry, merge_nodes, stamp
+from .nodal import NodeRegistry, merge_nodes, stamp
 
 PHASES = ("A", "B", "C")
 
@@ -206,9 +206,6 @@ class PhasorNetwork(NodeRegistry):
 class PhasorSolution:
     network: PhasorNetwork
     node_voltages: np.ndarray            # complex, indexed by node id; ground = 0
-    branch_currents: list                # complex per Branch (from -> to series current)
-    coupled_currents: list               # ndarray(3) per CoupledBranch
-    source_currents: list                # complex per Source, current into the network
 
     def voltage(self, name: str) -> complex:
         return self.node_voltages[self.network._names[name]]
@@ -220,25 +217,31 @@ class PhasorSolution:
         return math.degrees(cmath.phase(self.voltage(name)))
 
     def power_balance(self) -> tuple[complex, complex]:
-        """(complex power delivered by ideal emfs, complex power absorbed)."""
+        """(complex power delivered by ideal emfs, complex power absorbed).
+
+        Element currents follow from the node voltages; bolted branches
+        absorb nothing.
+        """
         v = self.node_voltages
         delivered = 0j
         absorbed = 0j
         net = self.network
-        for src, i in zip(net.sources, self.source_currents):
+        for src in net.sources:
+            i = (src.emf - v[src.node]) / src.internal_impedance
             delivered += src.emf * np.conj(i)
             absorbed += src.internal_impedance * abs(i) ** 2
         for (node, amps) in net.injections:
             delivered += v[node] * np.conj(amps)
-        for br, i in zip(net.branches, self.branch_currents):
+        for br in net.branches:
             if not br.is_short:
+                i = (v[br.from_node] - v[br.to_node]) / br.series_impedance
                 absorbed += br.series_impedance * abs(i) ** 2
             for end in (br.from_node, br.to_node):
                 if br.shunt_admittance_per_end != 0:
                     absorbed += abs(v[end]) ** 2 * np.conj(br.shunt_admittance_per_end)
-        for cb, ivec in zip(net.coupled, self.coupled_currents):
+        for cb in net.coupled:
             vdrop = v[list(cb.from_nodes)] - v[list(cb.to_nodes)]
-            absorbed += vdrop @ np.conj(ivec)
+            absorbed += vdrop @ np.conj(np.linalg.solve(cb.series_impedance, vdrop))
             for ends in (cb.from_nodes, cb.to_nodes):
                 ve = v[list(ends)]
                 absorbed += ve @ np.conj(cb.shunt_admittance_per_end @ ve)
@@ -326,78 +329,7 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
     for idx, i in enumerate(row):
         voltages[idx] = v_red[i] if i >= 0 else 0j
 
-    branch_currents = [
-        0j if br.is_short
-        else (voltages[br.from_node] - voltages[br.to_node]) / br.series_impedance
-        for br in net.branches
-    ]
-    coupled_currents = []
-    for cb in net.coupled:
-        vdrop = voltages[list(cb.from_nodes)] - voltages[list(cb.to_nodes)]
-        coupled_currents.append(np.linalg.solve(cb.series_impedance, vdrop))
-    source_currents = [
-        (src.emf - voltages[src.node]) / src.internal_impedance for src in net.sources
-    ]
-
-    sol = PhasorSolution(net, voltages, branch_currents, coupled_currents, source_currents)
-    _complete_short_currents(net, sol, row)
-    return sol
-
-
-def _complete_short_currents(net: PhasorNetwork, sol: PhasorSolution, row: list[int]):
-    """Recover currents through bolted branches from KCL at the merged nodes.
-
-    Flows are the minimum-norm solution of the component incidence system,
-    which is exact whenever the bolted subgraph is a tree (the fault layouts
-    built here are stars).
-    """
-    shorts = [(k, br) for k, br in enumerate(net.branches) if br.is_short]
-    if not shorts:
-        return
-    v = sol.node_voltages
-
-    imbalance = np.zeros(len(row), dtype=complex)  # net current leaving each node
-    for br, i in zip(net.branches, sol.branch_currents):
-        if br.is_short:
-            continue
-        imbalance[br.from_node] += i
-        imbalance[br.to_node] -= i
-        if br.shunt_admittance_per_end != 0:
-            for end in (br.from_node, br.to_node):
-                imbalance[end] += v[end] * br.shunt_admittance_per_end
-    for cb, ivec in zip(net.coupled, sol.coupled_currents):
-        for k in range(3):
-            imbalance[cb.from_nodes[k]] += ivec[k]
-            imbalance[cb.to_nodes[k]] -= ivec[k]
-            ys_from = cb.shunt_admittance_per_end[k] @ v[list(cb.from_nodes)]
-            ys_to = cb.shunt_admittance_per_end[k] @ v[list(cb.to_nodes)]
-            imbalance[cb.from_nodes[k]] += ys_from
-            imbalance[cb.to_nodes[k]] += ys_to
-    for src, i in zip(net.sources, sol.source_currents):
-        imbalance[src.node] -= i
-    for (node, amps) in net.injections:
-        imbalance[node] -= amps
-
-    by_row: dict[int, list[tuple[int, Branch]]] = {}
-    for k, br in shorts:
-        by_row.setdefault(row[br.from_node], []).append((k, br))
-
-    for r, members in by_row.items():
-        nodes = sorted({br.from_node for _, br in members} | {br.to_node for _, br in members})
-        if r < 0 and GROUND not in nodes:
-            nodes.insert(0, GROUND)
-        pos = {nd: i for i, nd in enumerate(nodes)}
-        a = np.zeros((len(nodes), len(members)), dtype=complex)
-        b = np.zeros(len(nodes), dtype=complex)
-        for col, (_, br) in enumerate(members):
-            a[pos[br.from_node], col] = 1.0
-            a[pos[br.to_node], col] = -1.0
-        for nd in nodes:
-            # ground supplies/absorbs whatever the merged group needs
-            b[pos[nd]] = 0j if nd == GROUND else -imbalance[nd]
-        flows, *_ = np.linalg.lstsq(a, b, rcond=None)
-        for col, (k, _) in enumerate(members):
-            sol.branch_currents[k] = flows[col]
+    return PhasorSolution(net, voltages)
 
 
 # -- faults -------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from gridstudies import distsim, faultlab, lightning, ml, stability
 from gridstudies.cli import main as cli_main
 from gridstudies.emt import EmtNetwork
-from test_lightning import _oracle_classify
+from test_lightning import _decode, _oracle_classify
 
 # -- 1: flashover-rate arithmetic ---------------------------------------------------
 
@@ -64,12 +64,12 @@ def test_c03_egm_oracle_equivalence():
     start = time.perf_counter()
     geom = lightning.DEFAULT_GEOMETRY
     sample = lightning.sample_strokes(10000, seed=3)
+    impacts = lightning.classify_impact(sample.x_m, sample.y_m,
+                                        sample.peak_ka, geom)
     for i in range(len(sample)):
         x, y = float(sample.x_m[i]), float(sample.y_m[i])
         peak = float(sample.peak_ka[i])
-        im = lightning.classify_impact(x, y, peak, geom)
-        assert (im.target, im.place, im.index, im.phase) == \
-            _oracle_classify(x, y, peak, geom)
+        assert _decode(impacts[i]) == _oracle_classify(x, y, peak, geom)
 
     cc = lightning.critical_currents()
     for value, midspan in ((cc.tower_ka, False), (cc.span_ka, True)):

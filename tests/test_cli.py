@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from gridstudies import report
+from gridstudies import report, stability
 from gridstudies.cli import main
 
 
@@ -132,6 +132,18 @@ def test_lightning_small_run(tmp_path):
     assert (out / "impacts.svg").exists()
 
 
+def test_lightning_without_line_strokes(tmp_path):
+    # none of these three strokes reaches the line: no chart has data
+    out = tmp_path / "lt"
+    assert run("lightning", "--n", 3, "--seed", 5, "--out", out) == 0
+    with open(out / "events.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4 and all(row[4] == "Ground" for row in rows[1:])
+    assert "Number of strokes to the line = 0" in (out / "summary.txt").read_text()
+    assert not (out / "peaks.svg").exists()
+    assert not (out / "impacts.svg").exists()
+
+
 def test_lightning_thread_flag_keeps_bytes(tmp_path):
     one, two = tmp_path / "t1", tmp_path / "t2"
     assert run("lightning", "--n", 200, "--seed", 6, "--threads", 1,
@@ -150,16 +162,34 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"n": "many"}')
-    assert run("lightning", "--config", cfg, "--out", tmp_path / "x") == 2
-    assert "'n'" in capsys.readouterr().err
+    # a config-file value must already have its key's JSON type
+    rows = [("lightning", "n", "many"), ("lightning", "n", 3.9),
+            ("lightning", "n", True), ("lightning", "n", "3"),
+            ("stability", "power_mw", True), ("stability", "duration_ms", "100"),
+            ("stability", "sweep", 1), ("dist", "case", None),
+            ("dist", "hours", 200.0)]
+    for k, (study, key, value) in enumerate(rows):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / f"x{k}"
+        assert run(study, "--config", cfg, "--out", out) == 2, (key, value)
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["seed", "threads"])
-def test_bad_shared_config_value_exits_2(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, value", [
+    pytest.param("seed", "abc", id="seed"),
+    pytest.param("threads", "abc", id="threads"),
+    pytest.param("seed", 5.7, id="seed-float"),
+    pytest.param("seed", True, id="seed-bool"),
+    pytest.param("seed", "3", id="seed-string"),
+    pytest.param("threads", 1.0, id="threads-float"),
+    pytest.param("out", None, id="out-null"),
+    pytest.param("out", 7, id="out-number"),
+])
+def test_bad_shared_config_value_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: "abc"}))
+    cfg.write_text(json.dumps({key: value}))
     out = tmp_path / "x"
     assert run("lightning", "--config", cfg, "--out", out) == 2
     assert f"'{key}'" in capsys.readouterr().err
@@ -172,6 +202,7 @@ def test_bad_shared_config_value_exits_2(tmp_path, capsys, key):
     (("dist", "--runs", -1), "runs"),
     (("stability", "--power-mw", 0), "power_mw"),
     (("stability", "--power-mw", 2500), "power_mw"),
+    (("stability", "--power-mw", 2220), "power_mw"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -191,14 +222,16 @@ def test_external_mode_without_table_exits_2(tmp_path, capsys):
     assert "table" in capsys.readouterr().err
 
 
-def test_runtime_error_still_writes_manifest(tmp_path):
-    # full load at unity power factor passes the range check, but no
-    # terminal voltage can push it through the network
+def test_runtime_error_still_writes_manifest(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("integration diverged")
+
+    monkeypatch.setattr(stability, "simulate", fail)
     out = tmp_path / "boom"
-    assert run("stability", "--power-mw", 2220, "--out", out) == 1
+    assert run("stability", "--out", out) == 1
     man = read_manifest(out)
     assert man["error"] is not None
-    assert "no terminal voltage" in man["error"]
+    assert "integration diverged" in man["error"]
     assert man["outputs"] == []
 
 

@@ -3,17 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstudies.lightning import (
     DEFAULT_GEOMETRY,
     EVENTS_HEADER,
     FOOTING_RANGE_OHM,
     FRONT_MEDIAN_US,
+    GROUND,
     HALF_MEDIAN_US,
     PEAK_MEDIAN_KA,
     PEAK_SIGMA_LN,
+    PHASE_A,
+    PHASE_C,
+    PLACE_LABELS,
+    SHIELD,
+    SPAN,
+    TOWER,
+    WIRE_LABELS,
     CriticalCurrents,
-    Impact,
+    Impacts,
     LineGeometry,
     StrokeEvent,
     StudyConfig,
@@ -165,16 +175,24 @@ def _oracle_classify(x, y, peak, geom):
     return (target, place, index, side)
 
 
+def _decode(im):
+    """One stroke's impact codes in the oracle's (target, place, index,
+    phase) form."""
+    wire, place, index = int(im.wire), int(im.place), int(im.index)
+    return (("ground", "shield", "phase", "phase")[wire],
+            ("", "tower", "span")[place], index, ("", "", "a", "c")[wire])
+
+
 class TestClassification:
 
     def test_far_stroke_lands_on_ground(self):
         im = classify_impact(100.0, 499.0, 5.0)
-        assert im.target == "ground" and not im.on_line
-        assert im.wire_label == "Ground" and im.place_label == ""
+        assert _decode(im) == ("ground", "", -1, "") and not im.on_line
+        assert WIRE_LABELS[im.wire] == "Ground" and PLACE_LABELS[im.place] == ""
 
     def test_center_stroke_lands_on_shield(self):
         im = classify_impact(0.0, 0.0, 40.0)
-        assert im.target == "shield" and im.place == "tower" and im.index == 0
+        assert im.wire == SHIELD and im.place == TOWER and im.index == 0
 
     def test_low_current_reaches_phase_somewhere(self):
         geom = DEFAULT_GEOMETRY
@@ -182,33 +200,34 @@ class TestClassification:
         hit = None
         for y in np.linspace(0, 40, 2001):
             im = classify_impact(160.0, float(y), 10.0, geom)
-            if im.target == "phase":
+            if _decode(im)[0] == "phase":
                 hit = im
                 break
         assert hit is not None
-        assert hit.phase == "c" and hit.wire_label == "Phase C"
+        assert hit.wire == PHASE_C and WIRE_LABELS[hit.wire] == "Phase C"
 
     def test_tower_band_widens_with_current(self):
         geom = DEFAULT_GEOMETRY
         x = geom.span_m / 5.0     # between span/8 and span/4 from tower 0
         near = classify_impact(x, 0.0, 80.0, geom)
         far = classify_impact(x, 0.0, 40.0, geom)
-        assert near.place == "tower" and near.index == 0
-        assert far.place == "span" and far.index == 0
+        assert near.place == TOWER and near.index == 0
+        assert far.place == SPAN and far.index == 0
 
     def test_span_index_clamped_at_line_end(self):
         geom = DEFAULT_GEOMETRY
         im = classify_impact(3.5 * geom.span_m, 0.0, 30.0, geom)
-        assert im.place == "span" and im.index == 3
+        assert im.place == SPAN and im.index == 3
 
     def test_partition_is_total(self):
         s = sample_strokes(4_000, seed=21)
         kinds = {"ground": 0, "shield": 0, "phase": 0}
+        impacts = classify_impact(s.x_m, s.y_m, s.peak_ka)
         for i in range(len(s)):
-            im = classify_impact(s.x_m[i], s.y_m[i], s.peak_ka[i])
-            kinds[im.target] += 1
+            im = impacts[i]
+            kinds[_decode(im)[0]] += 1
             if im.on_line:
-                assert im.place in ("tower", "span") and im.index >= 0
+                assert im.place in (TOWER, SPAN) and im.index >= 0
         assert sum(kinds.values()) == 4_000
         assert kinds["ground"] > kinds["shield"] > kinds["phase"]
 
@@ -217,12 +236,45 @@ class TestClassification:
         # circle-membership predicate, competition re-coded from scratch
         geom = DEFAULT_GEOMETRY
         s = sample_strokes(10_000, seed=77)
+        impacts = classify_impact(s.x_m, s.y_m, s.peak_ka, geom)
         for i in range(len(s)):
-            im = classify_impact(s.x_m[i], s.y_m[i], s.peak_ka[i], geom)
-            got = (im.target, im.place, im.index, im.phase)
+            got = _decode(impacts[i])
             want = _oracle_classify(float(s.x_m[i]), float(s.y_m[i]),
                                     float(s.peak_ka[i]), geom)
             assert got == want
+
+
+def _near(centers, offsets):
+    """Values a hair away from (or exactly at) one of the centers."""
+    return st.builds(lambda c, e: c + e, st.sampled_from(centers),
+                     st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6]) | offsets)
+
+
+_GEOM = DEFAULT_GEOMETRY
+_BAND_EDGES = sorted({min(max(k * _GEOM.span_m + sign * _GEOM.span_m / d, 0.0),
+                          _GEOM.line_length_m)
+                      for k in range(_GEOM.tower_count) for d in (4, 8, 16)
+                      for sign in (-1, 1)})
+_STROKES = st.tuples(
+    st.floats(0.0, _GEOM.line_length_m)
+    | _near(_BAND_EDGES, st.floats(-0.5, 0.5)).map(
+        lambda x: min(max(x, 0.0), _GEOM.line_length_m)),
+    st.floats(-_GEOM.strip_half_width_m, _GEOM.strip_half_width_m)
+    | st.floats(-40.0, 40.0),
+    st.floats(1.0, 300.0) | _near([25.0, 64.0], st.floats(-0.01, 0.01)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_STROKES, min_size=1, max_size=30))
+def test_array_classification_matches_scalar_and_oracle(strokes):
+    x, y, peak = (np.array(column) for column in zip(*strokes))
+    batch = classify_impact(x, y, peak, _GEOM)
+    assert batch.wire.shape == batch.place.shape == batch.index.shape == x.shape
+    for i, (xi, yi, pi) in enumerate(strokes):
+        one = classify_impact(xi, yi, pi, _GEOM)
+        assert one.wire.shape == ()
+        assert _decode(batch[i]) == _decode(one) == _oracle_classify(xi, yi, pi, _GEOM)
 
 
 # -------------------------------------------------------- critical currents
@@ -304,7 +356,7 @@ class TestSurgeReplay:
     def test_network_rests_at_power_frequency_voltages(self):
         config = StudyConfig(n=1)
         event = _event(peak_ka=1e-9)
-        net, switches = build_strike_network(event, Impact("shield", "tower", 2),
+        net, switches = build_strike_network(event, Impacts(SHIELD, TOWER, 2),
                                              config)
         sim = net.assemble(config.dt_s)
         res = sim.run(5e-6, record=("pa4", "pb4", "pc4", "s4"))
@@ -318,26 +370,26 @@ class TestSurgeReplay:
 
     def test_ground_impact_rejected(self):
         with pytest.raises(ValueError):
-            build_strike_network(_event(), Impact("ground"), StudyConfig(n=1))
+            build_strike_network(_event(), Impacts(GROUND, 0, -1), StudyConfig(n=1))
 
     def test_direct_phase_stroke_flashes(self):
         config = StudyConfig(n=1)
         res = simulate_event(_event(peak_ka=40.0),
-                             Impact("phase", "span", 1, "a"), config)
+                             Impacts(PHASE_A, SPAN, 1), config)
         assert res.flashover and not res.failed
         assert 0 < res.close_time_s < config.t_end_s
 
     def test_strong_insulation_never_flashes(self):
         config = StudyConfig(n=1)
         res = simulate_event(_event(strength_kv=1e5),
-                             Impact("shield", "tower", 2), config)
+                             Impacts(SHIELD, TOWER, 2), config)
         assert not res.flashover and not res.failed
         assert res.close_time_s is None
 
     def test_stress_at_close_reaches_strength(self):
         config = StudyConfig(n=1)
         event = _event(peak_ka=120.0, strength_kv=500.0)
-        net, switches = build_strike_network(event, Impact("shield", "tower", 2),
+        net, switches = build_strike_network(event, Impacts(SHIELD, TOWER, 2),
                                              config)
         sim = net.assemble(config.dt_s)
         sim.run(config.t_end_s, stop_on_first_flashover=True)
@@ -349,19 +401,19 @@ class TestSurgeReplay:
     def test_weak_footing_flashes_strong_footing_holds(self):
         config = StudyConfig(n=1)
         hot = simulate_event(_event(peak_ka=100.0, footing_ohm=95.0),
-                             Impact("shield", "tower", 2), config)
+                             Impacts(SHIELD, TOWER, 2), config)
         cold = simulate_event(_event(peak_ka=100.0, footing_ohm=10.0),
-                              Impact("shield", "tower", 2), config)
+                              Impacts(SHIELD, TOWER, 2), config)
         assert hot.flashover and not cold.flashover
 
     def test_solver_failure_is_reported_not_raised(self):
         res = simulate_event(_event(front_us=0.0),
-                             Impact("shield", "tower", 2), StudyConfig(n=1))
+                             Impacts(SHIELD, TOWER, 2), StudyConfig(n=1))
         assert res.failed and not res.flashover
 
     def test_midspan_impact_builds_split_span(self):
         config = StudyConfig(n=1)
-        net, _ = build_strike_network(_event(), Impact("shield", "span", 1),
+        net, _ = build_strike_network(_event(), Impacts(SHIELD, SPAN, 1),
                                       config)
         names = set(net._names)
         assert "mid" in names
@@ -397,8 +449,7 @@ class TestStudy:
         assert c.flashover_tower + c.flashover_span == c.flashovers
         assert 0 < c.flashovers < c.line
         assert c.failures == 0
-        assert not (res.flashover & ~np.array([im.on_line
-                                               for im in res.impacts])).any()
+        assert not (res.flashover & ~res.impacts.on_line).any()
 
     def test_study_deterministic_per_seed(self):
         a = run_study(StudyConfig(n=300, seed=8))

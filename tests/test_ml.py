@@ -310,8 +310,7 @@ def test_flashover_frame_shape(lightning_reference):
 
     result = lightning_reference
     frame = flashover_dataset(result)
-    on_line = [im for im in result.impacts if im.on_line]
-    assert frame.n == len(on_line)
+    assert frame.n == int(result.impacts.on_line.sum())
     assert frame.label_name == "Flashover"
     assert frame.feature_names[:4] == ("PhaseAngle", "StrokePeak",
                                        "FrontTime", "HalfPeak")
