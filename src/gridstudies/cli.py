@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,33 +25,82 @@ class ConfigError(ValueError):
     """Bad flag or config-file entry; the run never starts."""
 
 
-# Per-study parameters: name -> (type, default).  Command-line values get
-# the type from argparse; config-file values must already have its JSON
-# type (see _from_json).
-SCHEMAS = {
-    "fault-lab": {"r_max": (float, 1.0), "k_max": (int, 4)},
-    "lightning": {"n": (int, 5000)},
-    "dist": {"case": (str, "A1"), "hours": (int, 200), "runs": (int, 0),
-             "mode": (str, "internal"), "table": (str, "")},
-    "stability": {"power_mw": (float, 1776.0), "duration_ms": (float, 100.0),
-                  "sweep": (bool, False)},
-    "ml": {"svm_c": (float, 10.0), "epochs": (int, 2000), "lr": (float, 1.0),
-           "mlp_seed": (int, 8), "split": (float, 0.5)},
-}
+class Param(NamedTuple):
+    """One study key.  Command-line values get kind from argparse;
+    config-file values must already have its JSON type (see _from_json).
+    For a float key, ok also rejects NaN and infinities."""
 
-# Which pseudo-random draw the global --seed feeds, per study.
-SEED_DEFAULTS = {"fault-lab": 1, "lightning": 1, "dist": 1,
-                 "stability": 0, "ml": 7}
+    kind: type
+    default: object
+    help: str
+    ok: Callable[[object], bool] = lambda v: True
+    allowed: str = ""  # the range ok checks, as errors and --help print it
 
+
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf), "in (0, inf)"
 _S_BASE_MW = stability.SmibModel().s_base_mva  # rating: the most P any power factor allows
+_TRAIN_ROWS = faultlab.POSITION_COUNT * faultlab.TYPE_COUNT  # kNN needs k <= this
+_GRID_ROWS = (len(stability.DEFAULT_POWER_FACTORS)  # the grid ml trains on
+              * len(stability.DEFAULT_DURATIONS_S))
 
-# Range checks on resolved values: key -> (predicate, allowed range).
-LIMITS = {
-    "threads": (lambda v: v >= 1, ">= 1"),
-    "n": (lambda v: v >= 1, ">= 1"),
-    "hours": (lambda v: v >= 1, ">= 1"),
-    "runs": (lambda v: v >= 0, ">= 0"),
-    "power_mw": (lambda v: 0 < v <= _S_BASE_MW, f"in (0, {_S_BASE_MW:g}]"),
+
+def _study(study, seed, about, **keys):
+    """A subcommand's help and its keys: its own, then the shared ones
+    (the order manifest.json lists them in)."""
+    return about, {
+        **keys,
+        "seed": Param(int, seed, "random seed", *_at_least(0)),
+        "out": Param(str, os.path.join("runs", study), "output directory",
+                     bool, "a non-empty path"),
+        "threads": Param(int, 1, "worker cap; only lightning runs in parallel",
+                         *_at_least(1))}
+
+
+# subcommand -> (help, {key: Param}); key k_max is flag --k-max.
+STUDIES = {
+    "fault-lab": _study(
+        "fault-lab", 1, "fault voltage atlas and nearest-neighbour study",
+        r_max=Param(float, 1.0, "largest random fault resistance in ohms",
+                    *_POSITIVE),
+        k_max=Param(int, 4, "evaluate kNN for k = 1..k_max",
+                    lambda v: 1 <= v <= _TRAIN_ROWS, f"in [1, {_TRAIN_ROWS}]")),
+    "lightning": _study(
+        "lightning", 1, "Monte Carlo lightning flashover study",
+        n=Param(int, 5000, "number of strokes", *_at_least(1))),
+    "dist": _study(
+        "dist", 1, "distribution feeder time series and Monte Carlo",
+        case=Param(str, "A1", "feeder case", lambda v: v in distsim.CASE_NAMES,
+                   "one of " + ", ".join(distsim.CASE_NAMES)),
+        hours=Param(int, 200, "series length", *_at_least(1)),
+        runs=Param(int, 0, "Monte Carlo runs; 0 skips the study",
+                   *_at_least(0)),
+        mode=Param(str, "internal", "load draw source for Monte Carlo",
+                   lambda v: v in ("internal", "external"), "internal or external"),
+        table=Param(str, "", "load table CSV for --mode external",
+                    lambda v: not v or os.path.isfile(v), "an existing file")),
+    "stability": _study(
+        "stability", 0, "single-machine transient stability",
+        power_mw=Param(float, 1776.0, "machine active power in MW",
+                       lambda v: 0 < v <= _S_BASE_MW, f"in (0, {_S_BASE_MW:g}]"),
+        duration_ms=Param(float, 100.0, "fault duration in milliseconds",
+                          lambda v: 0 <= v < math.inf, "in [0, inf)"),
+        sweep=Param(bool, False,
+                    "run the power/duration grid instead of one case")),
+    "ml": _study(
+        "ml", 7, "train predictors on the stability grid",
+        svm_c=Param(float, 10.0, "SVM penalty parameter", *_POSITIVE),
+        epochs=Param(int, 2000, "gradient-descent epochs for both networks",
+                     *_at_least(0)),
+        lr=Param(float, 1.0, "learning rate", *_POSITIVE),
+        mlp_seed=Param(int, 8, "weight initialization seed", *_at_least(0)),
+        split=Param(float, 0.5, "training fraction of the grid",
+                    lambda v: 0 < v < 1 and 0 < round(v * _GRID_ROWS) < _GRID_ROWS,
+                    f"a fraction leaving both sides of the {_GRID_ROWS}-point "
+                    f"grid non-empty")),
 }
 
 
@@ -68,16 +119,6 @@ def _operating_point(power_mw: float):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help="random seed (study-specific default)")
-    shared.add_argument("--out", default=None,
-                        help="output directory (default runs/<study>)")
-    shared.add_argument("--threads", type=int, default=None,
-                        help="worker cap for parallel studies (default 1)")
-    shared.add_argument("--config", default=None,
-                        help="JSON file with seed/out/threads and study keys")
-
     parser = argparse.ArgumentParser(
         prog="gridstudies",
         description="Power-system case studies: faults, lightning, "
@@ -85,50 +126,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"gridstudies {report.__version__}")
     sub = parser.add_subparsers(dest="study", required=True)
-
-    p = sub.add_parser("fault-lab", parents=[shared],
-                       help="fault voltage atlas and nearest-neighbour study")
-    p.add_argument("--r-max", dest="r_max", type=float, default=None,
-                   help="largest random fault resistance in ohms")
-    p.add_argument("--k-max", dest="k_max", type=int, default=None,
-                   help="evaluate kNN for k = 1..k_max")
-
-    p = sub.add_parser("lightning", parents=[shared],
-                       help="Monte Carlo lightning flashover study")
-    p.add_argument("--n", type=int, default=None, help="number of strokes")
-
-    p = sub.add_parser("dist", parents=[shared],
-                       help="distribution feeder time series and Monte Carlo")
-    p.add_argument("--case", default=None,
-                   help="feeder case, one of " + ", ".join(distsim.CASE_NAMES))
-    p.add_argument("--hours", type=int, default=None, help="series length")
-    p.add_argument("--runs", type=int, default=None,
-                   help="Monte Carlo runs (0 skips the study)")
-    p.add_argument("--mode", default=None, choices=("internal", "external"),
-                   help="load draw source for Monte Carlo")
-    p.add_argument("--table", default=None,
-                   help="load table CSV for --mode external")
-
-    p = sub.add_parser("stability", parents=[shared],
-                       help="single-machine transient stability")
-    p.add_argument("--power-mw", dest="power_mw", type=float, default=None,
-                   help="machine active power in MW")
-    p.add_argument("--duration-ms", dest="duration_ms", type=float,
-                   default=None, help="fault duration in milliseconds")
-    p.add_argument("--sweep", action="store_true", default=None,
-                   help="run the power/duration grid instead of one case")
-
-    p = sub.add_parser("ml", parents=[shared],
-                       help="train predictors on the stability grid")
-    p.add_argument("--svm-c", dest="svm_c", type=float, default=None,
-                   help="SVM penalty parameter")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="gradient-descent epochs for both networks")
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
-    p.add_argument("--mlp-seed", dest="mlp_seed", type=int, default=None,
-                   help="weight initialization seed")
-    p.add_argument("--split", type=float, default=None,
-                   help="training fraction of the grid")
+    for study, (about, params) in STUDIES.items():
+        p = sub.add_parser(study, help=about)
+        p.add_argument("--config", default=None,
+                       help="JSON file with seed/out/threads and study keys")
+        for key, row in params.items():
+            kind = ({"action": "store_true"} if row.kind is bool
+                    else {"type": row.kind})
+            limits = row.allowed + "; " if row.allowed else ""
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           help=f"{row.help} ({limits}default {row.default!r})",
+                           **kind)
     return parser
 
 
@@ -146,31 +154,29 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve(args) -> dict:
-    """Defaults, then config file, then explicit flags; strict keys."""
-    schema = {**SCHEMAS[args.study],
-              "seed": (int, SEED_DEFAULTS[args.study]),
-              "out": (str, os.path.join("runs", args.study)),
-              "threads": (int, 1)}
-    resolved = {name: default for name, (_, default) in schema.items()}
+    """Defaults, then config file, then explicit flags; strict keys, every
+    value range-checked, then the rules that span two keys."""
+    params = STUDIES[args.study][1]
+    resolved = {key: row.default for key, row in params.items()}
 
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
-            if key not in schema:
+            if key not in params:
                 raise ConfigError(f"unknown config key '{key}'")
             try:
-                resolved[key] = _from_json(schema[key][0], value)
+                resolved[key] = _from_json(params[key].kind, value)
             except (ValueError, OverflowError):
                 raise ConfigError(
                     f"bad value for config key '{key}': {value!r}") from None
 
-    for key in schema:
-        value = getattr(args, key, None)
+    for key, row in params.items():
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+        if not row.ok(resolved[key]):
+            raise ConfigError(
+                f"{key} must be {row.allowed}, got {resolved[key]!r}")
 
-    for key, (ok, allowed) in LIMITS.items():
-        if key in resolved and not ok(resolved[key]):
-            raise ConfigError(f"{key} must be {allowed}, got {resolved[key]!r}")
     if args.study == "stability" and not resolved["sweep"]:
         try:
             stability.init_conditions(stability.SmibModel(),
@@ -178,16 +184,9 @@ def _resolve(args) -> dict:
         except stability.InfeasibleOperatingPoint as exc:
             raise ConfigError(f"power_mw must be a feasible operating point, "
                               f"got {resolved['power_mw']!r}: {exc}") from None
-    if args.study == "dist":
-        if resolved["case"] not in distsim.CASE_NAMES:
-            raise ConfigError(f"unknown case '{resolved['case']}', pick one "
-                              f"of {', '.join(distsim.CASE_NAMES)}")
-        if resolved["mode"] not in ("internal", "external"):
-            raise ConfigError(f"unknown mode '{resolved['mode']}'")
-        if resolved["runs"] > 0 and resolved["mode"] == "external" \
-                and not resolved["table"]:
-            raise ConfigError("external mode needs a load table "
-                              "(--table FILE)")
+    if args.study == "dist" and resolved["runs"] > 0 \
+            and resolved["mode"] == "external" and not resolved["table"]:
+        raise ConfigError("external mode needs a load table (--table FILE)")
     resolved["study"] = args.study
     return resolved
 

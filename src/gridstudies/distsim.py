@@ -424,10 +424,6 @@ class DailyResult:
                 losses_kwh=lp, losses_kvarh=lq, peak_losses_kw=max(lp, 0.0)))
         return m
 
-    @property
-    def meters(self):
-        return {name: self.meter(name) for name in self.element_names()}
-
 
 def run_daily(feeder, hours=200, tol=1e-8):
     """One snapshot per hour with shape-driven loads, generation and storage."""

@@ -326,7 +326,9 @@ class EmtSimulation:
         contrib = np.bincount(self._hist_idx, weights=vals, minlength=self._n_red + 1)
         rhs += contrib[1:]
 
-        v_red = scipy.linalg.lu_solve(self._lu, rhs) if self._n_red else rhs
+        # non-finite values pass through; run() checks the final voltages once
+        v_red = (scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+                 if self._n_red else rhs)
         v_ext = self._v_ext
         v_ext[1:] = v_red
         self.n = n
@@ -411,7 +413,8 @@ class EmtSimulation:
     def run(self, t_end: float, record: tuple = (), record_storage: tuple = (),
             stop_on_first_flashover: bool = False) -> SimResult:
         """Step from the initial state to t_end, recording named node voltages
-        and the currents of selected L/C branches (by storage index)."""
+        and the currents of selected L/C branches (by storage index).
+        Raises LinAlgError when the final node voltages are not finite."""
         if self.n != 0:
             raise RuntimeError("run() must start from the initial state")
         if t_end <= 0:
@@ -437,6 +440,10 @@ class EmtSimulation:
             if stop_on_first_flashover and self.flashover_events:
                 last = self.n
                 break
+        # NaN never closes a switch, so a run gone non-finite reaches here
+        if not np.isfinite(v).all():
+            raise np.linalg.LinAlgError(
+                f"node voltages are not finite at step {self.n}")
         if last < steps:
             times = times[: last + 1]
             node_traces = {k: tr[: last + 1] for k, tr in node_traces.items()}

@@ -459,12 +459,13 @@ class EventResult:
 
 def simulate_event(event: StrokeEvent, impact: Impacts,
                    config: StudyConfig) -> EventResult:
-    """Replay one line stroke; a solver failure is reported, not raised."""
+    """Replay one line stroke; a numerical failure of the solver (singular
+    matrix, non-finite voltages) is reported, not raised."""
     try:
         net, switches = build_strike_network(event, impact, config)
         sim = net.assemble(config.dt_s)
         sim.run(config.t_end_s, stop_on_first_flashover=True)
-    except Exception:
+    except np.linalg.LinAlgError:
         return EventResult(failed=True)
     closed = [s.close_time for s in switches if s.closed]
     if closed:

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from gridstudies import report, stability
+from gridstudies import cli, report, stability
 from gridstudies.cli import main
 
 
@@ -203,12 +204,65 @@ def test_bad_shared_config_value_exits_2(tmp_path, capsys, key, value):
     (("stability", "--power-mw", 0), "power_mw"),
     (("stability", "--power-mw", 2500), "power_mw"),
     (("stability", "--power-mw", 2220), "power_mw"),
+    (("fault-lab", "--k-max", 0), "k_max"),
+    (("fault-lab", "--k-max", 210), "k_max"),  # 209 training rows
+    (("fault-lab", "--r-max", -1), "r_max"),
+    (("fault-lab", "--r-max", "nan"), "r_max"),
+    (("lightning", "--seed", -1), "seed"),
+    (("stability", "--duration-ms", -5), "duration_ms"),
+    (("stability", "--duration-ms", "nan"), "duration_ms"),
+    (("stability", "--duration-ms", "inf"), "duration_ms"),
+    (("ml", "--split", 1.5), "split"),
+    (("ml", "--split", 0.999), "split"),  # no test row left of 335
+    (("ml", "--svm-c", 0), "svm_c"),
+    (("ml", "--lr", 0), "lr"),
+    (("ml", "--epochs", -1), "epochs"),
+    (("ml", "--mlp-seed", -3), "mlp_seed"),
+    (("stability", "--config", {"duration_ms": math.nan}), "duration_ms"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, argv, key):
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if isinstance(a, dict):  # stands for a config file holding it
+            argv[i] = tmp_path / "cfg.json"
+            argv[i].write_text(json.dumps(a))
     out = tmp_path / "x"
     assert run(*argv, "--out", out) == 2
     assert f"{key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_load_table_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run("dist", "--case", "B3", "--runs", 5, "--mode", "external",
+               "--table", tmp_path / "missing.csv", "--out", out) == 2
+    assert "table must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study", sorted(cli.STUDIES))
+def test_parameter_table_is_self_consistent(study, capsys, monkeypatch):
+    # every default passes its own check, every float key rejects NaN and
+    # infinities, and --help lists every key with its range and default
+    params = cli.STUDIES[study][1]
+    parser = cli._build_parser()
+    assert cli._resolve(parser.parse_args([study])) == {
+        **{key: row.default for key, row in params.items()}, "study": study}
+    for key, row in params.items():
+        flag = "--" + key.replace("_", "-")
+        for bad in ("nan", "inf", "-inf") if row.kind is float else ():
+            with pytest.raises(cli.ConfigError, match=f"{key} must be"):
+                cli._resolve(parser.parse_args([study, f"{flag}={bad}"]))
+    monkeypatch.setenv("COLUMNS", "500")  # no line breaks inside a word
+    with pytest.raises(SystemExit):
+        parser.parse_args([study, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key, row in params.items():
+        flag = "--" + key.replace("_", "-")
+        if row.kind is not bool:
+            flag += " " + key.upper()
+        limits = row.allowed + "; " if row.allowed else ""
+        assert f"{flag} {row.help} ({limits}default {row.default!r})" in text
 
 
 def test_unknown_dist_case_exits_2(tmp_path, capsys):

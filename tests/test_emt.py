@@ -66,6 +66,17 @@ def test_time_grid():
         with pytest.raises(ValueError):
             rl_step_network().assemble(1e-3).run(t_end)
 
+def test_non_finite_run_raises():
+    # NaN never closes a switch, so the run reaches its end and raises there
+    net = EmtNetwork()
+    net.add_current_source("x", math.nan)
+    net.add_resistor("x", "ground", 1.0)
+    net.add_flashover_switch("x", "ground", 1.0)
+    sim = net.assemble(DT)
+    with pytest.raises(np.linalg.LinAlgError):
+        sim.run(5 * DT, stop_on_first_flashover=True)
+    assert sim.n == 5 and not sim.flashover_events
+
 
 def test_rl_step_response():
     sim = rl_step_network().assemble(DT)

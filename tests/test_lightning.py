@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridstudies import lightning
+from gridstudies.emt import EmtSimulation
 from gridstudies.lightning import (
     DEFAULT_GEOMETRY,
     EVENTS_HEADER,
@@ -407,9 +409,25 @@ class TestSurgeReplay:
         assert hot.flashover and not cold.flashover
 
     def test_solver_failure_is_reported_not_raised(self):
-        res = simulate_event(_event(front_us=0.0),
+        # a NaN surge leaves non-finite voltages, which the solver reports
+        res = simulate_event(_event(peak_ka=math.nan),
                              Impacts(SHIELD, TOWER, 2), StudyConfig(n=1))
         assert res.failed and not res.flashover
+
+    def test_only_numerical_failures_are_reported(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def bug(*args, **kwargs):
+            raise TypeError("programming error")
+
+        monkeypatch.setattr(EmtSimulation, "run", singular)
+        res = simulate_event(_event(), Impacts(SHIELD, TOWER, 2),
+                             StudyConfig(n=1))
+        assert res.failed and not res.flashover
+        monkeypatch.setattr(lightning, "build_strike_network", bug)
+        with pytest.raises(TypeError, match="programming error"):
+            simulate_event(_event(), Impacts(SHIELD, TOWER, 2), StudyConfig(n=1))
 
     def test_midspan_impact_builds_split_span(self):
         config = StudyConfig(n=1)
