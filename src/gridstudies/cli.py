@@ -77,7 +77,7 @@ STUDIES = {
                    "one of " + ", ".join(distsim.CASE_NAMES)),
         hours=Param(int, 200, "series length", *_at_least(1)),
         runs=Param(int, 0, "Monte Carlo runs; 0 skips the study",
-                   *_at_least(0)),
+                   lambda v: v == 0 or v >= 2, "0 or >= 2"),
         mode=Param(str, "internal", "load draw source for Monte Carlo",
                    lambda v: v in ("internal", "external"), "internal or external"),
         table=Param(str, "", "load table CSV for --mode external",
@@ -185,8 +185,13 @@ def _resolve(args) -> dict:
             raise ConfigError(f"power_mw must be a feasible operating point, "
                               f"got {resolved['power_mw']!r}: {exc}") from None
     if args.study == "dist" and resolved["runs"] > 0 \
-            and resolved["mode"] == "external" and not resolved["table"]:
-        raise ConfigError("external mode needs a load table (--table FILE)")
+            and resolved["mode"] == "external":
+        if not resolved["table"]:
+            raise ConfigError("external mode needs a load table (--table FILE)")
+        try:
+            distsim.read_load_table(resolved["table"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"table must be a run,load,kW table: {exc}") from None
     resolved["study"] = args.study
     return resolved
 
@@ -275,10 +280,10 @@ def _run_dist(cfg, out, man):
     man.add_output(path)
 
     lines = [f"Case = {cfg['case']}", f"Hours = {cfg['hours']}"]
-    for name in daily.element_names():
+    for name, meter in daily.meters().items():
         lines.append("")
         block = [(f"{name} {label}", round(value, 3))
-                 for label, value in distsim.meter_rows(daily.meter(name))]
+                 for label, value in distsim.meter_rows(meter)]
         lines.extend(report.summary_block(block))
 
     hours = np.asarray([rec.hour for rec in daily.records], float)

@@ -15,8 +15,10 @@ balance figures are three-phase totals.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +33,19 @@ class ConvergenceError(RuntimeError):
         self.trace = tuple(float(t) for t in trace)
 
 
-def _pf_to_tan(power_factor):
-    return math.tan(math.acos(power_factor))
-
-
 @dataclass(frozen=True)
-class LoadShape:
-    """Hourly multipliers in [0, 1]; from_values rescales so the peak is 1.0."""
+class HourlyShape:
+    """Hourly values in [lower, 1]: load and generation multipliers (lower 0;
+    from_values sets the peak to 1) or a storage signal (lower -1, charging)."""
 
-    multipliers: tuple
+    values: tuple
+    lower: float = 0.0
 
     def __post_init__(self):
-        if not self.multipliers:
+        if not self.values:
             raise ValueError("shape needs at least one hour")
-        if any(not 0.0 <= m <= 1.0 for m in self.multipliers):
-            raise ValueError("shape multipliers must lie in [0, 1]; "
+        if any(not self.lower <= v <= 1.0 for v in self.values):
+            raise ValueError(f"shape values must lie within [{self.lower:g}, 1]; "
                              "use from_values to normalize")
 
     @classmethod
@@ -59,33 +59,9 @@ class LoadShape:
         return cls(tuple(v / top for v in values))
 
     def at(self, hour):
-        if hour >= len(self.multipliers):
-            raise ValueError(
-                f"shape covers {len(self.multipliers)} hours, "
-                f"hour {hour} requested")
-        return self.multipliers[hour]
-
-    def __len__(self):
-        return len(self.multipliers)
-
-
-@dataclass(frozen=True)
-class DispatchShape:
-    """Hourly storage signal in [-1, 1]; negative means charging."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("dispatch shape needs at least one hour")
-        if any(abs(v) > 1.0 + 1e-12 for v in self.values):
-            raise ValueError("dispatch signal must stay within [-1, 1]")
-
-    def at(self, hour):
         if hour >= len(self.values):
             raise ValueError(
-                f"dispatch shape covers {len(self.values)} hours, "
-                f"hour {hour} requested")
+                f"shape covers {len(self.values)} hours, hour {hour} requested")
         return self.values[hour]
 
     def __len__(self):
@@ -125,8 +101,7 @@ class LoadSpec:
     name: str
     kw: float
     power_factor: float
-    kv_ll: float = 4.8
-    shape: LoadShape | None = None
+    shape: HourlyShape | None = None
 
     def __post_init__(self):
         if self.kw < 0:
@@ -134,17 +109,13 @@ class LoadSpec:
         if not 0 < self.power_factor <= 1:
             raise ValueError(f"{self.name}: power factor outside (0, 1]")
 
-    @property
-    def kvar(self):
-        return self.kw * _pf_to_tan(self.power_factor)
-
 
 @dataclass(frozen=True)
 class PvSpec:
     """Active-power-only generator; output is rated_kw times its shape."""
 
     rated_kw: float
-    shape: LoadShape | None = None
+    shape: HourlyShape | None = None
 
     def __post_init__(self):
         if self.rated_kw <= 0:
@@ -159,7 +130,7 @@ class StorageSpec:
     soc_min: float = 0.1
     soc_max: float = 1.0
     round_trip_efficiency: float = 0.9
-    dispatch: DispatchShape | None = None
+    dispatch: HourlyShape | None = None
 
     def __post_init__(self):
         if self.rated_kw <= 0 or self.rated_kwh <= 0:
@@ -245,10 +216,6 @@ class Snapshot:
                                  - self.pv_kw - self.storage_kw)
 
 
-def rated_inputs(feeder):
-    return HourInputs(tuple(ld.kw for ld in feeder.loads))
-
-
 def solve_snapshot(feeder, inputs=None, tol=1e-8, max_iter=100):
     """Fixed-point load-current injection on the ladder network.
 
@@ -258,14 +225,14 @@ def solve_snapshot(feeder, inputs=None, tol=1e-8, max_iter=100):
     (per unit of the source voltage) within max_iter passes.
     """
     if inputs is None:
-        inputs = rated_inputs(feeder)
+        inputs = HourInputs(tuple(ld.kw for ld in feeder.loads))
     n = len(feeder.loads)
     if len(inputs.load_kw) != n:
         raise ValueError(f"expected {n} load powers, got {len(inputs.load_kw)}")
 
     e = complex(feeder.source.volts_ln)
     z = np.array([seg.impedance_ohm for seg in feeder.lines], dtype=complex)
-    tan_phi = np.array([_pf_to_tan(ld.power_factor) for ld in feeder.loads])
+    tan_phi = np.array([math.tan(math.acos(ld.power_factor)) for ld in feeder.loads])
     kw = np.array(inputs.load_kw, dtype=float)
     s_load = (kw + 1j * kw * tan_phi) * 1e3 / 3.0
     # local generation and storage discharge subtract from the last bus demand
@@ -358,35 +325,18 @@ class Meter:
     losses_kvarh: float = 0.0
     peak_losses_kw: float = 0.0
 
-    def combine(self, other):
-        """Meter over the union of two disjoint spans: energies add, peaks max."""
-        return Meter(
-            kwh=self.kwh + other.kwh,
-            kvarh=self.kvarh + other.kvarh,
-            peak_kw=max(self.peak_kw, other.peak_kw),
-            peak_kva=max(self.peak_kva, other.peak_kva),
-            losses_kwh=self.losses_kwh + other.losses_kwh,
-            losses_kvarh=self.losses_kvarh + other.losses_kvarh,
-            peak_losses_kw=max(self.peak_losses_kw, other.peak_losses_kw))
+    @classmethod
+    def over(cls, kw, kvar, loss_kw=(), loss_kvar=()):
+        """Meter of hourly three-phase powers.  Energies add in hour order from
+        0.0 (np.sum pairs, sum compensates from Python 3.12: both move last
+        bits); peaks start at 0.0, so a -0.0 storage hour is never the peak."""
+        def total(xs):
+            return functools.reduce(operator.add, xs, 0.0)
 
-
-def _element_power(feeder, snap, name):
-    """Three-phase (kW, kvar) of one named element in a snapshot."""
-    if name == "source":
-        return snap.source_kw, snap.source_kvar
-    for k, seg in enumerate(feeder.lines):
-        if seg.name == name:
-            s = snap.line_power_kva[k]
-            return 3.0 * s.real, 3.0 * s.imag
-    for k, ld in enumerate(feeder.loads):
-        if ld.name == name:
-            s = snap.load_power_kva[k]
-            return 3.0 * s.real, 3.0 * s.imag
-    if name == "pv":
-        return snap.pv_kw, 0.0
-    if name == "storage":
-        return snap.storage_kw, 0.0
-    raise KeyError(f"unknown element {name!r}")
+        return cls(kwh=total(kw), kvarh=total(kvar), peak_kw=max((0.0, *kw)),
+                   peak_kva=max((0.0, *map(math.hypot, kw, kvar))),
+                   losses_kwh=total(loss_kw), losses_kvarh=total(loss_kvar),
+                   peak_losses_kw=max((0.0, *loss_kw)))
 
 
 @dataclass(frozen=True)
@@ -394,51 +344,37 @@ class DailyResult:
     feeder: Feeder
     records: tuple
 
-    def element_names(self):
-        names = ["source"]
-        names += [seg.name for seg in self.feeder.lines]
-        names += [ld.name for ld in self.feeder.loads]
+    def meters(self):
+        """{element name: Meter} in summary order; the source meters all line losses."""
+        snaps = [rec.snapshot for rec in self.records]
+        zero = [0.0] * len(snaps)
+        cols = {"source": ([s.source_kw for s in snaps], [s.source_kvar for s in snaps],
+                           [s.losses_kw for s in snaps], [s.losses_kvar for s in snaps])}
+        for k, seg in enumerate(self.feeder.lines):
+            kva = [s.line_power_kva[k] for s in snaps]
+            cols[seg.name] = ([3.0 * x.real for x in kva], [3.0 * x.imag for x in kva],
+                              [s.line_losses_kw[k] for s in snaps],
+                              [s.line_losses_kvar[k] for s in snaps])
+        for k, ld in enumerate(self.feeder.loads):
+            kva = [s.load_power_kva[k] for s in snaps]
+            cols[ld.name] = ([3.0 * x.real for x in kva], [3.0 * x.imag for x in kva])
         if self.feeder.pv:
-            names.append("pv")
+            cols["pv"] = ([s.pv_kw for s in snaps], zero)
         if self.feeder.storage:
-            names.append("storage")
-        return tuple(names)
-
-    def meter(self, name, start=0, stop=None):
-        stop = len(self.records) if stop is None else stop
-        line_index = {seg.name: k for k, seg in enumerate(self.feeder.lines)}
-        m = Meter()
-        for rec in self.records[start:stop]:
-            snap = rec.snapshot
-            p, q = _element_power(self.feeder, snap, name)
-            kva = math.hypot(p, q)
-            if name == "source":
-                lp, lq = snap.losses_kw, snap.losses_kvar
-            elif name in line_index:
-                k = line_index[name]
-                lp, lq = snap.line_losses_kw[k], snap.line_losses_kvar[k]
-            else:
-                lp, lq = 0.0, 0.0
-            m = m.combine(Meter(
-                kwh=p, kvarh=q, peak_kw=max(p, 0.0), peak_kva=kva,
-                losses_kwh=lp, losses_kvarh=lq, peak_losses_kw=max(lp, 0.0)))
-        return m
+            cols["storage"] = ([s.storage_kw for s in snaps], zero)
+        return {name: Meter.over(*hourly) for name, hourly in cols.items()}
 
 
 def run_daily(feeder, hours=200, tol=1e-8):
     """One snapshot per hour with shape-driven loads, generation and storage."""
-    for ld in feeder.loads:
-        if ld.shape and len(ld.shape) < hours:
-            raise ValueError(
-                f"{ld.name}: shape covers {len(ld.shape)} hours, {hours} needed")
-    if feeder.pv and feeder.pv.shape and len(feeder.pv.shape) < hours:
-        raise ValueError(
-            f"generation shape covers {len(feeder.pv.shape)} hours, "
-            f"{hours} needed")
     st = feeder.storage
-    if st and st.dispatch and len(st.dispatch) < hours:
-        raise ValueError(
-            f"dispatch shape covers {len(st.dispatch)} hours, {hours} needed")
+    shapes = [(ld.name, ld.shape) for ld in feeder.loads]
+    shapes += [("generation", feeder.pv and feeder.pv.shape),
+               ("dispatch", st and st.dispatch)]
+    for label, shape in shapes:
+        if shape and len(shape) < hours:
+            raise ValueError(
+                f"{label}: shape covers {len(shape)} hours, {hours} needed")
 
     soc = st.soc if st else math.nan
     records = []
@@ -493,20 +429,20 @@ class McResult:
     line_kva: np.ndarray
     source_kva: np.ndarray
 
+    def columns(self):
+        """(name, per-run phase-A kVA) of loads, lines, source: stats and CSV order."""
+        f = self.feeder
+        return ([(ld.name, self.load_kva[:, k]) for k, ld in enumerate(f.loads)]
+                + [(seg.name, self.line_kva[:, k]) for k, seg in enumerate(f.lines)]
+                + [("source", self.source_kva)])
+
     def stats(self):
         """Per-element phase-A sample statistics in Table form."""
-        out = {}
-        elements = (
-            [(ld.name, self.load_kva[:, k]) for k, ld in enumerate(self.feeder.loads)]
-            + [(seg.name, self.line_kva[:, k]) for k, seg in enumerate(self.feeder.lines)]
-            + [("source", self.source_kva)])
-        for name, col in elements:
-            out[name] = McStats(
-                mean_kw=float(np.mean(col.real)),
-                std_kw=float(np.std(col.real, ddof=1)),
-                mean_kvar=float(np.mean(col.imag)),
-                std_kvar=float(np.std(col.imag, ddof=1)))
-        return out
+        return {name: McStats(mean_kw=float(np.mean(col.real)),
+                              std_kw=float(np.std(col.real, ddof=1)),
+                              mean_kvar=float(np.mean(col.imag)),
+                              std_kvar=float(np.std(col.imag, ddof=1)))
+                for name, col in self.columns()}
 
 
 def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
@@ -531,9 +467,9 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
             raise ValueError(
                 f"load table provides {len(table)} runs, {n_runs} requested")
 
-    n_loads = len(feeder.loads)
-    load_kva = np.empty((n_runs, n_loads), dtype=complex)
-    line_kva = np.empty((n_runs, n_loads), dtype=complex)
+    names = [ld.name for ld in feeder.loads]
+    load_kva = np.empty((n_runs, len(names)), dtype=complex)
+    line_kva = np.empty((n_runs, len(names)), dtype=complex)
     source_kva = np.empty(n_runs, dtype=complex)
     pv_kw = feeder.pv.rated_kw if feeder.pv else 0.0
     for run in range(n_runs):
@@ -541,12 +477,9 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
             kw = draw_load_kw(feeder, seed, run)
         else:
             row = table[run]
-            kw = []
-            for ld in feeder.loads:
-                if ld.name not in row:
-                    raise ValueError(f"run {run} is missing load {ld.name!r}")
-                kw.append(row[ld.name])
-            kw = tuple(kw)
+            if row.keys() != set(names):
+                raise ValueError(f"run {run}: loads {sorted(row)}, feeder has {names}")
+            kw = tuple(row[name] for name in names)
         snap = solve_snapshot(feeder, HourInputs(kw, pv_kw=pv_kw), tol=tol)
         load_kva[run] = snap.load_power_kva
         line_kva[run] = snap.line_power_kva
@@ -569,7 +502,8 @@ def write_load_table(path, rows):
 
 
 def read_load_table(path):
-    """Parse a run,load,kW table into one dict of load powers per run."""
+    """Parse a run,load,kW table into one dict of load powers per run;
+    runs are numbered 0..N-1 and powers are finite and non-negative."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -587,13 +521,18 @@ def read_load_table(path):
                 kw = float(row[2])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad number in {row!r}") from None
+            if not 0.0 <= kw < math.inf:
+                raise ValueError(f"line {lineno}: kW must be finite, >= 0: {row[2]!r}")
             name = row[1]
             block = runs.setdefault(run, {})
             if name in block:
                 raise ValueError(f"line {lineno}: duplicate entry for run {run}, "
                                  f"load {name!r}")
             block[name] = kw
-    return tuple(runs[run] for run in sorted(runs))
+    missing = sorted(set(range(len(runs))) - runs.keys())
+    if missing:
+        raise ValueError(f"run {missing[0]} is missing; runs must be 0..{len(runs) - 1}")
+    return tuple(runs[run] for run in range(len(runs)))
 
 
 def synthesize_load_table(feeder, n_runs, seed):
@@ -616,7 +555,7 @@ def default_load_shape(hours=200, seed=0, peak_hour=19):
         phase = 2.0 * math.pi * ((h % 24) - peak_hour) / 24.0
         base = 0.65 + 0.3 * math.cos(phase) + rng.normal(0.0, 0.03)
         values.append(max(0.2, base))
-    return LoadShape.from_values(values)
+    return HourlyShape.from_values(values)
 
 
 def default_pv_shape(hours=200):
@@ -625,7 +564,7 @@ def default_pv_shape(hours=200):
     for h in range(hours):
         hod = h % 24
         values.append(max(0.0, math.sin(math.pi * (hod - 6.0) / 12.0)))
-    return LoadShape(tuple(values))
+    return HourlyShape(tuple(values))
 
 
 def storage_strategy(hours=200, variant=1):
@@ -646,7 +585,7 @@ def storage_strategy(hours=200, variant=1):
             values.append(0.8)
         else:
             values.append(0.0)
-    return DispatchShape(tuple(values))
+    return HourlyShape(tuple(values), lower=-1.0)
 
 
 CASE_NAMES = ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
@@ -722,18 +661,15 @@ def meter_rows(meter):
 
 def write_mc_csv(result, path):
     """Per-run phase-A powers for every load, line and the source."""
-    names = ([ld.name for ld in result.feeder.loads]
-             + [seg.name for seg in result.feeder.lines] + ["source"])
+    columns = result.columns()
     header = ["run"]
-    for n in names:
-        header += [f"{n}_kW", f"{n}_kvar"]
+    for name, _ in columns:
+        header += [f"{name}_kW", f"{name}_kvar"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for run in range(result.source_kva.shape[0]):
             cells = [run]
-            cols = (list(result.load_kva[run]) + list(result.line_kva[run])
-                    + [result.source_kva[run]])
-            for s in cols:
-                cells += [repr(float(s.real)), repr(float(s.imag))]
+            for _, col in columns:
+                cells += [repr(float(col[run].real)), repr(float(col[run].imag))]
             writer.writerow(cells)

@@ -308,7 +308,7 @@ def test_c09_feeder_properties():
     # 300 kW of generation strictly reduces the 200 h source energy
     plain = distsim.run_daily(distsim.build_case("A1"), hours=200)
     with_pv = distsim.run_daily(distsim.build_case("A2"), hours=200)
-    assert with_pv.meter("source").kwh < plain.meter("source").kwh
+    assert with_pv.meters()["source"].kwh < plain.meters()["source"].kwh
 
     # Monte Carlo cross-checks
     stats = distsim.run_monte_carlo(distsim.build_case("B1"), 1000,

@@ -219,6 +219,7 @@ def test_bad_shared_config_value_exits_2(tmp_path, capsys, key, value):
     (("ml", "--epochs", -1), "epochs"),
     (("ml", "--mlp-seed", -3), "mlp_seed"),
     (("stability", "--config", {"duration_ms": math.nan}), "duration_ms"),
+    (("dist", "--runs", 1), "runs"),  # one run has no sample deviation
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, argv, key):
     argv = list(argv)
@@ -237,6 +238,23 @@ def test_missing_load_table_exits_2(tmp_path, capsys):
     assert run("dist", "--case", "B3", "--runs", 5, "--mode", "external",
                "--table", tmp_path / "missing.csv", "--out", out) == 2
     assert "table must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, reason", [
+    pytest.param("0,load1,nan", "line 2: kW must be finite", id="nan-kw"),
+    pytest.param("0,load1,-5.0", "line 2: kW must be finite", id="negative-kw"),
+    pytest.param("0,load1,1.0\n7,load1,2.0", "run 1 is missing", id="run-gap"),
+    pytest.param("0,load1", "line 2: expected 3 fields", id="short-row"),
+])
+def test_bad_load_table_exits_2(tmp_path, capsys, rows, reason):
+    table = tmp_path / "loads.csv"
+    table.write_text("run,load,kW\n" + rows + "\n")
+    out = tmp_path / "x"
+    assert run("dist", "--case", "B3", "--runs", 2, "--mode", "external",
+               "--table", table, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "table must be" in err and reason in err
     assert not out.exists()
 
 

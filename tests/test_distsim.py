@@ -1,9 +1,11 @@
 """Tests for the radial feeder solver and its three study modes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridstudies import distsim as ds
 
@@ -70,22 +72,28 @@ def test_wrong_load_count_rejected():
 # -- specs and shapes -----------------------------------------------------------
 
 def test_load_shape_normalization():
-    shape = ds.LoadShape.from_values((2.0, 4.0, 1.0))
-    assert shape.multipliers == (0.5, 1.0, 0.25)
+    shape = ds.HourlyShape.from_values((2.0, 4.0, 1.0))
+    assert shape.values == (0.5, 1.0, 0.25)
     with pytest.raises(ValueError, match="covers 3 hours"):
         shape.at(3)
     with pytest.raises(ValueError):
-        ds.LoadShape.from_values(())
+        ds.HourlyShape.from_values(())
     with pytest.raises(ValueError):
-        ds.LoadShape.from_values((0.0, 0.0))
+        ds.HourlyShape.from_values((0.0, 0.0))
     with pytest.raises(ValueError, match="from_values"):
-        ds.LoadShape((0.5, 1.7))
+        ds.HourlyShape((0.5, 1.7))
+    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+        ds.HourlyShape((0.5, -0.5))
 
 
 def test_dispatch_shape_validation():
+    with pytest.raises(ValueError, match=r"within \[-1, 1\]"):
+        ds.HourlyShape((0.5, 1.5), lower=-1.0)
     with pytest.raises(ValueError, match="within"):
-        ds.DispatchShape((0.5, 1.5))
-    assert ds.DispatchShape((-1.0, 0.0, 1.0)).at(2) == 1.0
+        ds.HourlyShape((-1.0 - 1e-12,), lower=-1.0)
+    with pytest.raises(ValueError, match="at least one hour"):
+        ds.HourlyShape((), lower=-1.0)
+    assert ds.HourlyShape((-1.0, 0.0, 1.0), lower=-1.0).at(2) == 1.0
 
 
 def test_spec_validation():
@@ -100,14 +108,15 @@ def test_spec_validation():
 
 
 def test_load_kvar_follows_power_factor():
-    ld = ds.LoadSpec("x", 285.0, 0.90)
-    assert abs(ld.kvar - 285.0 * math.tan(math.acos(0.90))) < 1e-12
+    snap = ds.solve_snapshot(two_bus_feeder(kw=285.0, pf=0.90))
+    kvar = 3.0 * snap.load_power_kva[0].imag
+    assert abs(kvar - 285.0 * math.tan(math.acos(0.90))) < 1e-9
 
 
 # -- storage --------------------------------------------------------------------
 
 def test_dispatch_clipped_at_soc_bounds():
-    shape = ds.DispatchShape((1.0, -1.0))
+    shape = ds.HourlyShape((1.0, -1.0), lower=-1.0)
     spec = ds.StorageSpec(100.0, 400.0, soc=0.1, dispatch=shape)
     assert ds.dispatch_storage(spec, 0, 0.1) == 0.0
     assert ds.dispatch_storage(spec, 1, 1.0) == 0.0
@@ -116,14 +125,15 @@ def test_dispatch_clipped_at_soc_bounds():
 
 def test_dispatch_partial_clip_lands_on_bound():
     spec = ds.StorageSpec(100.0, 50.0, soc=0.5,
-                          dispatch=ds.DispatchShape((1.0,)))
+                          dispatch=ds.HourlyShape((1.0,), lower=-1.0))
     p = ds.dispatch_storage(spec, 0, 0.5)
     assert 0.0 < p < 100.0
     assert abs(ds.apply_storage_power(spec, 0.5, p) - spec.soc_min) < 1e-12
 
 
 def test_lossless_zero_mean_dispatch_returns_soc():
-    signal = ds.DispatchShape(tuple([0.5] * 6 + [-0.5] * 6 + [0.0] * 12) * 3)
+    signal = ds.HourlyShape(tuple([0.5] * 6 + [-0.5] * 6 + [0.0] * 12) * 3,
+                            lower=-1.0)
     spec = ds.StorageSpec(50.0, 5000.0, soc=0.5, round_trip_efficiency=1.0,
                           dispatch=signal)
     soc = spec.soc
@@ -155,8 +165,9 @@ def test_flat_shapes_repeat_the_snapshot():
 def test_generation_strictly_reduces_source_energy():
     plain = ds.run_daily(ds.build_case("A1", hours=48), hours=48)
     with_pv = ds.run_daily(ds.build_case("A2", hours=48), hours=48)
-    assert with_pv.meter("source").kwh < plain.meter("source").kwh
-    assert with_pv.meter("source").losses_kwh < plain.meter("source").losses_kwh
+    pv, no_pv = with_pv.meters()["source"], plain.meters()["source"]
+    assert pv.kwh < no_pv.kwh
+    assert pv.losses_kwh < no_pv.losses_kwh
 
 
 def test_hourly_balance_every_mode():
@@ -167,18 +178,149 @@ def test_hourly_balance_every_mode():
             assert rel < 1e-6, case
 
 
+# The per-hour fold that DailyResult.meters() replaced, kept as its oracle:
+# one single-hour Meter per hour, folded with combine in hour order.
+
+def combine(a, b):
+    """Meter over the union of two disjoint spans: energies add, peaks max."""
+    return ds.Meter(
+        kwh=a.kwh + b.kwh,
+        kvarh=a.kvarh + b.kvarh,
+        peak_kw=max(a.peak_kw, b.peak_kw),
+        peak_kva=max(a.peak_kva, b.peak_kva),
+        losses_kwh=a.losses_kwh + b.losses_kwh,
+        losses_kvarh=a.losses_kvarh + b.losses_kvarh,
+        peak_losses_kw=max(a.peak_losses_kw, b.peak_losses_kw))
+
+
+def element_power(feeder, snap, name):
+    """Three-phase (kW, kvar) of one named element in a snapshot."""
+    if name == "source":
+        return snap.source_kw, snap.source_kvar
+    for k, seg in enumerate(feeder.lines):
+        if seg.name == name:
+            s = snap.line_power_kva[k]
+            return 3.0 * s.real, 3.0 * s.imag
+    for k, ld in enumerate(feeder.loads):
+        if ld.name == name:
+            s = snap.load_power_kva[k]
+            return 3.0 * s.real, 3.0 * s.imag
+    if name == "pv":
+        return snap.pv_kw, 0.0
+    if name == "storage":
+        return snap.storage_kw, 0.0
+    raise KeyError(f"unknown element {name!r}")
+
+
+def element_names(feeder):
+    names = ["source"]
+    names += [seg.name for seg in feeder.lines]
+    names += [ld.name for ld in feeder.loads]
+    if feeder.pv:
+        names.append("pv")
+    if feeder.storage:
+        names.append("storage")
+    return names
+
+
+def fold_meter(daily, name):
+    line_index = {seg.name: k for k, seg in enumerate(daily.feeder.lines)}
+    m = ds.Meter()
+    for rec in daily.records:
+        snap = rec.snapshot
+        p, q = element_power(daily.feeder, snap, name)
+        kva = math.hypot(p, q)
+        if name == "source":
+            lp, lq = snap.losses_kw, snap.losses_kvar
+        elif name in line_index:
+            k = line_index[name]
+            lp, lq = snap.line_losses_kw[k], snap.line_losses_kvar[k]
+        else:
+            lp, lq = 0.0, 0.0
+        m = combine(m, ds.Meter(
+            kwh=p, kvarh=q, peak_kw=max(p, 0.0), peak_kva=kva,
+            losses_kwh=lp, losses_kvarh=lq, peak_losses_kw=max(lp, 0.0)))
+    return m
+
+
+def bits(meter):
+    """Each field's type and exact bits; -0.0 and 0.0 differ here."""
+    return [(type(v), float.hex(v)) for v in dataclasses.astuple(meter)]
+
+
+@pytest.mark.parametrize("case", ["A1", "A2", "A3", "A4"])
+def test_meters_match_hourly_fold_bit_for_bit(case):
+    daily = ds.run_daily(ds.build_case(case, hours=30), hours=30)
+    # the whole series, and spans that end before the first discharge at
+    # hour 18: in A3 and A4 some hold only -0.0 and 0.0 storage hours
+    spans = [daily] + [ds.DailyResult(daily.feeder, daily.records[start:18])
+                       for start in range(18)]
+    for span in spans:
+        meters = span.meters()
+        assert list(meters) == element_names(span.feeder)
+        for name, meter in meters.items():
+            assert bits(meter) == bits(fold_meter(span, name)), name
+
+
 def test_meter_additivity():
     daily = ds.run_daily(ds.build_case("A3", hours=30), hours=30)
-    for name in daily.element_names():
-        left = daily.meter(name, 0, 15)
-        right = daily.meter(name, 15, 30)
-        full = daily.meter(name)
-        merged = left.combine(right)
-        assert abs(merged.kwh - full.kwh) < 1e-9
-        assert abs(merged.kvarh - full.kvarh) < 1e-9
-        assert abs(merged.losses_kwh - full.losses_kwh) < 1e-9
-        assert merged.peak_kw == full.peak_kw
-        assert merged.peak_kva == full.peak_kva
+    full = daily.meters()
+    left = ds.DailyResult(daily.feeder, daily.records[:15]).meters()
+    right = ds.DailyResult(daily.feeder, daily.records[15:]).meters()
+    for name in full:
+        merged = combine(left[name], right[name])
+        assert abs(merged.kwh - full[name].kwh) < 1e-9
+        assert abs(merged.kvarh - full[name].kvarh) < 1e-9
+        assert abs(merged.losses_kwh - full[name].losses_kwh) < 1e-9
+        assert merged.peak_kw == full[name].peak_kw
+        assert merged.peak_kva == full[name].peak_kva
+
+
+# Random radial feeders, kept light enough that every power flow converges.
+impedances = st.builds(complex, st.floats(0.0, 0.6), st.floats(0.0, 0.6))
+
+
+def shapes(hours, lower=0.0):
+    return st.lists(st.floats(lower, 1.0), min_size=hours, max_size=hours).map(
+        lambda values: ds.HourlyShape(tuple(values), lower))
+
+
+@st.composite
+def random_days(draw):
+    n = draw(st.integers(1, 4))
+    hours = draw(st.integers(1, 6))
+    lines = tuple(ds.LineSegment(f"line{k}", draw(impedances)) for k in range(n))
+    loads = tuple(ds.LoadSpec(f"load{k}", draw(st.floats(0.0, 250.0)),
+                              draw(st.floats(0.8, 1.0)), shape=draw(shapes(hours)))
+                  for k in range(n))
+    pv = draw(st.none() | st.builds(ds.PvSpec, st.floats(1.0, 300.0),
+                                    shapes(hours)))
+    storage = draw(st.none() | st.builds(
+        ds.StorageSpec, st.floats(1.0, 100.0), st.floats(50.0, 1000.0),
+        dispatch=shapes(hours, lower=-1.0)))
+    feeder = ds.Feeder(ds.SourceSpec(), lines, loads, pv=pv, storage=storage)
+    return ds.run_daily(feeder, hours=hours)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(random_days())
+def test_random_feeders_balance_power_and_energy(daily):
+    total_scale = 0.0
+    for rec in daily.records:
+        snap = rec.snapshot
+        scale = 1.0 + (3.0 * sum(abs(s) for s in snap.load_power_kva)
+                       + abs(snap.pv_kw) + abs(snap.storage_kw))
+        assert abs(snap.balance_error_kw()) <= 1e-6 * scale
+        total_scale += scale
+    # source energy = loads + losses - generation - storage discharge
+    m = daily.meters()
+    empty = ds.Meter()
+    expect = (sum(m[ld.name].kwh for ld in daily.feeder.loads)
+              + m["source"].losses_kwh
+              - m.get("pv", empty).kwh - m.get("storage", empty).kwh)
+    assert abs(m["source"].kwh - expect) <= 1e-6 * total_scale
+    line_losses = sum(m[seg.name].losses_kwh for seg in daily.feeder.lines)
+    assert abs(m["source"].losses_kwh - line_losses) <= 1e-9 * total_scale
 
 
 def test_short_shape_rejected():
@@ -258,8 +400,19 @@ def test_mc_external_errors(tmp_path):
     f = ds.build_case("B3")
     with pytest.raises(ValueError, match="provides 1 runs"):
         ds.run_monte_carlo(f, 2, mode="external", table=table)
-    with pytest.raises(ValueError, match="missing load"):
+    with pytest.raises(ValueError, match="feeder has"):
         ds.run_monte_carlo(f, 1, mode="external", table=table)
+    full = {"load1": 10.0, "load2": 11.0, "load3": 12.0}
+    with pytest.raises(ValueError, match="'load9'"):
+        ds.run_monte_carlo(f, 1, mode="external",
+                           table=({**full, "load9": 5.0},))
+    path.write_text("run,load,kW\n0,load1,10.0\n7,load1,11.0\n")
+    with pytest.raises(ValueError, match="run 1 is missing"):
+        ds.read_load_table(path)
+    for bad in ("nan", "inf", "-1.0"):
+        path.write_text(f"run,load,kW\n0,load1,10.0\n0,load2,{bad}\n")
+        with pytest.raises(ValueError, match="line 3: kW must be finite"):
+            ds.read_load_table(path)
 
 
 # -- shipped cases and output ---------------------------------------------------
