@@ -184,14 +184,20 @@ def _resolve(args) -> dict:
         except stability.InfeasibleOperatingPoint as exc:
             raise ConfigError(f"power_mw must be a feasible operating point, "
                               f"got {resolved['power_mw']!r}: {exc}") from None
-    if args.study == "dist" and resolved["runs"] > 0 \
-            and resolved["mode"] == "external":
-        if not resolved["table"]:
-            raise ConfigError("external mode needs a load table (--table FILE)")
-        try:
-            distsim.read_load_table(resolved["table"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"table must be a run,load,kW table: {exc}") from None
+    if args.study == "dist" and resolved["runs"] > 0:
+        feeder = distsim.build_case(resolved["case"])
+        if feeder.storage is not None:
+            raise ConfigError(f"runs must be 0 for case {resolved['case']}, whose "
+                              f"storage the Monte Carlo snapshots leave out, "
+                              f"got {resolved['runs']!r}")
+        if resolved["mode"] == "external":
+            if not resolved["table"]:
+                raise ConfigError("external mode needs a load table (--table FILE)")
+            try:
+                distsim.check_load_table(feeder, distsim.read_load_table(
+                    resolved["table"]), resolved["runs"])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"table must be a run,load,kW table: {exc}") from None
     resolved["study"] = args.study
     return resolved
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import write_csv
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -463,9 +465,7 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
     if mode == "external":
         if table is None:
             raise ValueError("external mode needs a load table")
-        if len(table) < n_runs:
-            raise ValueError(
-                f"load table provides {len(table)} runs, {n_runs} requested")
+        check_load_table(feeder, table, n_runs)
 
     names = [ld.name for ld in feeder.loads]
     load_kva = np.empty((n_runs, len(names)), dtype=complex)
@@ -476,10 +476,7 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
         if mode == "internal":
             kw = draw_load_kw(feeder, seed, run)
         else:
-            row = table[run]
-            if row.keys() != set(names):
-                raise ValueError(f"run {run}: loads {sorted(row)}, feeder has {names}")
-            kw = tuple(row[name] for name in names)
+            kw = tuple(table[run][name] for name in names)
         snap = solve_snapshot(feeder, HourInputs(kw, pv_kw=pv_kw), tol=tol)
         load_kva[run] = snap.load_power_kva
         line_kva[run] = snap.line_power_kva
@@ -494,11 +491,8 @@ LOAD_TABLE_HEADER = ("run", "load", "kW")
 
 def write_load_table(path, rows):
     """rows: iterable of (run_index, load_name, kw)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOAD_TABLE_HEADER)
-        for run, name, kw in rows:
-            writer.writerow([int(run), name, repr(float(kw))])
+    write_csv(path, LOAD_TABLE_HEADER,
+              ((int(run), name, float(kw)) for run, name, kw in rows))
 
 
 def read_load_table(path):
@@ -533,6 +527,17 @@ def read_load_table(path):
     if missing:
         raise ValueError(f"run {missing[0]} is missing; runs must be 0..{len(runs) - 1}")
     return tuple(runs[run] for run in range(len(runs)))
+
+
+def check_load_table(feeder, table, n_runs):
+    """A pre-read table fits the request: at least n_runs runs, and each run
+    used names exactly the feeder's loads."""
+    if len(table) < n_runs:
+        raise ValueError(f"load table provides {len(table)} runs, {n_runs} requested")
+    names = [ld.name for ld in feeder.loads]
+    for run, row in enumerate(table[:n_runs]):
+        if row.keys() != set(names):
+            raise ValueError(f"run {run}: loads {sorted(row)}, feeder has {names}")
 
 
 def synthesize_load_table(feeder, n_runs, seed):
@@ -665,11 +670,7 @@ def write_mc_csv(result, path):
     header = ["run"]
     for name, _ in columns:
         header += [f"{name}_kW", f"{name}_kvar"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for run in range(result.source_kva.shape[0]):
-            cells = [run]
-            for _, col in columns:
-                cells += [repr(float(col[run].real)), repr(float(col[run].imag))]
-            writer.writerow(cells)
+    write_csv(path, header,
+              ([run, *(part for _, col in columns
+                       for part in (float(col[run].real), float(col[run].imag)))]
+               for run in range(result.source_kva.shape[0])))

@@ -65,23 +65,6 @@ class DoubleRampSource:
 
 
 @dataclass
-class FlashoverSwitch:
-    """Voltage-controlled closing switch: latches closed when the magnitude of
-    the across-voltage reaches the strength (inclusive)."""
-
-    node_a: int
-    node_b: int
-    strength_volts: float
-    closed: bool = False
-    close_time: float | None = None
-    stress_at_close: float = 0.0
-
-    def __post_init__(self):
-        if self.strength_volts <= 0:
-            raise ValueError("strength must be positive")
-
-
-@dataclass
 class BergeronLine:
     """v0 is the line's interior pre-history voltage per end; i0 the t=0
     current into the line at each end (nonzero when a source is already
@@ -111,7 +94,7 @@ class EmtNetwork(NodeRegistry):
         self.lines: list[BergeronLine] = []
         self.current_sources: list[tuple[int, object]] = []
         self.voltage_sources: list[tuple[int, object, float]] = []
-        self.flashover_switches: list[FlashoverSwitch] = []
+        self.flashover_switches: list[tuple[int, int, float]] = []  # a, b, volts
         self.initial_voltages: dict[int, float] = {}
 
     def require_node(self, name: str) -> int:
@@ -155,10 +138,13 @@ class EmtNetwork(NodeRegistry):
             raise ValueError("voltage source needs a positive internal resistance")
         self.voltage_sources.append((self.node(node), emf, internal_ohms))
 
-    def add_flashover_switch(self, a: str, b: str, strength_volts: float) -> FlashoverSwitch:
-        sw = FlashoverSwitch(self.node(a), self.node(b), strength_volts)
-        self.flashover_switches.append(sw)
-        return sw
+    def add_flashover_switch(self, a: str, b: str, strength_volts: float) -> int:
+        """Voltage-controlled closing switch: latches closed when the magnitude
+        of the across-voltage reaches the strength (inclusive)."""
+        if strength_volts <= 0:
+            raise ValueError("strength must be positive")
+        self.flashover_switches.append((self.node(a), self.node(b), strength_volts))
+        return len(self.flashover_switches) - 1
 
     def set_initial_voltage(self, node: str, volts: float):
         """Declare the t=0 voltage (post-jump if a source steps at t=0)."""
@@ -243,9 +229,11 @@ class EmtSimulation:
         if nl:
             self._update_line_histories()
 
-        self._fo_a = np.array([sw.node_a for sw in net.flashover_switches], dtype=np.intp)
-        self._fo_b = np.array([sw.node_b for sw in net.flashover_switches], dtype=np.intp)
-        self._fo_strength = np.array([sw.strength_volts for sw in net.flashover_switches])
+        self._fo_a = np.array([e[0] for e in net.flashover_switches], dtype=np.intp)
+        self._fo_b = np.array([e[1] for e in net.flashover_switches], dtype=np.intp)
+        self._fo_strength = np.array([e[2] for e in net.flashover_switches])
+        self._fo_closed = np.zeros(len(net.flashover_switches), dtype=bool)
+        # (switch index, close time, stress at close): the one flashover record
         self.flashover_events: list[tuple[int, float, float]] = []
 
         self._const_inj: list[tuple[int, float]] = []
@@ -269,8 +257,8 @@ class EmtSimulation:
         """Merge nodes joined by closed switches, stamp G, refactor."""
         net = self.net
         row, roots = merge_nodes(
-            len(net._ids),
-            [(sw.node_a, sw.node_b) for sw in net.flashover_switches if sw.closed])
+            len(net._ids), list(zip(self._fo_a[self._fo_closed].tolist(),
+                                    self._fo_b[self._fo_closed].tolist())))
         self._n_red = len(roots)
         # ext index: 0 = ground slot, 1.. = reduced unknowns
         self._ext = np.array(row, dtype=np.intp) + 1
@@ -296,8 +284,6 @@ class EmtSimulation:
         self._ln_e = self._ext[self._ln_ends] if len(self._ln_ends) else self._ln_ends
         self._fo_ea = self._ext[self._fo_a] if len(self._fo_a) else self._fo_a
         self._fo_eb = self._ext[self._fo_b] if len(self._fo_b) else self._fo_b
-        self._fo_closed = np.array(
-            [sw.closed for sw in net.flashover_switches], dtype=bool)
 
         base = np.zeros(self._n_red)
         for node, amps in self._const_inj:
@@ -351,11 +337,8 @@ class EmtSimulation:
             stress = np.abs(v_ext[self._fo_ea] - v_ext[self._fo_eb])
             hits = (stress >= self._fo_strength) & ~self._fo_closed
             if hits.any():
+                self._fo_closed |= hits
                 for k in np.nonzero(hits)[0]:
-                    sw = self.net.flashover_switches[k]
-                    sw.closed = True
-                    sw.close_time = t
-                    sw.stress_at_close = float(stress[k])
                     self.flashover_events.append((int(k), t, float(stress[k])))
                 self._rebuild()
 

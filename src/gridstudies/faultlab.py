@@ -15,7 +15,6 @@ phase-to-ground RMS voltage, 400 kV / sqrt(3).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ from .phasor import (
     apply_fault,
     solve_steady_state,
 )
+from .report import write_csv
 
 VOLTAGE_BASE_V = 400e3 / math.sqrt(3)  # 230940.1076758503
 
@@ -170,16 +170,9 @@ def build_dataset(cases: list[FaultCase],
 
 
 def write_dataset(rows: list[DatasetRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for row in rows:
-            writer.writerow([
-                *(repr(float(v)) for v in row.features()),
-                repr(float(row.distance_km)),
-                row.fault_type,
-                row.code,
-            ])
+    write_csv(path, DATASET_HEADER,
+              ([*map(float, row.features()), float(row.distance_km),
+                row.fault_type, row.code] for row in rows))
 
 
 def rows_to_dataset(rows: list[DatasetRow]) -> Dataset:

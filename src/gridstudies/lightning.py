@@ -8,14 +8,15 @@ traveling-wave network to decide whether an insulator string flashes over.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .emt import DoubleRampSource, EmtNetwork
+from .report import write_csv
 
 LIGHT_SPEED_M_S = 299_792_458.0
 
@@ -260,7 +261,8 @@ def calibrate_geometry(geometry: LineGeometry = DEFAULT_GEOMETRY,
 
 @dataclass
 class StrokeSample:
-    """One batch of sampled strokes; every field is an array of length n."""
+    """One batch of sampled strokes; every field is an array of length n.
+    `sample[i]` is the row of stroke i alone, with scalar fields."""
 
     x_m: np.ndarray
     y_m: np.ndarray
@@ -274,29 +276,8 @@ class StrokeSample:
     def __len__(self) -> int:
         return self.x_m.size
 
-    def event(self, i: int) -> "StrokeEvent":
-        return StrokeEvent(x_m=float(self.x_m[i]),
-                           y_m=float(self.y_m[i]),
-                           angle_deg=float(self.angle_deg[i]),
-                           peak_ka=float(self.peak_ka[i]),
-                           front_us=float(self.front_us[i]),
-                           half_us=float(self.half_us[i]),
-                           footing_ohm=float(self.footing_ohm[i]),
-                           strength_kv=float(self.strength_kv[i]))
-
-
-@dataclass(frozen=True)
-class StrokeEvent:
-    """One stroke, scalar form."""
-
-    x_m: float
-    y_m: float
-    angle_deg: float
-    peak_ka: float
-    front_us: float
-    half_us: float
-    footing_ohm: float
-    strength_kv: float
+    def __getitem__(self, i) -> "StrokeSample":
+        return StrokeSample(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 PEAK_MEDIAN_KA = 34.0
@@ -372,16 +353,16 @@ class StudyConfig:
                                 / self.tower_base_radius_m) - 1.0)
 
 
-def build_strike_network(event: StrokeEvent, impact: Impacts,
-                         config: StudyConfig) -> tuple:
+def build_strike_network(stroke: StrokeSample, impact: Impacts,
+                         config: StudyConfig) -> EmtNetwork:
     """Assemble the traveling-wave network for one line stroke.
 
     The struck line is padded with extension towers on both sides; every
     conductor ends in its matched impedance, the phases behind steady
     sources that hold the instantaneous power-frequency voltage, so the
-    network sits in exact equilibrium until the surge arrives.  Returns
-    the network and the insulator switches on the real towers.  `impact`
-    holds the codes of this one stroke.
+    network sits in exact equilibrium until the surge arrives.  The
+    insulator switches on the real towers are the network's only flashover
+    switches.  `stroke` is one row of a sample and `impact` its codes.
     """
     wire, place, index = int(impact.wire), int(impact.place), int(impact.index)
     if wire == GROUND:
@@ -398,13 +379,13 @@ def build_strike_network(event: StrokeEvent, impact: Impacts,
     z_phase = config.phase_surge_ohms
 
     v_peak = math.sqrt(2.0) * config.system_kv * 1e3 / math.sqrt(3.0)
-    volts = {p: v_peak * math.cos(math.radians(event.angle_deg + shift))
+    volts = {p: v_peak * math.cos(math.radians(stroke.angle_deg + shift))
              for p, shift in (("a", 0.0), ("b", -120.0), ("c", 120.0))}
 
     net = EmtNetwork()
     for k in range(total):
         net.add_line(f"s{k}", f"g{k}", z_tower, tau_tower)
-        net.add_resistor(f"g{k}", "ground", event.footing_ohm)
+        net.add_resistor(f"g{k}", "ground", stroke.footing_ohm)
         for p in "abc":
             net.set_initial_voltage(f"p{p}{k}", volts[p])
 
@@ -436,18 +417,18 @@ def build_strike_network(event: StrokeEvent, impact: Impacts,
         net.add_voltage_source(f"p{p}0", volts[p], z_phase)
         net.add_voltage_source(f"p{p}{last}", volts[p], z_phase)
 
-    switches = [net.add_flashover_switch(f"s{k}", f"p{p}{k}",
-                                         event.strength_kv * 1e3)
-                for k in range(ext, ext + geom.tower_count) for p in "abc"]
+    for k in range(ext, ext + geom.tower_count):
+        for p in "abc":
+            net.add_flashover_switch(f"s{k}", f"p{p}{k}", stroke.strength_kv * 1e3)
 
     if inject is None:
         k = ext + index
         inject = f"s{k}" if wire == SHIELD else f"p{phase}{k}"
-    front = event.front_us * 1e-6
-    half = max(event.half_us * 1e-6, front * 1.001)
-    net.add_current_source(inject, DoubleRampSource(-event.peak_ka * 1e3,
+    front = stroke.front_us * 1e-6
+    half = max(stroke.half_us * 1e-6, front * 1.001)
+    net.add_current_source(inject, DoubleRampSource(-stroke.peak_ka * 1e3,
                                                     front, half))
-    return net, switches
+    return net
 
 
 @dataclass(frozen=True)
@@ -457,25 +438,20 @@ class EventResult:
     failed: bool = False
 
 
-def simulate_event(event: StrokeEvent, impact: Impacts,
+def simulate_event(stroke: StrokeSample, impact: Impacts,
                    config: StudyConfig) -> EventResult:
-    """Replay one line stroke; a numerical failure of the solver (singular
-    matrix, non-finite voltages) is reported, not raised."""
+    """Replay one line stroke (a row of a sample); a numerical failure of
+    the solver (singular matrix, non-finite voltages) is reported, not
+    raised."""
     try:
-        net, switches = build_strike_network(event, impact, config)
-        sim = net.assemble(config.dt_s)
-        sim.run(config.t_end_s, stop_on_first_flashover=True)
+        net = build_strike_network(stroke, impact, config)
+        res = net.assemble(config.dt_s).run(config.t_end_s,
+                                            stop_on_first_flashover=True)
     except np.linalg.LinAlgError:
         return EventResult(failed=True)
-    closed = [s.close_time for s in switches if s.closed]
-    if closed:
-        return EventResult(flashover=True, close_time_s=min(closed))
+    if res.flashovers:  # the run stops at the step of its first flashover
+        return EventResult(flashover=True, close_time_s=res.flashovers[0][1])
     return EventResult()
-
-
-def _simulate_indexed(args) -> tuple:
-    i, event, impact, config = args
-    return i, simulate_event(event, impact, config)
 
 
 @dataclass(frozen=True)
@@ -562,24 +538,23 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
     """Sample strokes, attribute them, and replay every line stroke.
 
     The surge replays are independent, so they can fan out over worker
-    processes; results are reduced in stroke order and depend only on the
+    processes; results come back in stroke order and depend only on the
     configuration and seed, never on the worker count.
     """
     sample = sample_strokes(config.n, config.seed, config.geometry)
     impacts = classify_impact(sample.x_m, sample.y_m, sample.peak_ka,
                               config.geometry)
-    flash = np.zeros(config.n, dtype=bool)
-    failed = np.zeros(config.n, dtype=bool)
-    jobs = [(i, sample.event(i), impacts[i], config)
-            for i in np.flatnonzero(impacts.on_line).tolist()]
+    line = impacts.on_line
+    jobs = [(sample[i], impacts[i], config) for i in np.flatnonzero(line)]
     if config.threads > 1 and len(jobs) > 1:
         with multiprocessing.Pool(config.threads) as pool:
-            results = pool.map(_simulate_indexed, jobs, chunksize=16)
+            results = pool.starmap(simulate_event, jobs, chunksize=16)
     else:
-        results = [_simulate_indexed(job) for job in jobs]
-    for i, res in results:
-        flash[i] = res.flashover
-        failed[i] = res.failed
+        results = list(itertools.starmap(simulate_event, jobs))
+    flash = np.zeros(config.n, dtype=bool)
+    failed = np.zeros(config.n, dtype=bool)
+    flash[line] = [res.flashover for res in results]
+    failed[line] = [res.failed for res in results]
     counts = _count(impacts, flash, failed)
     rate = flashover_rate(config.n, counts.flashovers, config.strip_length_km,
                           config.geometry.line_length_m / 1e3,
@@ -592,16 +567,11 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
 def write_events_csv(path, result: StudyResult):
     """One row per stroke: waveshape, termination, and the verdict."""
     s, im = result.sample, result.impacts
-    rows = zip(s.angle_deg.tolist(), s.peak_ka.tolist(), s.front_us.tolist(),
-               s.half_us.tolist(), im.wire.tolist(), im.place.tolist(),
-               result.flashover.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for angle, peak, front, half, wire, place, flash in rows:
-            writer.writerow((repr(angle), repr(peak), repr(front), repr(half),
-                             WIRE_LABELS[wire], PLACE_LABELS[place],
-                             int(flash)))
+    write_csv(path, EVENTS_HEADER, zip(
+        s.angle_deg.tolist(), s.peak_ka.tolist(), s.front_us.tolist(),
+        s.half_us.tolist(), [WIRE_LABELS[w] for w in im.wire.tolist()],
+        [PLACE_LABELS[p] for p in im.place.tolist()],
+        result.flashover.astype(int).tolist()))
 
 
 def flashover_dataset(result: StudyResult):

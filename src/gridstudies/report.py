@@ -1,7 +1,9 @@
-"""Run manifests: what ran, with which configuration, and what it wrote."""
+"""Run records: manifests (what ran, with which configuration, and what it
+wrote), summary text and the study CSVs."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -79,6 +81,16 @@ def summary_block(pairs) -> list:
             value = f"{value:g}"
         lines.append(f"{label} = {value}")
     return lines
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a study CSV: every float cell as repr(float(v)), which reads
+    back bit for bit; other cells as the csv module prints them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def write_text(path, lines) -> None:

@@ -18,11 +18,12 @@ an independent critical-clearing-time oracle for the Pe = 0 fault.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .report import write_csv
 
 
 class InfeasibleOperatingPoint(ValueError):
@@ -378,18 +379,13 @@ def sweep_to_dataset(rows: list[SweepRow]):
 
 def write_trace_csv(result: SimulationResult, path) -> None:
     tr = result.trace
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "delta_deg", "speed_dev", "Pe_pu"])
-        for t, d, w, pe in zip(tr.times, tr.delta_rad, tr.speed_dev_pu, tr.pe_pu):
-            writer.writerow([repr(float(t)), repr(math.degrees(d)),
-                             repr(float(w)), repr(float(pe))])
+    write_csv(path, ["t", "delta_deg", "speed_dev", "Pe_pu"],
+              ((float(t), math.degrees(d), float(w), float(pe))
+               for t, d, w, pe in zip(tr.times, tr.delta_rad,
+                                      tr.speed_dev_pu, tr.pe_pu)))
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Power", "Duration", "Stability"])
-        for row in rows:
-            writer.writerow([repr(float(row.power_mw)),
-                             repr(float(row.duration_ms)), row.stability])
+    write_csv(path, ["Power", "Duration", "Stability"],
+              ((float(row.power_mw), float(row.duration_ms), row.stability)
+               for row in rows))

@@ -220,6 +220,7 @@ def test_bad_shared_config_value_exits_2(tmp_path, capsys, key, value):
     (("ml", "--mlp-seed", -3), "mlp_seed"),
     (("stability", "--config", {"duration_ms": math.nan}), "duration_ms"),
     (("dist", "--runs", 1), "runs"),  # one run has no sample deviation
+    (("dist", "--case", "A3", "--runs", 5), "runs"),  # storage: no snapshots
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, argv, key):
     argv = list(argv)
@@ -246,6 +247,12 @@ def test_missing_load_table_exits_2(tmp_path, capsys):
     pytest.param("0,load1,-5.0", "line 2: kW must be finite", id="negative-kw"),
     pytest.param("0,load1,1.0\n7,load1,2.0", "run 1 is missing", id="run-gap"),
     pytest.param("0,load1", "line 2: expected 3 fields", id="short-row"),
+    pytest.param("0,load1,1.0\n0,load2,1.0\n0,load3,1.0",
+                 "provides 1 runs, 2 requested", id="short-table"),
+    pytest.param("0,load1,1.0\n0,load2,1.0\n0,load3,1.0\n"
+                 "1,load1,1.0\n1,load2,1.0\n1,load9,1.0",
+                 "run 1: loads ['load1', 'load2', 'load9'], feeder has",
+                 id="wrong-load"),
 ])
 def test_bad_load_table_exits_2(tmp_path, capsys, rows, reason):
     table = tmp_path / "loads.csv"

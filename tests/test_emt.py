@@ -200,14 +200,15 @@ def test_flashover_latches_and_merges():
     sw = net.add_flashover_switch("a", "b", 2.0)
     sim = net.assemble(DT)
     res = sim.run(0.02, record=("a", "b"))
-    assert sw.closed and sw.close_time is not None
-    assert sw.stress_at_close >= 2.0
-    k = int(round(sw.close_time / DT))
+    [(index, close_time, stress)] = res.flashovers
+    assert index == sw and close_time is not None
+    assert stress >= 2.0
+    k = int(round(close_time / DT))
     va, vb = res.node_traces["a"], res.node_traces["b"]
     assert abs(va[k] - vb[k]) >= 2.0
     # merged exactly from the next step on, and the latch holds at zero stress
     assert np.all(va[k + 1 :] == vb[k + 1 :])
-    assert res.flashovers == [(0, sw.close_time, sw.stress_at_close)]
+    assert res.flashovers == sim.flashover_events == [(0, close_time, stress)]
 
 def test_double_ramp_shape():
     src = DoubleRampSource(30e3, 2e-6, 50e-6)

@@ -27,7 +27,7 @@ from gridstudies.lightning import (
     CriticalCurrents,
     Impacts,
     LineGeometry,
-    StrokeEvent,
+    StrokeSample,
     StudyConfig,
     build_strike_network,
     calibrate_geometry,
@@ -92,7 +92,7 @@ class TestSampling:
 
     def test_event_scalar_view(self):
         s = sample_strokes(10, seed=2)
-        ev = s.event(3)
+        ev = s[3]
         assert ev.peak_ka == float(s.peak_ka[3])
         assert ev.footing_ohm == float(s.footing_ohm[3])
 
@@ -350,7 +350,7 @@ def _event(**kw):
     base = dict(x_m=0.0, y_m=0.0, angle_deg=30.0, peak_ka=34.0, front_us=2.0,
                 half_us=77.5, footing_ohm=55.0, strength_kv=977.5)
     base.update(kw)
-    return StrokeEvent(**base)
+    return StrokeSample(**{k: np.array([v]) for k, v in base.items()})[0]
 
 
 class TestSurgeReplay:
@@ -358,8 +358,7 @@ class TestSurgeReplay:
     def test_network_rests_at_power_frequency_voltages(self):
         config = StudyConfig(n=1)
         event = _event(peak_ka=1e-9)
-        net, switches = build_strike_network(event, Impacts(SHIELD, TOWER, 2),
-                                             config)
+        net = build_strike_network(event, Impacts(SHIELD, TOWER, 2), config)
         sim = net.assemble(config.dt_s)
         res = sim.run(5e-6, record=("pa4", "pb4", "pc4", "s4"))
         v = math.sqrt(2.0) * 230e3 / math.sqrt(3.0)
@@ -368,7 +367,7 @@ class TestSurgeReplay:
             trace = res.node_traces[p]
             assert np.max(np.abs(trace - want)) < 1e-3
         assert np.max(np.abs(res.node_traces["s4"])) < 1e-3
-        assert len(switches) == 3 * config.geometry.tower_count
+        assert len(net.flashover_switches) == 3 * config.geometry.tower_count
 
     def test_ground_impact_rejected(self):
         with pytest.raises(ValueError):
@@ -391,14 +390,26 @@ class TestSurgeReplay:
     def test_stress_at_close_reaches_strength(self):
         config = StudyConfig(n=1)
         event = _event(peak_ka=120.0, strength_kv=500.0)
-        net, switches = build_strike_network(event, Impacts(SHIELD, TOWER, 2),
-                                             config)
+        net = build_strike_network(event, Impacts(SHIELD, TOWER, 2), config)
         sim = net.assemble(config.dt_s)
-        sim.run(config.t_end_s, stop_on_first_flashover=True)
-        closed = [s for s in switches if s.closed]
-        assert closed
-        for s in closed:
-            assert abs(s.stress_at_close) >= s.strength_volts
+        res = sim.run(config.t_end_s, stop_on_first_flashover=True)
+        assert res.flashovers
+        for k, _close_time, stress in res.flashovers:
+            assert stress >= net.flashover_switches[k][2]
+
+    def test_assembled_network_replays_identically(self):
+        # running a network leaves it untouched: a second run of the same
+        # EmtNetwork closes the same switch at the same time
+        config = StudyConfig(n=1)
+        net = build_strike_network(_event(peak_ka=120.0, strength_kv=500.0),
+                                   Impacts(SHIELD, TOWER, 2), config)
+        first, second = (net.assemble(config.dt_s).run(
+            config.t_end_s, record=("s4", "pa4", "pb4"),
+            stop_on_first_flashover=True) for _ in range(2))
+        assert first.flashovers and first.flashovers == second.flashovers
+        assert np.array_equal(first.times, second.times)
+        for name, trace in first.node_traces.items():
+            assert np.array_equal(trace, second.node_traces[name])
 
     def test_weak_footing_flashes_strong_footing_holds(self):
         config = StudyConfig(n=1)
@@ -431,8 +442,7 @@ class TestSurgeReplay:
 
     def test_midspan_impact_builds_split_span(self):
         config = StudyConfig(n=1)
-        net, _ = build_strike_network(_event(), Impacts(SHIELD, SPAN, 1),
-                                      config)
+        net = build_strike_network(_event(), Impacts(SHIELD, SPAN, 1), config)
         names = set(net._names)
         assert "mid" in names
 

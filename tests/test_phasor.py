@@ -11,13 +11,16 @@ Proves:
     superposition and reciprocity to 1e-9, complex power balance to 1e-8
   Group 3 - faults
     bolted faults merge nodes exactly, every fault code stamps the right
-    branch set, code 12 rejected, fault application leaves the input intact
+    branch set, code 12 rejected, fault application leaves the input intact,
+    power balances under random codes, distances and bolted/resistive mixes
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstudies.nodal import merge_nodes, stamp
 from gridstudies.phasor import (
@@ -268,6 +271,21 @@ def test_every_fault_code_solvable_and_sane():
                 assert mag > 0.5, (code, p, mag)
         delivered, absorbed = sol.power_balance()
         assert abs(delivered - absorbed) < 1e-8 * abs(delivered)
+
+
+# bolted (0) or resistive: only some fault nodes merge
+_FAULT_OHMS = st.one_of(st.just(0.0), st.floats(1e-3, 50.0))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(code=st.integers(1, 11), distance=st.floats(0.1, LINE.length_km - 0.1),
+       phase_ohms=st.tuples(_FAULT_OHMS, _FAULT_OHMS, _FAULT_OHMS),
+       ground_ohms=_FAULT_OHMS)
+def test_random_faults_balance_power(code, distance, phase_ohms, ground_ohms):
+    fault = FaultSpec(code, distance, phase_ohms, ground_ohms)
+    sol = solve_steady_state(apply_fault(case_network(), fault, LINE))
+    delivered, absorbed = sol.power_balance()
+    assert abs(delivered - absorbed) <= 1e-8 * abs(delivered)
 
 
 def test_unknown_fault_code_rejected():
