@@ -22,7 +22,8 @@ from .svg import ChartStyle, DataSeries
 
 
 class ConfigError(ValueError):
-    """Bad flag or config-file entry; the run never starts."""
+    """Bad flag or config-file entry: exit 2.  Most are caught before the
+    run starts; a runner raises one only before writing any study file."""
 
 
 class Param(NamedTuple):
@@ -380,11 +381,14 @@ def _run_stability(cfg, out, man):
 def _run_ml(cfg, out, man):
     rows = stability.sweep()
     dataset = stability.sweep_to_dataset(rows)
+    train, test = ml.split(dataset, cfg["split"], cfg["seed"])
+    if len(np.unique(train.labels)) < 2:
+        raise ConfigError(f"split must leave both verdicts in the {train.n}-row "
+                          f"training side, got {cfg['split']!r}")
     path = os.path.join(out, "dataset.csv")
     stability.write_sweep_csv(rows, path)
     man.add_output(path)
 
-    train, test = ml.split(dataset, cfg["split"], cfg["seed"])
     scaler = ml.MinMaxScaler().fit(train.features)
     tr = ml.Dataset(scaler.transform(train.features), train.labels,
                     dataset.feature_names, dataset.label_name)
@@ -454,7 +458,7 @@ def main(argv=None) -> int:
         manifest.error = f"{type(exc).__name__}: {exc}"
         report.write_manifest(out, manifest)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     manifest.elapsed_s = time.perf_counter() - start
     report.write_manifest(out, manifest)
     print(f"{cfg['study']}: {len(manifest.outputs)} files in {out}")

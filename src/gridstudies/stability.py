@@ -90,8 +90,10 @@ class OperatingPoint:
     q_pu: float = 0.0
 
     def __post_init__(self):
-        if self.p_pu < 0:
-            raise ValueError("active power must be >= 0")
+        if not 0 <= self.p_pu < math.inf:
+            raise ValueError("active power must be finite and >= 0")
+        if not math.isfinite(self.q_pu):
+            raise ValueError("reactive power must be finite")
 
     @classmethod
     def from_power_factor(cls, pf: float, s_pu: float = 1.0) -> "OperatingPoint":
@@ -110,8 +112,8 @@ class FaultEvent:
     duration: float = 0.05
 
     def __post_init__(self):
-        if self.t_on < 0 or self.duration < 0:
-            raise ValueError("fault times must be >= 0")
+        if not (0 <= self.t_on < math.inf and 0 <= self.duration < math.inf):
+            raise ValueError("fault times must be finite and >= 0")
 
     @property
     def t_clear(self) -> float:
@@ -143,50 +145,10 @@ def init_conditions(model: SmibModel, op: OperatingPoint) -> tuple[float, float]
     e = vt + complex(0.0, model.xd_prime) * current
     e_mag, delta0 = abs(e), cmath.phase(e)
     residual = abs(e_mag * v * math.sin(delta0) / model.x_pre - op.p_pu)
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # NaN fails too
         raise InfeasibleOperatingPoint(
             f"initialization residual {residual:.3e} exceeds 1e-10 pu")
     return e_mag, delta0
-
-
-@dataclass
-class SwingState:
-    delta_rad: float
-    speed_dev_pu: float
-    e_prime_pu: float
-
-
-def electrical_power(state: SwingState, model: SmibModel, x_effective: float) -> float:
-    if math.isinf(x_effective):
-        return 0.0
-    return state.e_prime_pu * model.v_bus * math.sin(state.delta_rad) / x_effective
-
-
-def swing_step(state: SwingState, model: SmibModel, x_effective: float,
-               pm_pu: float, dt: float) -> SwingState:
-    """One RK4 step of the swing equation.  x_effective = inf means the
-    during-fault network where no electrical power is transferred."""
-    if dt > 1e-3:
-        raise ValueError("dt must be <= 1 ms")
-    w0 = model.omega0
-    two_h = 2.0 * model.inertia_h
-    e, v = state.e_prime_pu, model.v_bus
-    pmax = 0.0 if math.isinf(x_effective) else e * v / x_effective
-
-    def deriv(delta, dw):
-        pe = pmax * math.sin(delta)
-        return w0 * dw, (pm_pu - pe - model.damping * dw) / two_h
-
-    d, w = state.delta_rad, state.speed_dev_pu
-    k1d, k1w = deriv(d, w)
-    k2d, k2w = deriv(d + 0.5 * dt * k1d, w + 0.5 * dt * k1w)
-    k3d, k3w = deriv(d + 0.5 * dt * k2d, w + 0.5 * dt * k2w)
-    k4d, k4w = deriv(d + dt * k3d, w + dt * k3w)
-    return SwingState(
-        d + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0,
-        w + dt * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0,
-        e,
-    )
 
 
 @dataclass
@@ -222,16 +184,21 @@ SLIP_HOLD_S = 0.5
 def simulate(model: SmibModel, op: OperatingPoint, fault: FaultEvent,
              dt: float = 5e-4, t_end: float | None = None,
              stop_on_verdict: bool = False) -> SimulationResult:
-    """Integrate pre-fault, fault and post-clearing phases.
+    """Integrate pre-fault, fault and post-clearing phases with fixed-step
+    RK4, 0 < dt <= 1 ms.
 
     Steps never straddle a switching instant: the step hitting t_on or
     t_clear is split so RK4 sees a smooth right-hand side throughout.
     Samples are recorded on the uniform dt grid regardless of the splits.
     """
+    if not 0 < dt <= 1e-3:
+        raise ValueError(f"dt must be in (0, 1e-3] s, got {dt!r}")
     e, delta0 = init_conditions(model, op)
+    v, w0 = model.v_bus, model.omega0
+    two_h, damping = 2.0 * model.inertia_h, model.damping
     # use the float-exact electrical power at delta0 as Pm so the no-fault
     # case is a fixed point of the integrator, not just close to one
-    pm = e * model.v_bus * math.sin(delta0) / model.x_pre
+    pm = e * v * math.sin(delta0) / model.x_pre
     if t_end is None:
         t_end = fault.t_clear + 3.0
 
@@ -239,50 +206,54 @@ def simulate(model: SmibModel, op: OperatingPoint, fault: FaultEvent,
     events = [] if null_fault else [fault.t_on, fault.t_clear]
 
     def x_at(t: float) -> float:
+        """Transfer reactance; inf while the fault transfers no power."""
         if null_fault or t < fault.t_on - 1e-15:
             return model.x_pre
         if t < fault.t_clear - 1e-15:
             return math.inf
         return model.x_post
 
+    def pe_at(t: float, d: float) -> float:
+        # e * v * sin / x, not pmax * sin: the trace keeps this rounding
+        x = x_at(t)
+        return 0.0 if math.isinf(x) else e * v * math.sin(d) / x
+
+    def deriv(d: float, w: float, pmax: float) -> tuple[float, float]:
+        return w0 * w, (pm - pmax * math.sin(d) - damping * w) / two_h
+
     # post-fault unstable equilibrium angle, for pole-slip detection
-    pmax_post = e * model.v_bus / model.x_post
+    pmax_post = e * v / model.x_post
     delta_uep = math.pi - math.asin(pm / pmax_post) if pm < pmax_post else None
 
+    d, w = delta0, 0.0
     n_steps = int(round(t_end / dt))
-    state = SwingState(delta0, 0.0, e)
-    times = np.empty(n_steps + 1)
-    deltas = np.empty(n_steps + 1)
-    speeds = np.empty(n_steps + 1)
-    pes = np.empty(n_steps + 1)
-
-    def record(i, t, st):
-        times[i] = t
-        deltas[i] = st.delta_rad
-        speeds[i] = st.speed_dev_pu
-        pes[i] = electrical_power(st, model, x_at(t))
-
-    record(0, 0.0, state)
+    times, deltas, speeds, pes = (np.empty(n_steps + 1) for _ in range(4))
+    times[0], deltas[0], speeds[0], pes[0] = 0.0, d, w, pe_at(0.0, d)
     stable = True
     slip_since = None
-    n_recorded = n_steps
     for i in range(1, n_steps + 1):
         t0, t1 = (i - 1) * dt, i * dt
         cut = [t for t in events if t0 + 1e-15 < t < t1 - 1e-15]
         t = t0
         for boundary in [*cut, t1]:
-            if boundary - t > 1e-15:
-                state = swing_step(state, model, x_at(t), pm, boundary - t)
+            h = boundary - t
+            if h > 1e-15:
+                x = x_at(t)
+                pmax = 0.0 if math.isinf(x) else e * v / x
+                k1d, k1w = deriv(d, w, pmax)
+                k2d, k2w = deriv(d + 0.5 * h * k1d, w + 0.5 * h * k1w, pmax)
+                k3d, k3w = deriv(d + 0.5 * h * k2d, w + 0.5 * h * k2w, pmax)
+                k4d, k4w = deriv(d + h * k3d, w + h * k3w, pmax)
+                d = d + h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
+                w = w + h * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0
             t = boundary
-        record(i, t1, state)
+        times[i], deltas[i], speeds[i], pes[i] = t1, d, w, pe_at(t1, d)
 
         if stable and t1 >= fault.t_clear:
-            swing = state.delta_rad - delta0
             slipped = False
-            if swing > math.pi:
+            if d - delta0 > math.pi:
                 slipped = True
-            elif delta_uep is not None and state.delta_rad > delta_uep \
-                    and state.speed_dev_pu > 0:
+            elif delta_uep is not None and d > delta_uep and w > 0:
                 slip_since = t1 if slip_since is None else slip_since
                 slipped = t1 - slip_since >= SLIP_HOLD_S
             else:
@@ -290,10 +261,10 @@ def simulate(model: SmibModel, op: OperatingPoint, fault: FaultEvent,
             if slipped:
                 stable = False
                 if stop_on_verdict:
-                    n_recorded = i
+                    n_steps = i  # the trace ends here
                     break
 
-    sl = slice(0, n_recorded + 1)
+    sl = slice(0, n_steps + 1)
     trace = SwingTrace(times[sl], deltas[sl], speeds[sl], pes[sl])
     return SimulationResult(trace, stable, delta0, e)
 
@@ -351,7 +322,8 @@ def sweep(model: SmibModel | None = None,
     """One verdict per (power factor, duration), apparent power fixed at
     full load.  Rows are ordered factor-major, matching the listing shape."""
     model = model or SmibModel()
-    if not len(list(durations_s)) or not len(list(power_factors)):
+    durations_s, power_factors = tuple(durations_s), tuple(power_factors)
+    if not durations_s or not power_factors:
         raise ValueError("sweep grids must be non-empty")
     rows = []
     for pf in power_factors:

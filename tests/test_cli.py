@@ -314,6 +314,19 @@ def test_runtime_error_still_writes_manifest(tmp_path, monkeypatch):
     assert man["outputs"] == []
 
 
+def test_one_class_training_split_exits_2(tmp_path, capsys, monkeypatch):
+    # a stand-in 335-row grid: --split 0.0015 trains on round(0.5025) = 1 row
+    rows = [stability.SweepRow(1998.0, 70.0 + i, i % 2) for i in range(335)]
+    monkeypatch.setattr(stability, "sweep", lambda *args, **kwargs: rows)
+    out = tmp_path / "ml"
+    assert run("ml", "--split", 0.0015, "--out", out) == 2
+    assert "split must" in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.json"]
+    man = read_manifest(out)
+    assert "split must" in man["error"]
+    assert man["outputs"] == []
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n": 300, "seed": 5}')

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gridstudies import stability as st
 
@@ -34,6 +36,10 @@ def test_model_validation():
         st.SmibModel(inertia_h=-1.0)
     with pytest.raises(ValueError):
         st.SmibModel(damping=-0.1)
+    for t_on, duration in ((0.1, math.nan), (math.nan, 0.05),
+                           (math.inf, 0.05), (0.1, math.inf), (0.1, -0.01)):
+        with pytest.raises(ValueError, match="fault times"):
+            st.FaultEvent(t_on, duration)
 
 
 def test_operating_point_from_power_factor():
@@ -42,8 +48,10 @@ def test_operating_point_from_power_factor():
     assert abs(op.q_pu - 0.6) < 1e-12
     with pytest.raises(ValueError):
         st.OperatingPoint.from_power_factor(0.0)
-    with pytest.raises(ValueError):
-        st.OperatingPoint(-0.1)
+    for p, q in ((-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                 (0.5, math.inf), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            st.OperatingPoint(p, q)
 
 
 def _forward_terminal_power(model, e_mag, delta0):
@@ -79,6 +87,13 @@ def test_init_rejects_unity_power_factor_full_load():
         st.init_conditions(m, st.OperatingPoint(1.0, 0.0))
 
 
+def test_init_rejects_nan_residual():
+    # a NaN bus voltage makes every intermediate NaN; the residual check
+    # must not let that through as a tiny residual
+    with pytest.raises(st.InfeasibleOperatingPoint, match="residual"):
+        st.init_conditions(st.SmibModel(v_bus=math.nan), FULL_LOAD)
+
+
 # -- integrator quality ----------------------------------------------------------
 
 def test_equilibrium_holds_exactly():
@@ -89,22 +104,41 @@ def test_equilibrium_holds_exactly():
     assert res.stable
 
 
+def _energy_drift(model, res, fault):
+    """Relative spread of H*w0*dw^2 - Pm*delta - Pmax_post*cos(delta) over
+    the samples from t_clear on: the swing equation's first integral once
+    circuit 2 is open and damping is zero."""
+    e, d0 = res.e_prime_pu, res.delta0_rad
+    pm = e * model.v_bus * math.sin(d0) / model.x_pre
+    pmax = e * model.v_bus / model.x_post
+    tr = res.trace
+    post = tr.times >= fault.t_clear
+    d, w = tr.delta_rad[post], tr.speed_dev_pu[post]
+    energy = model.inertia_h * model.omega0 * w ** 2 - pm * d - pmax * np.cos(d)
+    return (np.max(energy) - np.min(energy)) / abs(energy[0])
+
+
 def test_perturbed_oscillation_conserves_energy():
+    # the fault is the perturbation; after clearing the rotor swings freely
     m = st.SmibModel()
-    e, d0 = st.init_conditions(m, FULL_LOAD)
-    pm = e * m.v_bus * math.sin(d0) / m.x_pre
-    pmax = e * m.v_bus / m.x_pre
-    state = st.SwingState(d0 + 0.1, 0.0, e)
-    total = []
-    for _ in range(10000):  # 5 s at 0.5 ms
-        kinetic = m.inertia_h * m.omega0 * state.speed_dev_pu ** 2
-        potential = -pm * state.delta_rad - pmax * math.cos(state.delta_rad)
-        total.append(kinetic + potential)
-        state = st.swing_step(state, m, m.x_pre, pm, 5e-4)
-    total = np.array(total)
-    assert (np.max(total) - np.min(total)) / abs(total[0]) < 1e-3
-    # bounded swing, not a drift
-    assert state.delta_rad < d0 + 0.2
+    for pf, duration in ((0.9, 0.05), (0.8, 0.1), (0.6, 0.2)):
+        fault = st.FaultEvent(0.1, duration)
+        res = st.simulate(m, st.OperatingPoint.from_power_factor(pf), fault)
+        assert res.stable, (pf, duration)
+        assert np.ptp(res.trace.delta_rad) > 0.1  # a real swing, not a rest
+        assert _energy_drift(m, res, fault) < 1e-6, (pf, duration)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(pf=hst.floats(0.6, 0.98),
+       duration=hst.floats(0.0, 0.25, exclude_min=True))
+def test_random_stable_faults_conserve_energy(pf, duration):
+    m = st.SmibModel()
+    fault = st.FaultEvent(0.1, duration)
+    res = st.simulate(m, st.OperatingPoint.from_power_factor(pf), fault,
+                      stop_on_verdict=True)
+    if res.stable:
+        assert _energy_drift(m, res, fault) < 1e-6
 
 
 def test_step_halving_converges():
@@ -114,15 +148,22 @@ def test_step_halving_converges():
     assert abs(r1.trace.delta_rad[-1] - r2.trace.delta_rad[-1]) < 1e-6
 
 
-def test_step_size_guard():
-    state = st.SwingState(0.5, 0.0, 1.1)
-    with pytest.raises(ValueError):
-        st.swing_step(state, st.SmibModel(), 0.95, 0.9, 2e-3)
+@pytest.mark.parametrize("dt", [2e-3, 0.0, -5e-4])
+def test_step_size_guard(dt):
+    with pytest.raises(ValueError, match="dt must be"):
+        st.simulate(st.SmibModel(), FULL_LOAD, st.FaultEvent(0.1, 0.05), dt=dt)
 
 
 def test_during_fault_power_is_zero():
-    state = st.SwingState(0.7, 0.0, 1.2)
-    assert st.electrical_power(state, st.SmibModel(), math.inf) == 0.0
+    fault = st.FaultEvent(0.1, 0.05)
+    tr = st.simulate(st.SmibModel(), FULL_LOAD, fault, t_end=0.3).trace
+    # instants within 1e-15 s of a switch count as the switch itself: the
+    # sample at 300 * dt = 0.15 is t_clear = 0.1 + 0.05 = 0.15000000000000002
+    during = (tr.times > fault.t_on + 1e-15) & (tr.times < fault.t_clear - 1e-15)
+    assert np.count_nonzero(during) == 99  # 0.5 ms samples inside 50 ms
+    assert np.all(tr.pe_pu[during] == 0.0)
+    assert np.all(tr.pe_pu[tr.times < fault.t_on] > 0.0)
+    assert np.all(tr.pe_pu[tr.times >= fault.t_clear - 1e-15] > 0.0)
 
 
 # -- scenario verdicts ------------------------------------------------------------
@@ -215,10 +256,12 @@ def test_time_domain_agrees_with_oracle_on_subgrid():
 
 # -- sweep -------------------------------------------------------------------
 
-def test_sweep_grid_shape_and_order():
+@pytest.mark.parametrize("grid", [tuple, lambda xs: (x for x in xs)],
+                         ids=["tuple", "generator"])
+def test_sweep_grid_shape_and_order(grid):
     m = st.SmibModel()
-    durations = (0.07, 0.16, 0.25)
-    rows = st.sweep(m, durations_s=durations, power_factors=(0.7, 0.9))
+    rows = st.sweep(m, durations_s=grid((0.07, 0.16, 0.25)),
+                    power_factors=grid((0.7, 0.9)))
     assert len(rows) == 6
     assert [r.power_mw for r in rows] == [1554.0] * 3 + [1998.0] * 3
     assert [r.duration_ms for r in rows] == [70.0, 160.0, 250.0] * 2
