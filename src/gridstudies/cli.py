@@ -191,16 +191,24 @@ def _resolve(args) -> dict:
             raise ConfigError(f"runs must be 0 for case {resolved['case']}, whose "
                               f"storage the Monte Carlo snapshots leave out, "
                               f"got {resolved['runs']!r}")
-        if resolved["mode"] == "external":
-            if not resolved["table"]:
-                raise ConfigError("external mode needs a load table (--table FILE)")
-            try:
-                distsim.check_load_table(feeder, distsim.read_load_table(
-                    resolved["table"]), resolved["runs"])
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"table must be a run,load,kW table: {exc}") from None
+        if resolved["mode"] == "external" and not resolved["table"]:
+            raise ConfigError("external mode needs a load table (--table FILE)")
     resolved["study"] = args.study
     return resolved
+
+
+def _read_inputs(cfg) -> dict:
+    """The input files a resolved run reads, parsed once and checked before
+    the run starts; keyword arguments for its runner."""
+    if cfg["study"] != "dist" or cfg["runs"] == 0 or cfg["mode"] != "external":
+        return {}
+    try:
+        table = distsim.read_load_table(cfg["table"])
+        distsim.check_load_table(distsim.build_case(cfg["case"]), table,
+                                 cfg["runs"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"table must be a run,load,kW table: {exc}") from None
+    return {"table": table}
 
 
 # -- study runners -------------------------------------------------------------
@@ -278,7 +286,7 @@ def _run_lightning(cfg, out, man):
     _write_chart(out, man, "impacts.svg", chart)
 
 
-def _run_dist(cfg, out, man):
+def _run_dist(cfg, out, man, table=None):
     feeder = distsim.build_case(cfg["case"], hours=cfg["hours"])
     daily = distsim.run_daily(feeder, hours=cfg["hours"])
 
@@ -301,9 +309,6 @@ def _run_dist(cfg, out, man):
     _write_chart(out, man, "source.svg", chart)
 
     if cfg["runs"] > 0:
-        table = None
-        if cfg["mode"] == "external":
-            table = distsim.read_load_table(cfg["table"])
         mc = distsim.run_monte_carlo(feeder, cfg["runs"], mode=cfg["mode"],
                                      seed=cfg["seed"], table=table)
         path = os.path.join(out, "mc.csv")
@@ -443,6 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
+        inputs = _read_inputs(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -452,7 +458,7 @@ def main(argv=None) -> int:
     manifest = report.RunManifest(config=cfg, seed=cfg["seed"])
     start = time.perf_counter()
     try:
-        RUNNERS[cfg["study"]](cfg, out, manifest)
+        RUNNERS[cfg["study"]](cfg, out, manifest, **inputs)
     except Exception as exc:
         manifest.elapsed_s = time.perf_counter() - start
         manifest.error = f"{type(exc).__name__}: {exc}"

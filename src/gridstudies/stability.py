@@ -51,13 +51,13 @@ class SmibModel:
     f0_hz: float = 60.0
 
     def __post_init__(self):
-        for name in ("xd_prime", "x_transformer", "x_line1", "x_line2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.inertia_h <= 0:
-            raise ValueError("inertia constant must be > 0")
-        if self.damping < 0:
-            raise ValueError("damping must be >= 0")
+        # written so that NaN fails every check
+        for name in ("s_base_mva", "v_base_kv", "xd_prime", "inertia_h",
+                     "x_transformer", "x_line1", "x_line2", "v_bus", "f0_hz"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError("damping must be finite and >= 0")
 
     @property
     def omega0(self) -> float:
@@ -181,6 +181,11 @@ class SimulationResult:
 SLIP_HOLD_S = 0.5
 
 
+def _check_dt(dt: float) -> None:
+    if not 0 < dt <= 1e-3:
+        raise ValueError(f"dt must be in (0, 1e-3] s, got {dt!r}")
+
+
 def simulate(model: SmibModel, op: OperatingPoint, fault: FaultEvent,
              dt: float = 5e-4, t_end: float | None = None,
              stop_on_verdict: bool = False) -> SimulationResult:
@@ -191,8 +196,9 @@ def simulate(model: SmibModel, op: OperatingPoint, fault: FaultEvent,
     t_clear is split so RK4 sees a smooth right-hand side throughout.
     Samples are recorded on the uniform dt grid regardless of the splits.
     """
-    if not 0 < dt <= 1e-3:
-        raise ValueError(f"dt must be in (0, 1e-3] s, got {dt!r}")
+    _check_dt(dt)
+    if t_end is not None and not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be in (0, inf) s, got {t_end!r}")
     e, delta0 = init_conditions(model, op)
     v, w0 = model.v_bus, model.omega0
     two_h, damping = 2.0 * model.inertia_h, model.damping
@@ -320,20 +326,117 @@ def sweep(model: SmibModel | None = None,
           dt: float = 5e-4,
           fault_t_on: float = 0.1) -> list[SweepRow]:
     """One verdict per (power factor, duration), apparent power fixed at
-    full load.  Rows are ordered factor-major, matching the listing shape."""
+    full load.  Rows are ordered factor-major, matching the listing shape,
+    and each verdict is simulate(..., stop_on_verdict=True)'s."""
     model = model or SmibModel()
     durations_s, power_factors = tuple(durations_s), tuple(power_factors)
     if not durations_s or not power_factors:
         raise ValueError("sweep grids must be non-empty")
-    rows = []
+    flags = _lockstep(model, durations_s, power_factors, dt, fault_t_on)[0]
+    grid = ((pf, dur) for pf in power_factors for dur in durations_s)
+    return [SweepRow(pf * model.s_base_mva, float(dur) * 1e3, int(flag))
+            for (pf, dur), flag in zip(grid, flags)]
+
+
+def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
+              dt: float, fault_t_on: float):
+    """Integrate every sweep row at once: one loop over the dt grid steps
+    arrays of the rows' d and w with simulate's rules, operation for
+    operation, so each row's trajectory is bit-identical to
+    simulate(..., stop_on_verdict=True) wherever np.sin rounds like
+    math.sin.  A row leaves the arrays on the
+    step it retires: when it slips, or after its own last step.
+
+    Returns per-row arrays (flag, steps, d, w) at retirement, factor-major.
+    """
+    _check_dt(dt)
+    v = model.v_bus
+    faults, per_pf = [], []  # per_pf: simulate's scalar constants
     for pf in power_factors:
         op = OperatingPoint.from_power_factor(pf)
-        for dur in durations_s:
-            res = simulate(model, op, FaultEvent(fault_t_on, float(dur)),
-                           dt=dt, stop_on_verdict=True)
-            rows.append(SweepRow(pf * model.s_base_mva, float(dur) * 1e3,
-                                 res.stability_flag))
-    return rows
+        faults += [FaultEvent(fault_t_on, float(dur)) for dur in durations_s]
+        e, delta0 = init_conditions(model, op)
+        pm = e * v * math.sin(delta0) / model.x_pre
+        pmax_post = e * v / model.x_post
+        uep = math.pi - math.asin(pm / pmax_post) if pm < pmax_post else math.inf
+        per_pf.append((delta0, pm, e * v / model.x_pre, pmax_post, uep))
+    delta0, pm, pmax_pre, pmax_post, uep = np.repeat(
+        np.array(per_pf), len(durations_s), axis=0).T
+    t_clear = np.array([f.t_clear for f in faults])
+    events = np.array([f.duration != 0.0 for f in faults])
+    last = np.array([int(round((f.t_clear + 3.0) / dt)) for f in faults])
+    # a null fault keeps the pre-fault network throughout
+    pmax_fault = np.where(events, 0.0, pmax_pre)
+    pmax_after = np.where(events, pmax_post, pmax_pre)
+    clear_end = t_clear.max()  # from here on every row runs post-fault
+
+    w0, two_h, damping = model.omega0, 2.0 * model.inertia_h, model.damping
+    sin = np.sin
+
+    def rk4(d, w, h, pmax, pm):
+        def deriv(d, w):
+            return w0 * w, (pm - pmax * sin(d) - damping * w) / two_h
+        k1d, k1w = deriv(d, w)
+        k2d, k2w = deriv(d + 0.5 * h * k1d, w + 0.5 * h * k1w)
+        k3d, k3w = deriv(d + 0.5 * h * k2d, w + 0.5 * h * k2w)
+        k4d, k4w = deriv(d + h * k3d, w + h * k3w)
+        return (d + h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0,
+                w + h * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0)
+
+    def pmax_at(t):
+        """simulate's x_at rule, as e * v / x per row (0.0 while faulted)."""
+        return np.where(t < fault_t_on - 1e-15, pmax_pre,
+                        np.where(t < t_clear - 1e-15, pmax_fault, pmax_after))
+
+    n = len(faults)
+    flags, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    d_end, w_end = np.empty(n), np.empty(n)
+    row = np.arange(n)
+    d, w = delta0.copy(), np.zeros(n)
+    slip_since = np.full(n, np.nan)  # NaN: not beyond the UEP
+    i = 0
+    while row.size:
+        i += 1
+        t0, t1 = (i - 1) * dt, i * dt
+        # substeps end at t_on, then at each row's t_clear, then at t1
+        cuts = []
+        if t0 < clear_end:
+            if t0 + 1e-15 < fault_t_on < t1 - 1e-15:
+                cuts.append((events, fault_t_on))
+            at_clear = events & (t0 + 1e-15 < t_clear) & (t_clear < t1 - 1e-15)
+            if at_clear.any():
+                cuts.append((at_clear, t_clear))
+        if not cuts:
+            h = t1 - t0
+            if h > 1e-15:
+                pmax = pmax_after if t0 >= clear_end else pmax_at(t0)
+                d, w = rk4(d, w, h, pmax, pm)
+        else:
+            t = np.full(row.size, t0)  # each row's substep start
+            for sel, boundary in [*cuts, (True, t1)]:
+                h = boundary - t
+                go = sel & (h > 1e-15)
+                d[go], w[go] = rk4(d[go], w[go], h[go], pmax_at(t)[go], pm[go])
+                t = np.where(sel, boundary, t)
+
+        cleared = t1 >= t_clear
+        beyond = cleared & (d > uep) & (w > 0)
+        # fmin keeps the first instant beyond the UEP (NaN before it)
+        slip_since = np.where(beyond, np.fmin(slip_since, t1), np.nan)
+        slipped = (cleared & (d - delta0 > math.pi)) | (
+            t1 - slip_since >= SLIP_HOLD_S)
+        done = slipped | (last == i)
+        if done.any():
+            out = row[done]
+            flags[out], steps[out] = slipped[done], i
+            d_end[out], w_end[out] = d[done], w[done]
+            keep = ~done
+            (row, d, w, slip_since, delta0, pm, pmax_pre, pmax_fault,
+             pmax_after, uep, t_clear, events, last) = (
+                a[keep] for a in (row, d, w, slip_since, delta0, pm, pmax_pre,
+                                  pmax_fault, pmax_after, uep, t_clear,
+                                  events, last))
+    return flags, steps, d_end, w_end
 
 
 def sweep_to_dataset(rows: list[SweepRow]):

@@ -106,18 +106,26 @@ def test_dist_monte_carlo(tmp_path):
     assert (out / "mc.svg").exists()
 
 
-def test_dist_external_table(tmp_path):
+def test_dist_external_table(tmp_path, monkeypatch):
     from gridstudies import distsim
 
     feeder = distsim.build_case("B3")
     table_path = tmp_path / "loads.csv"
     distsim.write_load_table(table_path,
                              distsim.synthesize_load_table(feeder, 40, seed=9))
+    reads = []
+    read = distsim.read_load_table
+    monkeypatch.setattr(distsim, "read_load_table",
+                        lambda path: reads.append(path) or read(path))
     out = tmp_path / "ext"
     assert run("dist", "--case", "B3", "--runs", 40, "--mode", "external",
                "--table", table_path, "--out", out) == 0
     with open(out / "mc.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 41
+    # checked before the run and handed to it: the file is parsed once,
+    # and the manifest records its path, not its rows
+    assert reads == [str(table_path)]
+    assert read_manifest(out)["config"]["table"] == str(table_path)
 
 
 def test_lightning_small_run(tmp_path):

@@ -30,12 +30,21 @@ def test_network_reactances():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        st.SmibModel(xd_prime=0.0)
-    with pytest.raises(ValueError):
-        st.SmibModel(inertia_h=-1.0)
-    with pytest.raises(ValueError):
-        st.SmibModel(damping=-0.1)
+    # every field, NaN and infinities included: the sweep feeds one model
+    # into all of its rows
+    for name in ("s_base_mva", "v_base_kv", "xd_prime", "inertia_h",
+                 "x_transformer", "x_line1", "x_line2", "v_bus", "f0_hz"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                st.SmibModel(**{name: bad})
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="damping"):
+            st.SmibModel(damping=bad)
+    st.SmibModel(damping=0.5)
+    for t_end in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end must be"):
+            st.simulate(st.SmibModel(), FULL_LOAD, st.FaultEvent(0.1, 0.05),
+                        t_end=t_end)
     for t_on, duration in ((0.1, math.nan), (math.nan, 0.05),
                            (math.inf, 0.05), (0.1, math.inf), (0.1, -0.01)):
         with pytest.raises(ValueError, match="fault times"):
@@ -89,9 +98,12 @@ def test_init_rejects_unity_power_factor_full_load():
 
 def test_init_rejects_nan_residual():
     # a NaN bus voltage makes every intermediate NaN; the residual check
-    # must not let that through as a tiny residual
+    # must not let that through as a tiny residual.  SmibModel rejects NaN
+    # on construction, so the field is changed afterwards.
+    model = st.SmibModel()
+    model.v_bus = math.nan
     with pytest.raises(st.InfeasibleOperatingPoint, match="residual"):
-        st.init_conditions(st.SmibModel(v_bus=math.nan), FULL_LOAD)
+        st.init_conditions(model, FULL_LOAD)
 
 
 # -- integrator quality ----------------------------------------------------------
@@ -283,6 +295,48 @@ def test_sweep_monotone_both_axes():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         st.sweep(st.SmibModel(), durations_s=(), power_factors=(0.9,))
+
+
+def _simulated(pfs, durations, dt):
+    """The scalar oracle for each sweep row, factor-major."""
+    m = st.SmibModel()
+    return [st.simulate(m, st.OperatingPoint.from_power_factor(pf),
+                        st.FaultEvent(0.1, float(dur)), dt=dt,
+                        stop_on_verdict=True)
+            for pf in pfs for dur in durations]
+
+
+# null fault, sub-step faults, faults ending mid-step or within a few ulps
+# of a grid point, and rows on both sides of the critical clearing time
+EDGE_DURATIONS_S = (0.0, 0.5e-3, 60.5e-3, 100e-3, 160.5e-3, 161e-3 + 1e-16,
+                    170e-3, math.nextafter(0.25, 1.0))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])
+def test_lockstep_sweep_matches_simulate_on_edge_grid(dt):
+    pfs = (0.6, 0.8, 0.98)
+    flags, steps, d, w = st._lockstep(st.SmibModel(), EDGE_DURATIONS_S, pfs,
+                                      dt, 0.1)
+    oracle = _simulated(pfs, EDGE_DURATIONS_S, dt)
+    assert list(flags) == [r.stability_flag for r in oracle]
+    assert list(steps) == [len(r.trace.times) - 1 for r in oracle]
+    # the same arithmetic in the same order: bit for bit, given that
+    # np.sin rounds like math.sin
+    final = np.array([(r.trace.delta_rad[-1], r.trace.speed_dev_pu[-1])
+                      for r in oracle])
+    assert d.tobytes() == final[:, 0].tobytes()
+    assert w.tobytes() == final[:, 1].tobytes()
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(pfs=hst.lists(hst.floats(0.6, 0.98), min_size=1, max_size=2),
+       durations=hst.lists(hst.floats(0.0, 0.3), min_size=1, max_size=3),
+       dt=hst.sampled_from([5e-4, 1e-3]))
+def test_random_sweeps_match_simulate(pfs, durations, dt):
+    rows = st.sweep(st.SmibModel(), durations_s=durations, power_factors=pfs,
+                    dt=dt)
+    assert [r.stability for r in rows] == \
+           [r.stability_flag for r in _simulated(pfs, durations, dt)]
 
 
 def test_default_grid_definition():
