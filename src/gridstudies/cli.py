@@ -8,6 +8,7 @@ not, and never writes outside the chosen output directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -47,6 +48,12 @@ _S_BASE_MW = stability.SmibModel().s_base_mva  # rating: the most P any power fa
 _TRAIN_ROWS = faultlab.POSITION_COUNT * faultlab.TYPE_COUNT  # kNN needs k <= this
 _GRID_ROWS = (len(stability.DEFAULT_POWER_FACTORS)  # the grid ml trains on
               * len(stability.DEFAULT_DURATIONS_S))
+_STRIKES = lightning.StudyConfig()  # the strip and flash density lightning runs
+_MIN_STROKES = next(  # the rate needs at least one whole year of exposure
+    n for n in itertools.count(1)
+    if lightning.exposure_years(n, _STRIKES.strip_length_km,
+                                _STRIKES.geometry.line_length_m / 1e3,
+                                _STRIKES.ground_flash_density))
 
 
 def _study(study, seed, about, **keys):
@@ -71,7 +78,7 @@ STUDIES = {
                     lambda v: 1 <= v <= _TRAIN_ROWS, f"in [1, {_TRAIN_ROWS}]")),
     "lightning": _study(
         "lightning", 1, "Monte Carlo lightning flashover study",
-        n=Param(int, 5000, "number of strokes", *_at_least(1))),
+        n=Param(int, 5000, "number of strokes", *_at_least(_MIN_STROKES))),
     "dist": _study(
         "dist", 1, "distribution feeder time series and Monte Carlo",
         case=Param(str, "A1", "feeder case", lambda v: v in distsim.CASE_NAMES,

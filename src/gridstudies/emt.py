@@ -3,9 +3,10 @@
 Lumped elements become trapezoidal companion models (a conductance in
 parallel with a history current source), distributed lines become lossless
 travelling-wave models with history buffers, and every step solves one nodal
-conductance system G v = i.  The conductance matrix is LU-factored once and
-refactored only when a flashover switch closes; closed switches merge their
-end nodes exactly instead of stamping a large conductance.
+conductance system G v = i.  G never changes during a run, so it is stamped
+and LU-factored once; a voltage source is its Norton pair (a resistor to
+ground and a current source).  A run ends at the step on which any flashover
+switch reaches its strength, recording every switch that does.
 
 Companion models (step dt):
     resistor   G = 1/R                history 0
@@ -21,8 +22,7 @@ non-integer tau/dt).
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
 1..N at t = dt .. N*dt.  Sources that jump at t = 0 keep second-order accuracy
-when the declared initial state is the post-jump one.  A flashover detected
-at step n takes effect at step n+1.
+when the declared initial state is the post-jump one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .nodal import NodeRegistry, merge_nodes, stamp
+from .nodal import NodeRegistry, stamp
 
 
 @dataclass
@@ -80,8 +80,10 @@ class BergeronLine:
     i0_b: float = 0.0
 
     def __post_init__(self):
-        if self.surge_impedance <= 0 or self.travel_time <= 0:
-            raise ValueError("surge impedance and travel time must be positive")
+        if not (0 < self.surge_impedance < math.inf
+                and 0 < self.travel_time < math.inf):
+            raise ValueError(
+                "surge impedance and travel time must be finite and positive")
 
 
 class EmtNetwork(NodeRegistry):
@@ -93,7 +95,6 @@ class EmtNetwork(NodeRegistry):
         self.storage: list[tuple[int, int, str, float, float]] = []  # a, b, kind, value, i0
         self.lines: list[BergeronLine] = []
         self.current_sources: list[tuple[int, object]] = []
-        self.voltage_sources: list[tuple[int, object, float]] = []
         self.flashover_switches: list[tuple[int, int, float]] = []  # a, b, volts
         self.initial_voltages: dict[int, float] = {}
 
@@ -103,20 +104,20 @@ class EmtNetwork(NodeRegistry):
         return self._names[name]
 
     def add_resistor(self, a: str, b: str, ohms: float) -> int:
-        if ohms <= 0:
-            raise ValueError(f"nonpositive resistance {ohms}")
+        if not 0 < ohms < math.inf:
+            raise ValueError(f"resistance {ohms} is not in (0, inf)")
         self.resistors.append((self.node(a), self.node(b), ohms))
         return len(self.resistors) - 1
 
     def add_inductor(self, a: str, b: str, henries: float, i0: float = 0.0) -> int:
-        if henries <= 0:
-            raise ValueError(f"nonpositive inductance {henries}")
+        if not 0 < henries < math.inf:
+            raise ValueError(f"inductance {henries} is not in (0, inf)")
         self.storage.append((self.node(a), self.node(b), "L", henries, i0))
         return len(self.storage) - 1
 
     def add_capacitor(self, a: str, b: str, farads: float, i0: float = 0.0) -> int:
-        if farads <= 0:
-            raise ValueError(f"nonpositive capacitance {farads}")
+        if not 0 < farads < math.inf:
+            raise ValueError(f"capacitance {farads} is not in (0, inf)")
         self.storage.append((self.node(a), self.node(b), "C", farads, i0))
         return len(self.storage) - 1
 
@@ -133,16 +134,22 @@ class EmtNetwork(NodeRegistry):
         self.current_sources.append((self.node(node), waveform))
 
     def add_voltage_source(self, node: str, emf, internal_ohms: float):
-        """Source to ground behind a resistance; emf is a constant or callable."""
-        if internal_ohms <= 0:
-            raise ValueError("voltage source needs a positive internal resistance")
-        self.voltage_sources.append((self.node(node), emf, internal_ohms))
+        """Source to ground behind a resistance; emf is a constant or callable.
+        Stored as its Norton pair: the resistance to ground in parallel with
+        a current source of emf / resistance."""
+        r = internal_ohms
+        if not 0 < r < math.inf:
+            raise ValueError("voltage source needs a finite positive resistance")
+        self.add_resistor(node, "ground", r)
+        self.add_current_source(node, (lambda t: emf(t) / r) if callable(emf)
+                                else emf / r)
 
     def add_flashover_switch(self, a: str, b: str, strength_volts: float) -> int:
-        """Voltage-controlled closing switch: latches closed when the magnitude
-        of the across-voltage reaches the strength (inclusive)."""
-        if strength_volts <= 0:
-            raise ValueError("strength must be positive")
+        """Voltage-controlled flashover switch: it flashes on the step the
+        magnitude of the across-voltage reaches the strength (inclusive),
+        and that step ends the run."""
+        if not 0 < strength_volts < math.inf:
+            raise ValueError("strength must be finite and positive")
         self.flashover_switches.append((self.node(a), self.node(b), strength_volts))
         return len(self.flashover_switches) - 1
 
@@ -159,15 +166,16 @@ class SimResult:
     times: np.ndarray
     node_traces: dict
     branch_traces: dict
-    flashovers: list  # (switch index, close time, stress at close)
+    flashovers: list  # (switch index, time, stress), all on the run's last step
 
 
 class EmtSimulation:
-    """Compiled stepper for one network at a fixed dt."""
+    """Compiled stepper for one network at a fixed dt.  Node id k >= 1 is
+    row k - 1 of G; voltage vectors are indexed by node id, ground at 0."""
 
     def __init__(self, net: EmtNetwork, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be finite and positive")
         self.net = net
         self.dt = dt
         self.n = 0  # index of the current (already known) state
@@ -194,12 +202,9 @@ class EmtSimulation:
         self._lc_sign = np.array(
             [1.0 if kind == "L" else -1.0 for (_a, _b, kind, _v, _i0) in net.storage])
         i0 = np.array([e[4] for e in net.storage])
-        if len(i0):
-            # histories for the first solve, from the declared t=0 state
-            vb0 = v_init[self._lc_a] - v_init[self._lc_b]
-            self._lc_h = self._lc_sign * (i0 + self._lc_g * vb0)
-        else:
-            self._lc_h = np.zeros(0)
+        # histories for the first solve, from the declared t=0 state
+        vb0 = v_init[self._lc_a] - v_init[self._lc_b]
+        self._lc_h = self._lc_sign * (i0 + self._lc_g * vb0)
 
         nl = len(net.lines)
         self._ln_ends = np.empty(2 * nl, dtype=np.intp)
@@ -218,131 +223,83 @@ class EmtSimulation:
             self._ln_i0[2 * k + 1] = line.i0_b
         self._ln_far = np.arange(2 * nl, dtype=np.intp) ^ 1  # other end of same line
         self._ln_rows = np.arange(2 * nl, dtype=np.intp)
-        self._ln_depth = (np.ceil(self._ln_delay).astype(np.intp) + 2
-                          if nl else np.zeros(0, dtype=np.intp))
-        depth_max = int(self._ln_depth.max()) if nl else 1
+        self._ln_depth = np.ceil(self._ln_delay).astype(np.intp) + 2
+        depth_max = int(self._ln_depth.max(initial=1))
         # column 0 holds the t=0 end samples; m < 0 reads fall back to v0/0
-        end_v0 = v_init[self._ln_ends] if nl else np.zeros(0)
+        end_v0 = v_init[self._ln_ends]
         self._buf_v = np.tile(end_v0[:, None], (1, depth_max))
         self._buf_i = np.tile(self._ln_i0[:, None], (1, depth_max))
-        self._ln_h = np.zeros(2 * nl)
-        if nl:
-            self._update_line_histories()
+        self._update_line_histories()
 
         self._fo_a = np.array([e[0] for e in net.flashover_switches], dtype=np.intp)
         self._fo_b = np.array([e[1] for e in net.flashover_switches], dtype=np.intp)
         self._fo_strength = np.array([e[2] for e in net.flashover_switches])
-        self._fo_closed = np.zeros(len(net.flashover_switches), dtype=bool)
-        # (switch index, close time, stress at close): the one flashover record
+        # (switch index, time, stress) for each switch that reached its strength
         self.flashover_events: list[tuple[int, float, float]] = []
 
-        self._const_inj: list[tuple[int, float]] = []
+        self._base_inj = np.zeros(n_all)
         self._varying_inj: list[tuple[int, object]] = []
         for node, wave in net.current_sources:
             if callable(wave):
                 self._varying_inj.append((node, wave))
             else:
-                self._const_inj.append((node, float(wave)))
-        for node, emf, r in net.voltage_sources:
-            if callable(emf):
-                self._varying_inj.append((node, lambda t, emf=emf, r=r: emf(t) / r))
-            else:
-                self._const_inj.append((node, float(emf) / r))
+                self._base_inj[node] += float(wave)
+        self._hist_idx = np.concatenate([self._lc_a, self._lc_b, self._ln_ends])
 
-        self._rebuild()
-
-    # -- assembly -------------------------------------------------------------
-
-    def _rebuild(self):
-        """Merge nodes joined by closed switches, stamp G, refactor."""
-        net = self.net
-        row, roots = merge_nodes(
-            len(net._ids), list(zip(self._fo_a[self._fo_closed].tolist(),
-                                    self._fo_b[self._fo_closed].tolist())))
-        self._n_red = len(roots)
-        # ext index: 0 = ground slot, 1.. = reduced unknowns
-        self._ext = np.array(row, dtype=np.intp) + 1
-
-        g = np.zeros((self._n_red, self._n_red))
+        g = np.zeros((n_all - 1, n_all - 1))
         for a, b, ohms in net.resistors:
-            stamp(g, row[a], row[b], 1.0 / ohms)
+            stamp(g, a - 1, b - 1, 1.0 / ohms)
         for a, b, cond in zip(self._lc_a, self._lc_b, self._lc_g):
-            stamp(g, row[a], row[b], cond)
+            stamp(g, a - 1, b - 1, cond)
         for node, zc in zip(self._ln_ends, self._ln_zc):
-            stamp(g, row[node], -1, 1.0 / zc)
-        for node, _emf, r in net.voltage_sources:
-            stamp(g, row[node], -1, 1.0 / r)
-
-        for r, root in enumerate(roots):
-            if g[r, r] == 0.0:
+            stamp(g, node - 1, -1, 1.0 / zc)
+        for k in range(1, n_all):
+            if g[k - 1, k - 1] == 0.0:
                 raise ValueError(
-                    f"node '{net.node_name(root)}' has no conductance to anything")
-        self._lu = scipy.linalg.lu_factor(g) if self._n_red else None
-
-        self._lc_ea = self._ext[self._lc_a] if len(self._lc_a) else self._lc_a
-        self._lc_eb = self._ext[self._lc_b] if len(self._lc_b) else self._lc_b
-        self._ln_e = self._ext[self._ln_ends] if len(self._ln_ends) else self._ln_ends
-        self._fo_ea = self._ext[self._fo_a] if len(self._fo_a) else self._fo_a
-        self._fo_eb = self._ext[self._fo_b] if len(self._fo_b) else self._fo_b
-
-        base = np.zeros(self._n_red)
-        for node, amps in self._const_inj:
-            ia = self._ext[node] - 1
-            if ia >= 0:
-                base[ia] += amps
-        self._base_inj = base
-        self._hist_idx = np.concatenate([self._lc_ea, self._lc_eb, self._ln_e])
-        self._v_ext = np.zeros(self._n_red + 1)
+                    f"node '{net.node_name(k)}' has no conductance to anything")
+        self._lu = scipy.linalg.lu_factor(g)
 
     # -- stepping -------------------------------------------------------------
 
     def solve_step(self) -> np.ndarray:
-        """Advance one step; returns voltages indexed by original node id."""
+        """Advance one step; returns voltages indexed by node id, and records
+        every flashover switch whose stress reaches its strength."""
         n = self.n + 1
         t = n * self.dt
 
         rhs = self._base_inj.copy()
         for node, fn in self._varying_inj:
-            ia = self._ext[node] - 1
-            if ia >= 0:
-                rhs[ia] += fn(t)
+            rhs[node] += fn(t)
         # history sources: branch model injects -h at 'from', +h at 'to';
         # each line end injects -h at its node
         vals = np.concatenate([-self._lc_h, self._lc_h, -self._ln_h])
-        contrib = np.bincount(self._hist_idx, weights=vals, minlength=self._n_red + 1)
-        rhs += contrib[1:]
+        rhs += np.bincount(self._hist_idx, weights=vals, minlength=len(rhs))
 
         # non-finite values pass through; run() checks the final voltages once
-        v_red = (scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-                 if self._n_red else rhs)
-        v_ext = self._v_ext
-        v_ext[1:] = v_red
+        v = np.zeros(rhs.size)
+        v[1:] = scipy.linalg.lu_solve(self._lu, rhs[1:], check_finite=False)
         self.n = n
 
         if len(self._lc_h):
-            vb = v_ext[self._lc_ea] - v_ext[self._lc_eb]
+            vb = v[self._lc_a] - v[self._lc_b]
             self._lc_h = self._lc_sign * (self._lc_h + 2.0 * self._lc_g * vb)
 
         if len(self._ln_h):
-            ve = v_ext[self._ln_e]
+            ve = v[self._ln_ends]
             ie = ve / self._ln_zc + self._ln_h
             col = n % self._ln_depth
             self._buf_v[self._ln_rows, col] = ve
             self._buf_i[self._ln_rows, col] = ie
             self._update_line_histories()
 
-        out = v_ext[self._ext]  # copy under the pre-transition node mapping
-
         if len(self._fo_strength):
-            stress = np.abs(v_ext[self._fo_ea] - v_ext[self._fo_eb])
-            hits = (stress >= self._fo_strength) & ~self._fo_closed
+            stress = np.abs(v[self._fo_a] - v[self._fo_b])
+            hits = stress >= self._fo_strength
             if hits.any():
-                self._fo_closed |= hits
-                for k in np.nonzero(hits)[0]:
+                for k in np.flatnonzero(hits):
                     self.flashover_events.append((int(k), t, float(stress[k])))
-                self._rebuild()
 
-        return out
+        return v
 
     def _update_line_histories(self):
         """History sources for the next solve: far-end state one delay back,
@@ -393,15 +350,17 @@ class EmtSimulation:
                 total += weight * wave * wave * self.dt / zc
         return total
 
-    def run(self, t_end: float, record: tuple = (), record_storage: tuple = (),
-            stop_on_first_flashover: bool = False) -> SimResult:
-        """Step from the initial state to t_end, recording named node voltages
-        and the currents of selected L/C branches (by storage index).
-        Raises LinAlgError when the final node voltages are not finite."""
+    def run(self, t_end: float, record: tuple = (),
+            record_storage: tuple = ()) -> SimResult:
+        """Step from the initial state to t_end, or to the first step on
+        which a flashover switch reaches its strength, recording named node
+        voltages and the currents of selected L/C branches (by storage
+        index).  Raises LinAlgError when the final node voltages are not
+        finite."""
         if self.n != 0:
             raise RuntimeError("run() must start from the initial state")
-        if t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < t_end < math.inf:
+            raise ValueError("t_end must be finite and positive")
         steps = int(math.ceil(t_end / self.dt - 1e-12))
         rec_nodes = [self.net.require_node(name) for name in record]
         node_traces = {name: np.zeros(steps + 1) for name in record}
@@ -411,7 +370,7 @@ class EmtSimulation:
         for k in record_storage:
             branch_traces[k][0] = self.net.storage[k][4]
         times = np.arange(steps + 1) * self.dt
-        last = steps
+        v = self._v_init
         while self.n < steps:
             h_before = self._lc_h.copy() if record_storage else None
             v = self.solve_step()
@@ -420,15 +379,14 @@ class EmtSimulation:
             for k in record_storage:
                 a, b, _kind, _val, _i0 = self.net.storage[k]
                 branch_traces[k][self.n] = self._lc_g[k] * (v[a] - v[b]) + h_before[k]
-            if stop_on_first_flashover and self.flashover_events:
-                last = self.n
+            if self.flashover_events:
                 break
-        # NaN never closes a switch, so a run gone non-finite reaches here
+        # NaN never reaches a strength, so a run gone non-finite reaches here
         if not np.isfinite(v).all():
             raise np.linalg.LinAlgError(
                 f"node voltages are not finite at step {self.n}")
-        if last < steps:
-            times = times[: last + 1]
-            node_traces = {k: tr[: last + 1] for k, tr in node_traces.items()}
-            branch_traces = {k: tr[: last + 1] for k, tr in branch_traces.items()}
+        end = self.n + 1
+        times = times[:end]
+        node_traces = {k: tr[:end] for k, tr in node_traces.items()}
+        branch_traces = {k: tr[:end] for k, tr in branch_traces.items()}
         return SimResult(times, node_traces, branch_traces, list(self.flashover_events))

@@ -445,11 +445,10 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
     raised."""
     try:
         net = build_strike_network(stroke, impact, config)
-        res = net.assemble(config.dt_s).run(config.t_end_s,
-                                            stop_on_first_flashover=True)
+        res = net.assemble(config.dt_s).run(config.t_end_s)
     except np.linalg.LinAlgError:
         return EventResult(failed=True)
-    if res.flashovers:  # the run stops at the step of its first flashover
+    if res.flashovers:  # the run ends at the step of its first flashover
         return EventResult(flashover=True, close_time_s=res.flashovers[0][1])
     return EventResult()
 
@@ -483,13 +482,20 @@ class FlashoverRate:
     per_100km_year: float
 
 
+def exposure_years(n_strokes: int, l1_km: float, l2_km: float,
+                   ground_flash_density: float) -> int:
+    """Years of exposure a batch of strokes over an l1 x l2 km strip
+    represents at the given ground flash density, rounded to whole years."""
+    return round(n_strokes / (l1_km * l2_km * ground_flash_density))
+
+
 def flashover_rate(n_strokes: int, n_flashovers: int, l1_km: float,
                    l2_km: float, ground_flash_density: float) -> FlashoverRate:
     """Scale batch counts to flashovers per 100 km-year.
 
     The batch covers an l1 x l2 km strip; with the given ground flash
-    density it represents n / (l1 * l2 * density) years of exposure,
-    rounded to whole years, over a line of length l2.
+    density it represents `exposure_years` of exposure over a line of
+    length l2, which must round to at least one year.
     """
     if n_strokes <= 0:
         raise ValueError("need a positive stroke count")
@@ -497,7 +503,10 @@ def flashover_rate(n_strokes: int, n_flashovers: int, l1_km: float,
         raise ValueError("flashover count out of range")
     if l1_km <= 0 or l2_km <= 0 or ground_flash_density <= 0:
         raise ValueError("strip dimensions and flash density must be positive")
-    years = round(n_strokes / (l1_km * l2_km * ground_flash_density))
+    years = exposure_years(n_strokes, l1_km, l2_km, ground_flash_density)
+    if years == 0:
+        raise ValueError(f"n_strokes={n_strokes} rounds to 0 years of "
+                         f"exposure; need more strokes")
     rate = (n_flashovers / years) * (100.0 / l2_km)
     return FlashoverRate(years=years, per_100km_year=rate)
 

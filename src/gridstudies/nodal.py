@@ -1,9 +1,10 @@
 """Node bookkeeping shared by the phasor and transient solvers.
 
-Both solvers name nodes by string (node 0 is ground), merge the end nodes
-of ideal connections (bolted branches, closed switches) before assembly
-instead of stamping a huge conductance, and stamp two-terminal elements
-into a reduced nodal matrix whose rows are the merged groups.
+Both solvers name nodes by string (node 0 is ground) and stamp
+two-terminal elements into a nodal matrix.  The phasor solver first merges
+the end nodes of bolted branches instead of stamping a huge conductance, so
+its rows are the merged groups; the transient solver merges nothing, and
+its row k - 1 is node k.
 """
 
 from __future__ import annotations

@@ -229,6 +229,7 @@ def test_bad_shared_config_value_exits_2(tmp_path, capsys, key, value):
     (("stability", "--config", {"duration_ms": math.nan}), "duration_ms"),
     (("dist", "--runs", 1), "runs"),  # one run has no sample deviation
     (("dist", "--case", "A3", "--runs", 5), "runs"),  # storage: no snapshots
+    (("lightning", "--n", 1), "n"),  # 0.35 years of exposure rounds to 0
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, argv, key):
     argv = list(argv)

@@ -34,6 +34,7 @@ from gridstudies.lightning import (
     classify_impact,
     critical_currents,
     exposure_width,
+    exposure_years,
     flashover_rate,
     run_study,
     sample_strokes,
@@ -392,7 +393,7 @@ class TestSurgeReplay:
         event = _event(peak_ka=120.0, strength_kv=500.0)
         net = build_strike_network(event, Impacts(SHIELD, TOWER, 2), config)
         sim = net.assemble(config.dt_s)
-        res = sim.run(config.t_end_s, stop_on_first_flashover=True)
+        res = sim.run(config.t_end_s)
         assert res.flashovers
         for k, _close_time, stress in res.flashovers:
             assert stress >= net.flashover_switches[k][2]
@@ -404,12 +405,31 @@ class TestSurgeReplay:
         net = build_strike_network(_event(peak_ka=120.0, strength_kv=500.0),
                                    Impacts(SHIELD, TOWER, 2), config)
         first, second = (net.assemble(config.dt_s).run(
-            config.t_end_s, record=("s4", "pa4", "pb4"),
-            stop_on_first_flashover=True) for _ in range(2))
+            config.t_end_s, record=("s4", "pa4", "pb4")) for _ in range(2))
         assert first.flashovers and first.flashovers == second.flashovers
         assert np.array_equal(first.times, second.times)
         for name, trace in first.node_traces.items():
             assert np.array_equal(trace, second.node_traces[name])
+
+    @pytest.mark.parametrize("stroke, impact, closes", [
+        (dict(peak_ka=120.0, strength_kv=500.0), Impacts(SHIELD, TOWER, 2),
+         [(6, 31)]),
+        (dict(peak_ka=40.0), Impacts(PHASE_A, SPAN, 1), [(3, 79), (6, 79)]),
+        (dict(peak_ka=100.0, footing_ohm=95.0), Impacts(SHIELD, TOWER, 2),
+         [(6, 81)]),
+    ], ids=["shield-tower", "phase-span", "weak-footing"])
+    def test_reference_replays(self, stroke, impact, closes):
+        # (switch, close step) are pinned and the run ends at that step; the
+        # stress floats depend on BLAS, so they are only checked against the
+        # strengths
+        config = StudyConfig(n=1)
+        net = build_strike_network(_event(**stroke), impact, config)
+        res = net.assemble(config.dt_s).run(config.t_end_s)
+        assert [(k, round(t / config.dt_s))
+                for k, t, _stress in res.flashovers] == closes
+        assert len(res.times) == closes[0][1] + 1
+        for k, _t, stress in res.flashovers:
+            assert stress >= net.flashover_switches[k][2]
 
     def test_weak_footing_flashes_strong_footing_holds(self):
         config = StudyConfig(n=1)
@@ -524,6 +544,14 @@ class TestFlashoverRate:
             flashover_rate(100, 101, 1.0, 1.0, 2.2)
         with pytest.raises(ValueError):
             flashover_rate(100, 5, 1.0, 0.0, 2.2)
+
+    def test_rejects_zero_year_exposure(self):
+        # one stroke over the default strip is 0.35 years, which rounds to 0
+        assert exposure_years(1, 1.0, 1.2874752, 2.2) == 0
+        assert exposure_years(2, 1.0, 1.2874752, 2.2) == 1
+        with pytest.raises(ValueError, match="exposure"):
+            flashover_rate(1, 0, 1.0, 1.2874752, 2.2)
+        assert flashover_rate(2, 1, 1.0, 1.2874752, 2.2).years == 1
 
 
 # -------------------------------------------------------------------- files
