@@ -4,9 +4,10 @@ Lumped elements become trapezoidal companion models (a conductance in
 parallel with a history current source), distributed lines become lossless
 travelling-wave models with history buffers, and every step solves one nodal
 conductance system G v = i.  G never changes during a run, so it is stamped
-and LU-factored once; a voltage source is its Norton pair (a resistor to
-ground and a current source).  A run ends at the step on which any flashover
-switch reaches its strength, recording every switch that does.
+and inverted once and each step is the product v = G⁻¹ i; a voltage source
+is its Norton pair (a resistor to ground and a current source).  A run ends
+at the step on which any flashover switch reaches its strength, recording
+every switch that does.
 
 Companion models (step dt):
     resistor   G = 1/R                history 0
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .nodal import NodeRegistry, stamp
 
@@ -158,6 +158,7 @@ class EmtNetwork(NodeRegistry):
         self.initial_voltages[self.node(node)] = volts
 
     def assemble(self, dt: float) -> "EmtSimulation":
+        """Stamp and invert G; raises LinAlgError when G is singular."""
         return EmtSimulation(self, dt)
 
 
@@ -257,7 +258,7 @@ class EmtSimulation:
             if g[k - 1, k - 1] == 0.0:
                 raise ValueError(
                     f"node '{net.node_name(k)}' has no conductance to anything")
-        self._lu = scipy.linalg.lu_factor(g)
+        self._ginv = np.linalg.inv(g)
 
     # -- stepping -------------------------------------------------------------
 
@@ -277,7 +278,7 @@ class EmtSimulation:
 
         # non-finite values pass through; run() checks the final voltages once
         v = np.zeros(rhs.size)
-        v[1:] = scipy.linalg.lu_solve(self._lu, rhs[1:], check_finite=False)
+        v[1:] = self._ginv @ rhs[1:]
         self.n = n
 
         if len(self._lc_h):

@@ -550,6 +550,9 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
     processes; results come back in stroke order and depend only on the
     configuration and seed, never on the worker count.
     """
+    strip = (config.strip_length_km, config.geometry.line_length_m / 1e3,
+             config.ground_flash_density)
+    flashover_rate(config.n, 0, *strip)  # under one year of exposure fails here
     sample = sample_strokes(config.n, config.seed, config.geometry)
     impacts = classify_impact(sample.x_m, sample.y_m, sample.peak_ka,
                               config.geometry)
@@ -565,9 +568,7 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
     flash[line] = [res.flashover for res in results]
     failed[line] = [res.failed for res in results]
     counts = _count(impacts, flash, failed)
-    rate = flashover_rate(config.n, counts.flashovers, config.strip_length_km,
-                          config.geometry.line_length_m / 1e3,
-                          config.ground_flash_density)
+    rate = flashover_rate(config.n, counts.flashovers, *strip)
     return StudyResult(config=config, sample=sample, impacts=impacts,
                        flashover=flash, failed=failed, counts=counts,
                        rate=rate)

@@ -138,20 +138,20 @@ class KnnModel:
         if not 1 <= self.k <= len(self.labels):
             raise ValueError(f"k={self.k} outside 1..{len(self.labels)}")
 
-    def predict_one(self, x):
-        diff = self.features - np.asarray(x, dtype=float)
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        nearest = np.argsort(dist, kind="stable")[: self.k]
-        votes: dict = {}
-        for idx in nearest:
-            votes.setdefault(self.labels[idx], []).append(dist[idx])
-        # most votes, then smaller mean distance, then lower label
-        ranked = sorted(votes.items(),
-                        key=lambda kv: (-len(kv[1]), float(np.mean(kv[1])), kv[0]))
-        return ranked[0][0]
-
     def predict(self, features) -> np.ndarray:
-        return np.asarray([self.predict_one(x) for x in np.asarray(features)])
+        out = []
+        for x in np.asarray(features, dtype=float):
+            diff = self.features - x
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            nearest = np.argsort(dist, kind="stable")[: self.k]
+            votes: dict = {}
+            for idx in nearest:
+                votes.setdefault(self.labels[idx], []).append(dist[idx])
+            # most votes, then smaller mean distance, then lower label
+            ranked = sorted(votes.items(), key=lambda kv: (
+                -len(kv[1]), float(np.mean(kv[1])), kv[0]))
+            out.append(ranked[0][0])
+        return np.asarray(out)
 
 
 def knn_fit(train: Dataset, k: int) -> KnnModel:
@@ -485,6 +485,7 @@ def save_model(model, path):
 
 
 def load_model(path):
+    # the only check that the svm/mlp/mlp_small.json `ml` writes hold its models
     with open(path) as fh:
         blob = json.load(fh)
     kind = blob.get("kind")

@@ -5,8 +5,8 @@ optional shunt admittance at each end, three-phase coupled branches, Thevenin
 sources and ideal current injections.  All quantities are RMS phasors held as
 Python complex numbers.
 
-The solver assembles a complex nodal admittance matrix and solves it with a
-dense LU factorization.  Zero-impedance branches (bolted connections) are not
+The solver assembles a complex nodal admittance matrix and solves it with
+numpy's dense solver.  Zero-impedance branches (bolted connections) are not
 stamped as admittances; their end nodes are merged before assembly so bolted
 faults produce exact node voltages instead of ill-conditioned near-shorts.
 """
@@ -16,11 +16,9 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .nodal import NodeRegistry, merge_nodes, stamp
 
@@ -310,12 +308,9 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
                 node=net.node_name(root))
 
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # zero-pivot warning; detected below
-            lu, piv = scipy.linalg.lu_factor(y)
-    except scipy.linalg.LinAlgError as exc:
+        v_red = np.linalg.solve(y, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularNetworkError(f"singular nodal matrix: {exc}") from exc
-    v_red = scipy.linalg.lu_solve((lu, piv), rhs)
     if not np.all(np.isfinite(v_red)):
         raise SingularNetworkError("singular nodal matrix (solution is not finite)")
 

@@ -367,3 +367,13 @@ def test_console_script_version():
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("gridstudies ")
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys, gridstudies.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -89,6 +89,15 @@ def test_non_finite_run_raises():
         sim.run(5 * DT)
     assert sim.n == 5 and not sim.flashover_events
 
+def test_singular_network_raises_at_assembly():
+    # both nodes have a diagonal term, but nothing ties the pair to ground,
+    # so G is exactly singular and cannot be inverted
+    net = EmtNetwork()
+    net.add_current_source("a", 1.0)
+    net.add_resistor("a", "b", 50.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        net.assemble(DT).run(5 * DT)
+
 
 def test_rl_step_response():
     sim = rl_step_network().assemble(DT)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridstudies import lightning
-from gridstudies.emt import EmtSimulation
+from gridstudies.emt import EmtNetwork, EmtSimulation
 from gridstudies.lightning import (
     DEFAULT_GEOMETRY,
     EVENTS_HEADER,
@@ -439,10 +439,22 @@ class TestSurgeReplay:
                               Impacts(SHIELD, TOWER, 2), config)
         assert hot.flashover and not cold.flashover
 
-    def test_solver_failure_is_reported_not_raised(self):
+    def test_solver_failure_is_reported_not_raised(self, monkeypatch):
         # a NaN surge leaves non-finite voltages, which the solver reports
         res = simulate_event(_event(peak_ka=math.nan),
                              Impacts(SHIELD, TOWER, 2), StudyConfig(n=1))
+        assert res.failed and not res.flashover
+
+        # a pair of nodes with no path to ground: G is exactly singular
+        def floating(*args):
+            net = EmtNetwork()
+            net.add_current_source("a", 1.0)
+            net.add_resistor("a", "b", 50.0)
+            return net
+
+        monkeypatch.setattr(lightning, "build_strike_network", floating)
+        res = simulate_event(_event(), Impacts(SHIELD, TOWER, 2),
+                             StudyConfig(n=1))
         assert res.failed and not res.flashover
 
     def test_only_numerical_failures_are_reported(self, monkeypatch):
@@ -510,6 +522,19 @@ class TestStudy:
         b = run_study(StudyConfig(n=300, seed=8, threads=2))
         assert np.array_equal(a.flashover, b.flashover)
         assert a.counts == b.counts
+
+    def test_zero_year_exposure_fails_before_any_replay(self, monkeypatch):
+        config = StudyConfig(n=1, seed=4)  # its one stroke reaches the line
+        s = sample_strokes(1, config.seed, config.geometry)
+        assert classify_impact(s.x_m, s.y_m, s.peak_ka,
+                               config.geometry).on_line.all()
+
+        def replay(*args):
+            raise AssertionError("a stroke was replayed")
+
+        monkeypatch.setattr(lightning, "simulate_event", replay)
+        with pytest.raises(ValueError, match="rounds to 0 years of exposure"):
+            run_study(config)
 
     def test_rate_uses_line_length(self):
         res = run_study(StudyConfig(n=400, seed=12))

@@ -139,7 +139,7 @@ def test_knn_global_vote():
     data = Dataset(np.array([[0.0], [1.0], [2.0], [10.0]]),
                    np.array([7, 7, 7, 9]))
     model = knn_fit(data, k=4)
-    assert model.predict_one([9.9]) == 7
+    assert model.predict(np.array([[9.9]]))[0] == 7
 
 def test_knn_matches_exhaustive_oracle():
     data = blob_dataset(n_per=25, centers=((0, 0), (3, 3)), spread=1.5)
@@ -148,7 +148,7 @@ def test_knn_matches_exhaustive_oracle():
     for k in (1, 2, 3, 5):
         model = knn_fit(data, k=k)
         for q in queries:
-            assert model.predict_one(q) == knn_oracle(
+            assert model.predict(q[None, :])[0] == knn_oracle(
                 data.features, data.labels, q, k)
 
 def test_knn_scale_invariance():
