@@ -64,7 +64,8 @@ def _study(study, seed, about, **keys):
         "seed": Param(int, seed, "random seed", *_at_least(0)),
         "out": Param(str, os.path.join("runs", study), "output directory",
                      bool, "a non-empty path"),
-        "threads": Param(int, 1, "worker cap; only lightning runs in parallel",
+        "threads": Param(int, 1, "accepted by every study so one command line "
+                         "fits them all; no study runs in parallel",
                          *_at_least(1))}
 
 
@@ -264,8 +265,7 @@ def _run_fault_lab(cfg, out, man):
 
 
 def _run_lightning(cfg, out, man):
-    study = lightning.StudyConfig(n=cfg["n"], seed=cfg["seed"],
-                                  threads=cfg["threads"])
+    study = lightning.StudyConfig(n=cfg["n"], seed=cfg["seed"])
     result = lightning.run_study(study)
 
     events = os.path.join(out, "events.csv")

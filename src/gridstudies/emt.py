@@ -20,6 +20,10 @@ at each end, Zc in parallel with a history source assembled from the far-end
 voltage and current recorded tau seconds earlier (linear interpolation covers
 non-integer tau/dt).
 
+EmtBatch steps many assembled networks of one structure in lock step, each
+row in the scalar stepper's arithmetic, so a row ends exactly where
+EmtSimulation.run ends for its network.
+
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
 1..N at t = dt .. N*dt.  Sources that jump at t = 0 keep second-order accuracy
@@ -40,14 +44,18 @@ from .nodal import NodeRegistry, stamp
 class DoubleRampSource:
     """Piecewise-linear surge current: 0 -> peak over the front, peak -> peak/2
     over the tail, then the tail slope continues until the current reaches
-    zero, where it stays (the waveform never reverses polarity)."""
+    zero, where it stays (the waveform never reverses polarity).
+
+    The three parameters may also be arrays of one shape, a stack of
+    waveforms evaluated together; t broadcasts against them."""
 
     peak_amps: float
     front_time_s: float
     half_time_s: float
 
     def __post_init__(self):
-        if not 0 < self.front_time_s < self.half_time_s:
+        tf, th = self.front_time_s, self.half_time_s
+        if not np.all((0 < tf) & (tf < th)):
             raise ValueError("need 0 < front time < time to half value")
 
     def __call__(self, t):
@@ -57,10 +65,7 @@ class DoubleRampSource:
         tail = ip * (1.0 - 0.5 * (t - tf) / (th - tf))
         out = np.where(t <= tf, front, tail)
         out = np.where(t <= 0, 0.0, out)
-        if ip >= 0:
-            out = np.maximum(out, 0.0)
-        else:
-            out = np.minimum(out, 0.0)
+        out = np.where(ip >= 0, np.maximum(out, 0.0), np.minimum(out, 0.0))
         return float(out) if out.ndim == 0 else out
 
 
@@ -170,7 +175,50 @@ class SimResult:
     flashovers: list  # (switch index, time, stress), all on the run's last step
 
 
-class EmtSimulation:
+class _TravellingWaves:
+    """Line-end bookkeeping shared by EmtSimulation and EmtBatch.
+
+    Per-end constants (_ln_ends, _ln_zc, _ln_delay, _ln_depth, _ln_far,
+    _ln_rows) are one row; the state (_buf_v, _buf_i, _ln_h, _ln_v0) and
+    the voltages may carry a leading axis of rows, each updated alone.
+    """
+
+    def _record_line_ends(self, v):
+        """Buffer each line end's state at step n from that step's node
+        voltages, then form the histories for the next solve."""
+        ve = v[..., self._ln_ends]
+        ie = ve / self._ln_zc + self._ln_h
+        col = self.n % self._ln_depth
+        self._buf_v[..., self._ln_rows, col] = ve
+        self._buf_i[..., self._ln_rows, col] = ie
+        self._update_line_histories()
+
+    def _update_line_histories(self):
+        """History sources for the next solve: far-end state one delay back,
+        linearly interpolated between buffered samples."""
+        q = (self.n + 1) - self._ln_delay
+        m0 = np.floor(q).astype(np.intp)
+        frac = q - m0
+        vf0, if0 = self._read_far(m0)
+        vf1, if1 = self._read_far(m0 + 1)
+        vf = (1.0 - frac) * vf0 + frac * vf1
+        iw = (1.0 - frac) * if0 + frac * if1
+        self._ln_h = -vf / self._ln_zc - iw
+
+    def _read_far(self, m):
+        """Far-end (v, i) samples at step m; before 0 means the initial state."""
+        far = self._ln_far
+        init = m < 0
+        mm = np.where(init, 0, m)
+        col = mm % self._ln_depth[far]
+        v = self._buf_v[..., far, col]
+        i = self._buf_i[..., far, col]
+        v = np.where(init, self._ln_v0[..., far], v)
+        i = np.where(init, 0.0, i)
+        return v, i
+
+
+class EmtSimulation(_TravellingWaves):
     """Compiled stepper for one network at a fixed dt.  Node id k >= 1 is
     row k - 1 of G; voltage vectors are indexed by node id, ground at 0."""
 
@@ -286,12 +334,7 @@ class EmtSimulation:
             self._lc_h = self._lc_sign * (self._lc_h + 2.0 * self._lc_g * vb)
 
         if len(self._ln_h):
-            ve = v[self._ln_ends]
-            ie = ve / self._ln_zc + self._ln_h
-            col = n % self._ln_depth
-            self._buf_v[self._ln_rows, col] = ve
-            self._buf_i[self._ln_rows, col] = ie
-            self._update_line_histories()
+            self._record_line_ends(v)
 
         if len(self._fo_strength):
             stress = np.abs(v[self._fo_a] - v[self._fo_b])
@@ -301,30 +344,6 @@ class EmtSimulation:
                     self.flashover_events.append((int(k), t, float(stress[k])))
 
         return v
-
-    def _update_line_histories(self):
-        """History sources for the next solve: far-end state one delay back,
-        linearly interpolated between buffered samples."""
-        q = (self.n + 1) - self._ln_delay
-        m0 = np.floor(q).astype(np.intp)
-        frac = q - m0
-        vf0, if0 = self._read_far(m0)
-        vf1, if1 = self._read_far(m0 + 1)
-        vf = (1.0 - frac) * vf0 + frac * vf1
-        iw = (1.0 - frac) * if0 + frac * if1
-        self._ln_h = -vf / self._ln_zc - iw
-
-    def _read_far(self, m):
-        """Far-end (v, i) samples at step m; before 0 means the initial state."""
-        far = self._ln_far
-        init = m < 0
-        mm = np.where(init, 0, m)
-        col = mm % self._ln_depth[far]
-        v = self._buf_v[far, col]
-        i = self._buf_i[far, col]
-        v = np.where(init, self._ln_v0[far], v)
-        i = np.where(init, 0.0, i)
-        return v, i
 
     def line_stored_energy(self, line_index: int) -> float:
         """Field energy on a line, rebuilt from its travelling-wave buffers.
@@ -391,3 +410,109 @@ class EmtSimulation:
         node_traces = {k: tr[:end] for k, tr in node_traces.items()}
         branch_traces = {k: tr[:end] for k, tr in branch_traces.items()}
         return SimResult(times, node_traces, branch_traces, list(self.flashover_events))
+
+
+def _batch_structure(sim: EmtSimulation) -> tuple:
+    """What the rows of one EmtBatch share: step, nodes, line ends and
+    delays, switch nodes.  A network a batch cannot step raises ValueError."""
+    if len(sim._lc_g) or [type(w) for _n, w in sim._varying_inj] != [DoubleRampSource]:
+        raise ValueError("a batched network has no inductor or capacitor and "
+                         "exactly one varying source, a DoubleRampSource")
+    return (sim.dt, sim._base_inj.size, *(a.tobytes() for a in (
+        sim._hist_idx, sim._ln_delay, sim._ln_zc, sim._fo_a, sim._fo_b)))
+
+
+class EmtBatch(_TravellingWaves):
+    """Up to `capacity` assembled networks of one structure, stepped in lock
+    step.
+
+    The rows share node numbering, lines, switch nodes and the step; each
+    keeps its own G⁻¹, constant injections, line state, switch strengths and
+    one DoubleRampSource, whose node may differ row by row.  Each row's
+    arithmetic is EmtSimulation.solve_step's, in its order: the solve is one
+    stacked matrix-vector product per row, and one bincount sums each node's
+    history terms in the scalar order.  So a row ends on the step, and with
+    the voltages, that EmtSimulation.run reaches for its network.  `add`
+    copies a row out of an EmtSimulation, which the caller can then drop.
+    """
+
+    def __init__(self, like: EmtSimulation, capacity: int):
+        self.dt = like.dt
+        self.n = 0
+        self.size = 0
+        self._structure = _batch_structure(like)
+        self._hist_idx = like._hist_idx
+        self._ln_ends, self._ln_zc = like._ln_ends, like._ln_zc
+        self._ln_delay, self._ln_depth = like._ln_delay, like._ln_depth
+        self._ln_far, self._ln_rows = like._ln_far, like._ln_rows
+        self._fo_a, self._fo_b = like._fo_a, like._fo_b
+        self._ginv = np.empty((capacity, *like._ginv.shape))
+        self._base_inj = np.empty((capacity, like._base_inj.size))
+        self._buf_v = np.empty((capacity, *like._buf_v.shape))
+        self._buf_i = np.empty_like(self._buf_v)
+        self._ln_h = np.empty((capacity, like._ln_h.size))
+        self._ln_v0 = np.empty_like(self._ln_h)
+        self._fo_strength = np.empty((capacity, like._fo_strength.size))
+        self._inj_node = np.empty(capacity, dtype=np.intp)
+        self._ramp = np.empty((3, capacity))  # peak, front time, half time
+
+    def add(self, sim: EmtSimulation):
+        """Copy an assembled, not yet stepped network into the next row."""
+        if sim.n != 0 or _batch_structure(sim) != self._structure:
+            raise ValueError("network does not match the batch's structure")
+        k = self.size
+        [(node, wave)] = sim._varying_inj
+        self._inj_node[k] = node
+        self._ramp[:, k] = wave.peak_amps, wave.front_time_s, wave.half_time_s
+        self._ginv[k] = sim._ginv
+        self._base_inj[k] = sim._base_inj
+        self._buf_v[k] = sim._buf_v
+        self._buf_i[k] = sim._buf_i
+        self._ln_h[k] = sim._ln_h
+        self._ln_v0[k] = sim._ln_v0
+        self._fo_strength[k] = sim._fo_strength
+        self.size = k + 1
+
+    def run(self, t_end: float) -> tuple:
+        """Step every row from its initial state to t_end, or to the first
+        step on which one of its switches reaches its strength.  Returns
+        each row's flashover step (0 where none) and whether its node
+        voltages on its last step are finite.  A row that has ended keeps
+        stepping, masked, until every row has."""
+        if self.n != 0:
+            raise RuntimeError("run() must start from the initial state")
+        if not 0 < t_end < math.inf:
+            raise ValueError("t_end must be finite and positive")
+        steps = int(math.ceil(t_end / self.dt - 1e-12))
+        b, nodes = self.size, self._base_inj.shape[1]
+        self._buf_v, self._buf_i = self._buf_v[:b], self._buf_i[:b]
+        self._ln_h, self._ln_v0 = self._ln_h[:b], self._ln_v0[:b]
+        ginv, base = self._ginv[:b], self._base_inj[:b]
+        strength = self._fo_strength[:b]
+        rows = np.arange(b)
+        inject = (rows, self._inj_node[:b])
+        surge = DoubleRampSource(*self._ramp[:, :b])
+        hist = (self._hist_idx + nodes * rows[:, None]).ravel()
+
+        flash = np.zeros(b, dtype=np.intp)
+        finite = np.ones(b, dtype=bool)
+        live = np.ones(b, dtype=bool)
+        v = np.zeros((b, nodes))
+        for n in range(1, steps + 1):
+            rhs = base.copy()
+            rhs[inject] += surge(n * self.dt)
+            rhs += np.bincount(hist, weights=(-self._ln_h).ravel(),
+                               minlength=b * nodes).reshape(b, nodes)
+            v[:, 1:] = np.matmul(ginv, rhs[:, 1:, None])[..., 0]
+            self.n = n
+            self._record_line_ends(v)
+            stress = np.abs(v[:, self._fo_a] - v[:, self._fo_b])
+            hit = live & (stress >= strength).any(axis=1)
+            if hit.any():
+                flash[hit] = n
+                finite[hit] = np.isfinite(v[hit]).all(axis=1)
+                live &= ~hit
+                if not live.any():
+                    break
+        finite[live] = np.isfinite(v[live]).all(axis=1)
+        return flash, finite

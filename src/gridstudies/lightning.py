@@ -8,14 +8,12 @@ traveling-wave network to decide whether an insulator string flashes over.
 
 from __future__ import annotations
 
-import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .emt import DoubleRampSource, EmtNetwork
+from .emt import DoubleRampSource, EmtBatch, EmtNetwork
 from .report import write_csv
 
 LIGHT_SPEED_M_S = 299_792_458.0
@@ -330,13 +328,10 @@ class StudyConfig:
     t_end_s: float = 15e-6
     ground_flash_density: float = 2.2
     strip_length_km: float = 1.0
-    threads: int = 1
 
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("need a positive number of strokes")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.dt_s <= 0 or self.t_end_s <= self.dt_s:
             raise ValueError("need 0 < dt < simulation window")
         if self.extension_towers < 1:
@@ -453,6 +448,61 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
     return EventResult()
 
 
+# Rows per lock-step replay batch.  Memory, not speed, sets it: each row
+# holds its own G⁻¹ and line buffers, and 64 rows cost more peak memory
+# than 32 for little further gain.
+REPLAY_BATCH = 32
+
+
+def replay_strokes(sample: StrokeSample, impacts: Impacts,
+                   config: StudyConfig) -> list:
+    """Replay line strokes (rows of `sample`, with their `impacts`) in lock
+    step; row i's EventResult equals simulate_event(sample[i], impacts[i],
+    config), close time bit for bit.
+
+    Strokes are grouped by network structure: every tower stroke shares one
+    (only the struck node differs), a span stroke's is its wire and span.
+    Each group steps in batches of up to REPLAY_BATCH rows.  A stroke whose
+    network is singular or whose voltages end non-finite is failed alone.
+    """
+    groups = {}
+    for i, (wire, place, index) in enumerate(zip(
+            impacts.wire.tolist(), impacts.place.tolist(),
+            impacts.index.tolist())):
+        key = None if place == TOWER else (wire, index)
+        groups.setdefault(key, []).append(i)
+    results = [EventResult(failed=True)] * len(sample)
+    for rows in groups.values():
+        for start in range(0, len(rows), REPLAY_BATCH):
+            _replay_batch(rows[start:start + REPLAY_BATCH], sample, impacts,
+                          config, results)
+    return results
+
+
+def _replay_batch(rows, sample, impacts, config, results):
+    """Assemble each row's network into one EmtBatch, dropping each
+    simulation once copied, and run the batch into `results`."""
+    batch, kept = None, []
+    for i in rows:
+        try:
+            sim = build_strike_network(sample[i], impacts[i],
+                                       config).assemble(config.dt_s)
+        except np.linalg.LinAlgError:
+            continue  # results[i] stays failed
+        if batch is None:
+            batch = EmtBatch(sim, len(rows))
+        batch.add(sim)
+        kept.append(i)
+    if batch is None:
+        return
+    flash, finite = batch.run(config.t_end_s)
+    for i, step, ok in zip(kept, flash.tolist(), finite.tolist()):
+        if ok:
+            results[i] = (EventResult(flashover=True,
+                                      close_time_s=step * config.dt_s)
+                          if step else EventResult())
+
+
 @dataclass(frozen=True)
 class StrokeCounts:
     """Partition of one batch of strokes by termination and outcome."""
@@ -544,12 +594,9 @@ def _count(impacts: Impacts, flash: np.ndarray,
 
 
 def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
-    """Sample strokes, attribute them, and replay every line stroke.
-
-    The surge replays are independent, so they can fan out over worker
-    processes; results come back in stroke order and depend only on the
-    configuration and seed, never on the worker count.
-    """
+    """Sample strokes, attribute them, and replay every line stroke in
+    lock-step batches (`replay_strokes`); the results depend only on the
+    configuration and seed."""
     strip = (config.strip_length_km, config.geometry.line_length_m / 1e3,
              config.ground_flash_density)
     flashover_rate(config.n, 0, *strip)  # under one year of exposure fails here
@@ -557,12 +604,7 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
     impacts = classify_impact(sample.x_m, sample.y_m, sample.peak_ka,
                               config.geometry)
     line = impacts.on_line
-    jobs = [(sample[i], impacts[i], config) for i in np.flatnonzero(line)]
-    if config.threads > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(config.threads) as pool:
-            results = pool.starmap(simulate_event, jobs, chunksize=16)
-    else:
-        results = list(itertools.starmap(simulate_event, jobs))
+    results = replay_strokes(sample[line], impacts[line], config)
     flash = np.zeros(config.n, dtype=bool)
     failed = np.zeros(config.n, dtype=bool)
     flash[line] = [res.flashover for res in results]

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from gridstudies.emt import DoubleRampSource, EmtNetwork
+from gridstudies.emt import DoubleRampSource, EmtBatch, EmtNetwork
 
 DT = 1e-3
 
@@ -256,6 +256,10 @@ def test_double_ramp_shape():
     neg = DoubleRampSource(-30e3, 2e-6, 50e-6)
     assert neg(2e-6) == -30e3
     assert np.all(neg(t) <= 0.0)
+    # array parameters: a stack of waveforms, each equal to its scalar one
+    stack = DoubleRampSource(np.array([30e3, -30e3]), np.array([2e-6, 2e-6]),
+                             np.array([50e-6, 50e-6]))
+    assert np.array_equal(stack(t[:, None]), np.column_stack([vec, neg(t)]))
 
 def test_double_ramp_rejects_bad_times():
     with pytest.raises(ValueError):
@@ -296,3 +300,45 @@ def test_determinism():
     first, second = trace(), trace()
     for name in ("a", "b"):
         assert np.array_equal(first.node_traces[name], second.node_traces[name])
+
+
+def surge_network(footing, peak=-1e3, tower=None):
+    # a surge into one end of a line; the far end grounds through `footing`
+    net = EmtNetwork()
+    net.add_current_source("a", DoubleRampSource(peak, 2 * DT, 40 * DT))
+    net.add_line("a", "b", ZC, 2.5 * DT)
+    if tower:
+        net.add_line("b", "c", ZC, tower)
+    net.add_resistor("b", "ground", footing)
+    net.add_flashover_switch("a", "ground", 6e5)
+    return net
+
+
+def test_batch_rows_end_as_their_scalar_runs():
+    # values differ row by row, structure does not: the low footing holds
+    # 1 kA, the high one doubles its wave back and flashes, 2 kA flashes on
+    # the front, and the NaN surge fails alone
+    nets = [surge_network(f, p) for f, p in
+            ((10.0, -1e3), (1e4, -1e3), (100.0, math.nan), (30.0, -2e3))]
+    batch = EmtBatch(nets[0].assemble(DT), len(nets))
+    for net in nets:
+        batch.add(net.assemble(DT))
+    flash, finite = batch.run(60 * DT)
+    for net, step, ok in zip(nets, flash.tolist(), finite.tolist()):
+        try:
+            res = net.assemble(DT).run(60 * DT)
+        except np.linalg.LinAlgError:
+            assert not ok
+            continue
+        assert ok and step == (round(res.flashovers[0][1] / DT)
+                               if res.flashovers else 0)
+    assert finite.tolist() == [True, True, False, True]
+    assert flash[0] == 0 and 0 not in flash[[1, 3]]
+
+
+def test_batch_takes_one_structure():
+    batch = EmtBatch(surge_network(10.0).assemble(DT), 2)
+    with pytest.raises(ValueError, match="structure"):
+        batch.add(surge_network(10.0, tower=3 * DT).assemble(DT))
+    with pytest.raises(ValueError, match="DoubleRampSource"):
+        EmtBatch(rl_step_network().assemble(DT), 1)

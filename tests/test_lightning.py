@@ -1,9 +1,10 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstudies import lightning
@@ -481,8 +482,6 @@ class TestSurgeReplay:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dt"):
             StudyConfig(dt_s=100e-9)
-        with pytest.raises(ValueError, match="threads"):
-            StudyConfig(threads=0)
         with pytest.raises(ValueError, match="positive"):
             StudyConfig(n=0)
 
@@ -491,6 +490,107 @@ class TestSurgeReplay:
         h = config.geometry.shield_height_m
         want = 60.0 * (math.log(math.sqrt(2.0) * 2.0 * h / 8.0) - 1.0)
         assert config.tower_surge_ohms == pytest.approx(want, rel=1e-12)
+
+
+# --------------------------------------------------------- lock-step replay
+
+def _verdict(res):
+    close = None if res.close_time_s is None else res.close_time_s.hex()
+    return res.flashover, close, res.failed
+
+
+def _rows(strokes):
+    """A StrokeSample and Impacts from (stroke fields, impact codes) pairs."""
+    sample = StrokeSample(**{k: np.array([s[k] for s, _ in strokes])
+                             for k in strokes[0][0]})
+    wire, place, index = (np.array(c) for c in zip(*(i for _, i in strokes)))
+    return sample, Impacts(wire, place, index)
+
+
+def _peak_stress(stroke, impact, config):
+    """Largest insulator stress over the window when nothing flashes."""
+    net = build_strike_network(replace(stroke, strength_kv=1e12), impact, config)
+    ends = [(net.node_name(a), net.node_name(b))
+            for a, b, _ in net.flashover_switches]
+    res = net.assemble(config.dt_s).run(
+        config.t_end_s, record=tuple({n for pair in ends for n in pair}))
+    tr = res.node_traces
+    return max(np.abs(tr[a] - tr[b]).max() for a, b in ends)
+
+
+_IMPACTS = st.one_of(
+    st.tuples(st.sampled_from([SHIELD, PHASE_A, PHASE_C]), st.just(TOWER),
+              st.integers(0, DEFAULT_GEOMETRY.tower_count - 1)),
+    st.tuples(st.sampled_from([SHIELD, PHASE_A, PHASE_C]), st.just(SPAN),
+              st.integers(0, DEFAULT_GEOMETRY.span_count - 1)))
+_STROKE_FIELDS = st.fixed_dictionaries(dict(
+    x_m=st.just(0.0), y_m=st.just(0.0), angle_deg=st.floats(0.0, 360.0),
+    peak_ka=st.floats(3.0, 200.0), front_us=st.floats(0.5, 10.0),
+    half_us=st.floats(20.0, 200.0), footing_ohm=st.floats(10.0, 100.0),
+    strength_kv=st.floats(300.0, 1200.0)))
+# None keeps the drawn strength; k puts it k parts in 1e15 off the peak stress
+_NEAR_PEAK = st.none() | st.integers(-3, 3)
+_SHORT = StudyConfig(n=1, t_end_s=4e-6)
+# every impact code once, so each structure is replayed whatever is drawn
+_EVERY_CODE = [
+    (dict(x_m=0.0, y_m=0.0, angle_deg=13.0 * k, peak_ka=8.0 + 6.0 * k,
+          front_us=1.0 + 0.2 * k, half_us=50.0 + 3.0 * k,
+          footing_ohm=15.0 + 3.0 * k, strength_kv=900.0),
+     codes, None if k % 8 == 7 else k % 8 - 3)
+    for k, codes in enumerate(
+        [(w, TOWER, i) for w in (SHIELD, PHASE_A, PHASE_C)
+         for i in range(DEFAULT_GEOMETRY.tower_count)]
+        + [(w, SPAN, i) for w in (SHIELD, PHASE_A, PHASE_C)
+           for i in range(DEFAULT_GEOMETRY.span_count)])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.lists(st.tuples(_STROKE_FIELDS, _IMPACTS, _NEAR_PEAK),
+                min_size=1, max_size=6))
+@example(_EVERY_CODE)
+def test_lockstep_replay_matches_simulate_event(strokes):
+    rows = []
+    for fields_, codes, near in strokes:
+        if near is not None:
+            stroke, impact = _rows([(fields_, codes)])
+            peak = _peak_stress(stroke[0], impact[0], _SHORT)
+            fields_ = dict(fields_, strength_kv=peak / 1e3 * (1 + near * 1e-15))
+        rows.append((fields_, codes))
+    sample, impacts = _rows(rows)
+    got = lightning.replay_strokes(sample, impacts, _SHORT)
+    want = [simulate_event(sample[i], impacts[i], _SHORT)
+            for i in range(len(sample))]
+    assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
+
+
+def test_lockstep_replay_matches_simulate_event_on_a_study():
+    config = StudyConfig(n=300, seed=9)
+    sample = sample_strokes(config.n, config.seed, config.geometry)
+    impacts = classify_impact(sample.x_m, sample.y_m, sample.peak_ka,
+                              config.geometry)
+    line = impacts.on_line
+    sample, impacts = sample[line], impacts[line]
+    got = lightning.replay_strokes(sample, impacts, config)
+    want = [simulate_event(sample[i], impacts[i], config)
+            for i in range(len(sample))]
+    assert len(got) == 39 and sum(r.flashover for r in want) == 9
+    assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
+
+
+def test_nan_row_fails_alone_in_its_batch():
+    config = StudyConfig(n=1)
+    base = dict(x_m=0.0, y_m=0.0, front_us=2.0, half_us=77.5,
+                footing_ohm=55.0, strength_kv=977.5)
+    peaks = [120.0, 20.0, math.nan, 100.0, 60.0]
+    strokes = [(dict(base, peak_ka=p, angle_deg=40.0 * k), (SHIELD, TOWER, k))
+               for k, p in enumerate(peaks)]
+    sample, impacts = _rows(strokes)
+    got = lightning.replay_strokes(sample, impacts, config)
+    keep = [k for k, p in enumerate(peaks) if not math.isnan(p)]
+    alone = lightning.replay_strokes(*_rows([strokes[k] for k in keep]), config)
+    assert got[2].failed and not got[2].flashover
+    assert [_verdict(got[k]) for k in keep] == [_verdict(r) for r in alone]
+    assert not any(r.failed for r in alone) and any(r.flashover for r in alone)
 
 
 # -------------------------------------------------------------- full study
@@ -517,12 +617,6 @@ class TestStudy:
         assert np.array_equal(a.flashover, b.flashover)
         assert a.counts == b.counts and a.rate == b.rate
 
-    def test_worker_count_does_not_change_results(self):
-        a = run_study(StudyConfig(n=300, seed=8, threads=1))
-        b = run_study(StudyConfig(n=300, seed=8, threads=2))
-        assert np.array_equal(a.flashover, b.flashover)
-        assert a.counts == b.counts
-
     def test_zero_year_exposure_fails_before_any_replay(self, monkeypatch):
         config = StudyConfig(n=1, seed=4)  # its one stroke reaches the line
         s = sample_strokes(1, config.seed, config.geometry)
@@ -532,9 +626,33 @@ class TestStudy:
         def replay(*args):
             raise AssertionError("a stroke was replayed")
 
-        monkeypatch.setattr(lightning, "simulate_event", replay)
+        monkeypatch.setattr(lightning, "replay_strokes", replay)
+        monkeypatch.setattr(EmtNetwork, "assemble", replay)
         with pytest.raises(ValueError, match="rounds to 0 years of exposure"):
             run_study(config)
+
+    def test_singular_network_fails_only_its_stroke(self, monkeypatch):
+        config = StudyConfig(n=300, seed=8)
+        clean = run_study(config)
+        # a tower stroke, so its batch holds other strokes
+        target = clean.sample.x_m[np.flatnonzero(clean.impacts.place == TOWER)[1]]
+        build = lightning.build_strike_network
+
+        def one_floating(stroke, impact, config):
+            if stroke.x_m != target:
+                return build(stroke, impact, config)
+            net = EmtNetwork()  # two nodes with no path to ground
+            net.add_current_source("a", 1.0)
+            net.add_resistor("a", "b", 50.0)
+            return net
+
+        monkeypatch.setattr(lightning, "build_strike_network", one_floating)
+        res = run_study(config)
+        bad = res.sample.x_m == target
+        assert res.failed[bad].all() and not res.flashover[bad].any()
+        assert not res.failed[~bad].any()
+        assert np.array_equal(res.flashover[~bad], clean.flashover[~bad])
+        assert res.counts.failures == 1
 
     def test_rate_uses_line_length(self):
         res = run_study(StudyConfig(n=400, seed=12))
