@@ -22,7 +22,9 @@ non-integer tau/dt).
 
 EmtBatch steps many assembled networks of one structure in lock step, each
 row in the scalar stepper's arithmetic, so a row ends exactly where
-EmtSimulation.run ends for its network.
+EmtSimulation.run ends for its network.  It keeps the line histories of
+all its rows in one time-major ring, prefilled with each line's
+pre-history, so one gather per step reads every far end's samples.
 
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
@@ -175,50 +177,7 @@ class SimResult:
     flashovers: list  # (switch index, time, stress), all on the run's last step
 
 
-class _TravellingWaves:
-    """Line-end bookkeeping shared by EmtSimulation and EmtBatch.
-
-    Per-end constants (_ln_ends, _ln_zc, _ln_delay, _ln_depth, _ln_far,
-    _ln_rows) are one row; the state (_buf_v, _buf_i, _ln_h, _ln_v0) and
-    the voltages may carry a leading axis of rows, each updated alone.
-    """
-
-    def _record_line_ends(self, v):
-        """Buffer each line end's state at step n from that step's node
-        voltages, then form the histories for the next solve."""
-        ve = v[..., self._ln_ends]
-        ie = ve / self._ln_zc + self._ln_h
-        col = self.n % self._ln_depth
-        self._buf_v[..., self._ln_rows, col] = ve
-        self._buf_i[..., self._ln_rows, col] = ie
-        self._update_line_histories()
-
-    def _update_line_histories(self):
-        """History sources for the next solve: far-end state one delay back,
-        linearly interpolated between buffered samples."""
-        q = (self.n + 1) - self._ln_delay
-        m0 = np.floor(q).astype(np.intp)
-        frac = q - m0
-        vf0, if0 = self._read_far(m0)
-        vf1, if1 = self._read_far(m0 + 1)
-        vf = (1.0 - frac) * vf0 + frac * vf1
-        iw = (1.0 - frac) * if0 + frac * if1
-        self._ln_h = -vf / self._ln_zc - iw
-
-    def _read_far(self, m):
-        """Far-end (v, i) samples at step m; before 0 means the initial state."""
-        far = self._ln_far
-        init = m < 0
-        mm = np.where(init, 0, m)
-        col = mm % self._ln_depth[far]
-        v = self._buf_v[..., far, col]
-        i = self._buf_i[..., far, col]
-        v = np.where(init, self._ln_v0[..., far], v)
-        i = np.where(init, 0.0, i)
-        return v, i
-
-
-class EmtSimulation(_TravellingWaves):
+class EmtSimulation:
     """Compiled stepper for one network at a fixed dt.  Node id k >= 1 is
     row k - 1 of G; voltage vectors are indexed by node id, ground at 0."""
 
@@ -345,6 +304,40 @@ class EmtSimulation(_TravellingWaves):
 
         return v
 
+    def _record_line_ends(self, v):
+        """Buffer each line end's state at step n from that step's node
+        voltages, then form the histories for the next solve."""
+        ve = v[self._ln_ends]
+        ie = ve / self._ln_zc + self._ln_h
+        col = self.n % self._ln_depth
+        self._buf_v[self._ln_rows, col] = ve
+        self._buf_i[self._ln_rows, col] = ie
+        self._update_line_histories()
+
+    def _update_line_histories(self):
+        """History sources for the next solve: far-end state one delay back,
+        linearly interpolated between buffered samples."""
+        q = (self.n + 1) - self._ln_delay
+        m0 = np.floor(q).astype(np.intp)
+        frac = q - m0
+        vf0, if0 = self._read_far(m0)
+        vf1, if1 = self._read_far(m0 + 1)
+        vf = (1.0 - frac) * vf0 + frac * vf1
+        iw = (1.0 - frac) * if0 + frac * if1
+        self._ln_h = -vf / self._ln_zc - iw
+
+    def _read_far(self, m):
+        """Far-end (v, i) samples at step m; before 0 means the initial state."""
+        far = self._ln_far
+        init = m < 0
+        mm = np.where(init, 0, m)
+        col = mm % self._ln_depth[far]
+        v = self._buf_v[far, col]
+        i = self._buf_i[far, col]
+        v = np.where(init, self._ln_v0[far], v)
+        i = np.where(init, 0.0, i)
+        return v, i
+
     def line_stored_energy(self, line_index: int) -> float:
         """Field energy on a line, rebuilt from its travelling-wave buffers.
 
@@ -418,11 +411,15 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
     if len(sim._lc_g) or [type(w) for _n, w in sim._varying_inj] != [DoubleRampSource]:
         raise ValueError("a batched network has no inductor or capacitor and "
                          "exactly one varying source, a DoubleRampSource")
+    if (sim._ln_delay < 1.0).any():
+        # below one step the scalar stepper's later sample is a stale buffer
+        # column, one the batch's ring no longer holds
+        raise ValueError("a batched network has no line shorter than one step")
     return (sim.dt, sim._base_inj.size, *(a.tobytes() for a in (
         sim._hist_idx, sim._ln_delay, sim._ln_zc, sim._fo_a, sim._fo_b)))
 
 
-class EmtBatch(_TravellingWaves):
+class EmtBatch:
     """Up to `capacity` assembled networks of one structure, stepped in lock
     step.
 
@@ -434,6 +431,15 @@ class EmtBatch(_TravellingWaves):
     history terms in the scalar order.  So a row ends on the step, and with
     the voltages, that EmtSimulation.run reaches for its network.  `add`
     copies a row out of an EmtSimulation, which the caller can then drop.
+
+    The line histories of all rows live in one time-major ring of shape
+    (D, 2E, b): D is the deepest line end's buffer depth, E the number of
+    line ends and b the rows, and column n % D holds every end's [v; i] at
+    step n.  Each column starts as the pre-history (the end's v0, current
+    0) and column 0 then takes the declared t=0 samples.  A read of a step
+    before 0 lands on a column no step has written yet (no read reaches
+    back more than D - 3 steps), so it returns the pre-history, as
+    EmtSimulation._read_far does.
     """
 
     def __init__(self, like: EmtSimulation, capacity: int):
@@ -443,15 +449,14 @@ class EmtBatch(_TravellingWaves):
         self._structure = _batch_structure(like)
         self._hist_idx = like._hist_idx
         self._ln_ends, self._ln_zc = like._ln_ends, like._ln_zc
-        self._ln_delay, self._ln_depth = like._ln_delay, like._ln_depth
-        self._ln_far, self._ln_rows = like._ln_far, like._ln_rows
+        self._ln_delay, self._ln_far = like._ln_delay, like._ln_far
+        self._depth = int(like._ln_depth.max(initial=1))
         self._fo_a, self._fo_b = like._fo_a, like._fo_b
+        ends = like._ln_ends.size
         self._ginv = np.empty((capacity, *like._ginv.shape))
         self._base_inj = np.empty((capacity, like._base_inj.size))
-        self._buf_v = np.empty((capacity, *like._buf_v.shape))
-        self._buf_i = np.empty_like(self._buf_v)
-        self._ln_h = np.empty((capacity, like._ln_h.size))
-        self._ln_v0 = np.empty_like(self._ln_h)
+        self._ln_v0 = np.empty((ends, capacity))
+        self._ln_t0 = np.empty((2 * ends, capacity))  # t=0 [v; i] per end
         self._fo_strength = np.empty((capacity, like._fo_strength.size))
         self._inj_node = np.empty(capacity, dtype=np.intp)
         self._ramp = np.empty((3, capacity))  # peak, front time, half time
@@ -466,10 +471,10 @@ class EmtBatch(_TravellingWaves):
         self._ramp[:, k] = wave.peak_amps, wave.front_time_s, wave.half_time_s
         self._ginv[k] = sim._ginv
         self._base_inj[k] = sim._base_inj
-        self._buf_v[k] = sim._buf_v
-        self._buf_i[k] = sim._buf_i
-        self._ln_h[k] = sim._ln_h
-        self._ln_v0[k] = sim._ln_v0
+        ends = self._ln_ends.size
+        self._ln_v0[:, k] = sim._ln_v0
+        self._ln_t0[:ends, k] = sim._buf_v[:, 0]
+        self._ln_t0[ends:, k] = sim._buf_i[:, 0]
         self._fo_strength[k] = sim._fo_strength
         self.size = k + 1
 
@@ -485,33 +490,64 @@ class EmtBatch(_TravellingWaves):
             raise ValueError("t_end must be finite and positive")
         steps = int(math.ceil(t_end / self.dt - 1e-12))
         b, nodes = self.size, self._base_inj.shape[1]
-        self._buf_v, self._buf_i = self._buf_v[:b], self._buf_i[:b]
-        self._ln_h, self._ln_v0 = self._ln_h[:b], self._ln_v0[:b]
+        ends, depth = self._ln_ends.size, self._depth
         ginv, base = self._ginv[:b], self._base_inj[:b]
-        strength = self._fo_strength[:b]
+        strength = self._fo_strength[:b].copy()
         rows = np.arange(b)
         inject = (rows, self._inj_node[:b])
-        surge = DoubleRampSource(*self._ramp[:, :b])
-        hist = (self._hist_idx + nodes * rows[:, None]).ravel()
+        surge = DoubleRampSource(*self._ramp[:, :b, None])(
+            np.arange(1, steps + 1) * self.dt)
+        hist = (self._hist_idx[:, None] + nodes * rows).ravel()
+        # per-end factors are spelled out to full (ends, b) arrays: against
+        # an (ends, 1) column numpy runs one short inner loop per end
+        zc = np.repeat(self._ln_zc, b).reshape(ends, b)
 
+        ring = np.empty((depth, 2 * ends, b))
+        ring[:, :ends] = self._ln_v0[:, :b]
+        ring[:, ends:] = 0.0
+        ring[0] = self._ln_t0[:, :b]
+        flat = ring.reshape(depth * 2 * ends, b)
+        # per [v; i] row of an end: its delay and the ring row of its far end
+        delay = np.tile(self._ln_delay, 2)
+        far = np.concatenate([self._ln_far, self._ln_far + ends])
+        later = np.array([[0], [1]])
+
+        def histories(n):
+            """-h of every end for the solve at step n + 1: far-end state
+            one delay back, interpolated between ring samples.  vf/zc + iw
+            is bitwise the negation of the scalar -vf/zc - iw."""
+            q = (n + 1) - delay
+            m0 = np.floor(q).astype(np.intp)
+            frac = q - m0
+            got = flat[((m0 + later) % depth * (2 * ends) + far).ravel()]
+            w = (np.repeat(1.0 - frac, b).reshape(2 * ends, b) * got[:2 * ends]
+                 + np.repeat(frac, b).reshape(2 * ends, b) * got[2 * ends:])
+            return w[:ends] / zc + w[ends:]
+
+        neg_h = histories(0)
         flash = np.zeros(b, dtype=np.intp)
         finite = np.ones(b, dtype=bool)
         live = np.ones(b, dtype=bool)
         v = np.zeros((b, nodes))
         for n in range(1, steps + 1):
             rhs = base.copy()
-            rhs[inject] += surge(n * self.dt)
-            rhs += np.bincount(hist, weights=(-self._ln_h).ravel(),
+            rhs[inject] += surge[:, n - 1]
+            rhs += np.bincount(hist, weights=neg_h.ravel(),
                                minlength=b * nodes).reshape(b, nodes)
             v[:, 1:] = np.matmul(ginv, rhs[:, 1:, None])[..., 0]
             self.n = n
-            self._record_line_ends(v)
-            stress = np.abs(v[:, self._fo_a] - v[:, self._fo_b])
-            hit = live & (stress >= strength).any(axis=1)
-            if hit.any():
+            ve, ie = ring[n % depth].reshape(2, ends, b)
+            ve[...] = v[:, self._ln_ends].T
+            np.divide(ve, zc, out=ie)
+            ie -= neg_h  # i = v/zc + h
+            neg_h = histories(n)
+            over = np.abs(v[:, self._fo_a] - v[:, self._fo_b]) >= strength
+            if over.any():
+                hit = live & over.any(axis=1)
                 flash[hit] = n
                 finite[hit] = np.isfinite(v[hit]).all(axis=1)
                 live &= ~hit
+                strength[hit] = np.inf  # keeps ended rows off this branch
                 if not live.any():
                     break
         finite[live] = np.isfinite(v[live]).all(axis=1)

@@ -6,9 +6,9 @@ depends on anything beyond the standard library and numpy.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -112,7 +112,8 @@ def _open_canvas(xs, ys, style: ChartStyle) -> _Canvas:
     p.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if style.title:
         p.append(f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-                 f'{FONT} font-size="16">{escape(style.title)}</text>')
+                 f'{FONT} font-size="16">'
+                 f'{html.escape(style.title, quote=False)}</text>')
 
     bottom = HEIGHT - MARGIN_BOTTOM
     right = WIDTH - MARGIN_RIGHT
@@ -134,12 +135,12 @@ def _open_canvas(xs, ys, style: ChartStyle) -> _Canvas:
     if style.x_label:
         p.append(f'<text x="{(MARGIN_LEFT + right) / 2}" y="{HEIGHT - 14}" '
                  f'text-anchor="middle" {FONT} font-size="13">'
-                 f'{escape(style.x_label)}</text>')
+                 f'{html.escape(style.x_label, quote=False)}</text>')
     if style.y_label:
         y_mid = (MARGIN_TOP + bottom) / 2
         p.append(f'<text x="18" y="{y_mid}" text-anchor="middle" {FONT} '
                  f'font-size="13" transform="rotate(-90 18 {y_mid})">'
-                 f'{escape(style.y_label)}</text>')
+                 f'{html.escape(style.y_label, quote=False)}</text>')
     return canvas
 
 
@@ -153,8 +154,8 @@ def _legend(canvas: _Canvas, labels: list):
         color = PALETTE[i % len(PALETTE)]
         canvas.parts.append(f'<rect x="{x}" y="{y - 9}" width="14" height="9" '
                             f'fill="{color}"/>')
-        canvas.parts.append(f'<text x="{x + 20}" y="{y}" {FONT} '
-                            f'font-size="12">{escape(label)}</text>')
+        canvas.parts.append(f'<text x="{x + 20}" y="{y}" {FONT} font-size="12">'
+                            f'{html.escape(label, quote=False)}</text>')
         y += 18
 
 

@@ -370,9 +370,12 @@ def test_console_script_version():
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the network stack, which xml.sax.saxutils drags in: every run
+    # pays for what importing the CLI loads
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     code = ("import sys, gridstudies.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
+            "print([m for m in sys.modules if m.startswith('scipy') "
+            "or m in ('http.client', 'urllib.request')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr

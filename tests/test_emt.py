@@ -336,9 +336,46 @@ def test_batch_rows_end_as_their_scalar_runs():
     assert flash[0] == 0 and 0 not in flash[[1, 3]]
 
 
+def prehistory_network(peak, v_start, i0):
+    # end a starts at v_start with i0 flowing into line a-b, while both
+    # lines' pre-history is (0 V, 0 A); a-b's delay is fractional, a-c's
+    # whole.  Far ends that read before t=0 must see the pre-history: one
+    # that saw the t=0 sample instead would put hundreds of volts on b at
+    # step 1
+    net = EmtNetwork()
+    net.add_current_source("a", DoubleRampSource(peak, 2 * DT, 40 * DT))
+    net.add_line("a", "b", ZC, 2.5 * DT, i0_a=i0)
+    net.add_line("a", "c", ZC, 3 * DT)
+    net.add_resistor("b", "ground", 50.0)
+    net.add_resistor("c", "ground", 500.0)
+    net.set_initial_voltage("a", v_start)
+    net.add_flashover_switch("b", "ground", 500.0)
+    net.add_flashover_switch("a", "c", 3500.0)
+    return net
+
+
+def test_batch_reads_the_pre_history_before_t0():
+    nets = [prehistory_network(p, v, i) for p, v, i in
+            ((-10.0, 3e3, 5.0), (-3.0, 1e4, 0.0), (-2.0, 0.0, 40.0),
+             (-5.0, -2e3, -10.0))]
+    batch = EmtBatch(nets[0].assemble(DT), len(nets))
+    for net in nets:
+        batch.add(net.assemble(DT))
+    flash, finite = batch.run(60 * DT)
+    steps = []
+    for net in nets:
+        res = net.assemble(DT).run(60 * DT)
+        steps.append(round(res.flashovers[0][1] / DT) if res.flashovers else 0)
+    assert flash.tolist() == steps and finite.all()
+    assert steps == [3, 2, 2, 0]
+
+
 def test_batch_takes_one_structure():
     batch = EmtBatch(surge_network(10.0).assemble(DT), 2)
     with pytest.raises(ValueError, match="structure"):
         batch.add(surge_network(10.0, tower=3 * DT).assemble(DT))
     with pytest.raises(ValueError, match="DoubleRampSource"):
         EmtBatch(rl_step_network().assemble(DT), 1)
+    # the scalar stepper accepts a travel time a hair under dt
+    with pytest.raises(ValueError, match="shorter than one step"):
+        EmtBatch(surge_network(10.0, tower=DT * (1 - 1e-13)).assemble(DT), 1)
