@@ -22,9 +22,14 @@ non-integer tau/dt).
 
 EmtBatch steps many assembled networks of one structure in lock step, each
 row in the scalar stepper's arithmetic, so a row ends exactly where
-EmtSimulation.run ends for its network.  It keeps the line histories of
-all its rows in one time-major ring, prefilled with each line's
-pre-history, so one gather per step reads every far end's samples.
+EmtSimulation.run ends for its network.  It takes only networks whose G is
+diagonal (no resistor between two non-ground nodes, no L or C), so its
+solve multiplies each node by its G⁻¹ diagonal entry; its per-step arrays
+are node-major, one row per node across the batch.  On a step with a
+non-finite injection it gives the voltages the NaN that the dense product
+would.  It keeps the line histories of all its rows in one time-major
+ring, prefilled with each line's pre-history, so one gather per step reads
+every far end's samples.
 
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
@@ -189,7 +194,9 @@ class EmtSimulation:
         self.n = 0  # index of the current (already known) state
 
         for line in net.lines:
-            if line.travel_time < dt * (1 - 1e-12):
+            # the delay in steps as the stepper computes it: below 1 the later
+            # interpolation sample would be a buffer column not yet written
+            if line.travel_time / dt < 1.0:
                 raise ValueError(
                     f"line travel time {line.travel_time} is below the step {dt}")
 
@@ -411,12 +418,21 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
     if len(sim._lc_g) or [type(w) for _n, w in sim._varying_inj] != [DoubleRampSource]:
         raise ValueError("a batched network has no inductor or capacitor and "
                          "exactly one varying source, a DoubleRampSource")
-    if (sim._ln_delay < 1.0).any():
-        # below one step the scalar stepper's later sample is a stale buffer
-        # column, one the batch's ring no longer holds
-        raise ValueError("a batched network has no line shorter than one step")
+    if any(a and b and a != b for a, b, _ohms in sim.net.resistors):
+        raise ValueError("a batched network's G must be diagonal: no resistor "
+                         "between two non-ground nodes")
     return (sim.dt, sim._base_inj.size, *(a.tobytes() for a in (
         sim._hist_idx, sim._ln_delay, sim._ln_zc, sim._fo_a, sim._fo_b)))
+
+
+def _as_dense_product(v, finite_rhs):
+    """Give v = diag(G⁻¹) * rhs, node-major, the non-finite values of the
+    dense product G⁻¹ rhs: 0 * inf is NaN, so a non-finite rhs entry makes
+    every node of its row NaN, except its own node when it is the row's
+    only one, which keeps its diagonal product."""
+    bad = ~finite_rhs
+    count = bad.sum(axis=0)
+    v[(count > 0) & ~(bad & (count == 1))] = np.nan
 
 
 class EmtBatch:
@@ -424,21 +440,36 @@ class EmtBatch:
     step.
 
     The rows share node numbering, lines, switch nodes and the step; each
-    keeps its own G⁻¹, constant injections, line state, switch strengths and
-    one DoubleRampSource, whose node may differ row by row.  Each row's
-    arithmetic is EmtSimulation.solve_step's, in its order: the solve is one
-    stacked matrix-vector product per row, and one bincount sums each node's
-    history terms in the scalar order.  So a row ends on the step, and with
-    the voltages, that EmtSimulation.run reaches for its network.  `add`
-    copies a row out of an EmtSimulation, which the caller can then drop.
+    keeps its own G⁻¹ diagonal, constant injections, line state, switch
+    strengths and one DoubleRampSource, whose node may differ row by row.
+    A batch takes only networks whose G is diagonal: every resistor goes to
+    ground and lines stamp 1/Zc from each end to ground, so nodes couple
+    only through line histories.  Each row's arithmetic is
+    EmtSimulation.solve_step's, in its order, with the product G⁻¹ rhs
+    taken as one elementwise product by the diagonal: for finite rhs the
+    dense product's off-diagonal terms are exact zeros, so the voltages
+    are the same bits, up to the sign of a zero voltage.  So a row ends on
+    the step, and with the voltages, that EmtSimulation.run reaches for its
+    network.  `add` copies a row out of an EmtSimulation, which the caller
+    can then drop.
+
+    Per-step arrays are node-major, shape (nodes, b) for b rows, so a
+    node's values over all rows are one contiguous row, and the line-end
+    voltages go into the ring with one row gather.  In the dense product
+    0 * inf is NaN, so one non-finite rhs entry makes every voltage of its
+    row NaN but its own node's, and that NaN travels the lines and can
+    later wash out.  The elementwise product would keep it at its node, so
+    run() checks every step whether any rhs entry is non-finite and, on
+    such a step, writes the dense product's NaN into the voltages
+    (_as_dense_product).
 
     The line histories of all rows live in one time-major ring of shape
     (D, 2E, b): D is the deepest line end's buffer depth, E the number of
-    line ends and b the rows, and column n % D holds every end's [v; i] at
-    step n.  Each column starts as the pre-history (the end's v0, current
-    0) and column 0 then takes the declared t=0 samples.  A read of a step
-    before 0 lands on a column no step has written yet (no read reaches
-    back more than D - 3 steps), so it returns the pre-history, as
+    line ends, and column n % D holds every end's [v; i] at step n.  Each
+    column starts as the pre-history (the end's v0, current 0) and column
+    0 then takes the declared t=0 samples.  A read of a step before 0 lands
+    on a column no step has written yet (no read reaches back more than
+    D - 3 steps), so it returns the pre-history, as
     EmtSimulation._read_far does.
     """
 
@@ -452,12 +483,12 @@ class EmtBatch:
         self._ln_delay, self._ln_far = like._ln_delay, like._ln_far
         self._depth = int(like._ln_depth.max(initial=1))
         self._fo_a, self._fo_b = like._fo_a, like._fo_b
-        ends = like._ln_ends.size
-        self._ginv = np.empty((capacity, *like._ginv.shape))
-        self._base_inj = np.empty((capacity, like._base_inj.size))
+        nodes, ends = like._base_inj.size, like._ln_ends.size
+        self._gdiag = np.empty((nodes - 1, capacity))
+        self._base_inj = np.empty((nodes, capacity))
         self._ln_v0 = np.empty((ends, capacity))
         self._ln_t0 = np.empty((2 * ends, capacity))  # t=0 [v; i] per end
-        self._fo_strength = np.empty((capacity, like._fo_strength.size))
+        self._fo_strength = np.empty((like._fo_strength.size, capacity))
         self._inj_node = np.empty(capacity, dtype=np.intp)
         self._ramp = np.empty((3, capacity))  # peak, front time, half time
 
@@ -469,13 +500,13 @@ class EmtBatch:
         [(node, wave)] = sim._varying_inj
         self._inj_node[k] = node
         self._ramp[:, k] = wave.peak_amps, wave.front_time_s, wave.half_time_s
-        self._ginv[k] = sim._ginv
-        self._base_inj[k] = sim._base_inj
+        self._gdiag[:, k] = np.diagonal(sim._ginv)
+        self._base_inj[:, k] = sim._base_inj
         ends = self._ln_ends.size
         self._ln_v0[:, k] = sim._ln_v0
         self._ln_t0[:ends, k] = sim._buf_v[:, 0]
         self._ln_t0[ends:, k] = sim._buf_i[:, 0]
-        self._fo_strength[k] = sim._fo_strength
+        self._fo_strength[:, k] = sim._fo_strength
         self.size = k + 1
 
     def run(self, t_end: float) -> tuple:
@@ -489,15 +520,19 @@ class EmtBatch:
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be finite and positive")
         steps = int(math.ceil(t_end / self.dt - 1e-12))
-        b, nodes = self.size, self._base_inj.shape[1]
+        b, nodes = self.size, self._base_inj.shape[0]
         ends, depth = self._ln_ends.size, self._depth
-        ginv, base = self._ginv[:b], self._base_inj[:b]
-        strength = self._fo_strength[:b].copy()
+        gdiag = self._gdiag[:, :b].copy()
+        strength = self._fo_strength[:, :b].copy()
         rows = np.arange(b)
-        inject = (rows, self._inj_node[:b])
-        surge = DoubleRampSource(*self._ramp[:, :b, None])(
-            np.arange(1, steps + 1) * self.dt)
-        hist = (self._hist_idx[:, None] + nodes * rows).ravel()
+        surge = DoubleRampSource(*self._ramp[:, None, :b])(
+            (np.arange(1, steps + 1) * self.dt)[:, None])
+        # the constant injections; each step sets the surge node's entry to
+        # base + surge(t), as the scalar rhs[node] += fn(t) does
+        base = self._base_inj[:, :b].copy()
+        inject = self._inj_node[:b] * b + rows  # into base.ravel()
+        surged = base.ravel()[inject] + surge
+        hist = (self._hist_idx[:, None] * b + rows).ravel()
         # per-end factors are spelled out to full (ends, b) arrays: against
         # an (ends, 1) column numpy runs one short inner loop per end
         zc = np.repeat(self._ln_zc, b).reshape(ends, b)
@@ -510,45 +545,61 @@ class EmtBatch:
         # per [v; i] row of an end: its delay and the ring row of its far end
         delay = np.tile(self._ln_delay, 2)
         far = np.concatenate([self._ln_far, self._ln_far + ends])
-        later = np.array([[0], [1]])
 
-        def histories(n):
-            """-h of every end for the solve at step n + 1: far-end state
-            one delay back, interpolated between ring samples.  vf/zc + iw
-            is bitwise the negation of the scalar -vf/zc - iw."""
-            q = (n + 1) - delay
+        chunk = 32  # steps whose interpolation rows and weights come at once
+
+        def interpolation(n0):
+            """For the solves after steps n0 .. n0 + chunk - 1: the ring rows
+            of every end's far-end samples one delay back, at steps m0 and
+            m0 + 1, and their weights 1 - frac and frac."""
+            q = np.arange(n0 + 1, n0 + chunk + 1)[:, None] - delay
             m0 = np.floor(q).astype(np.intp)
             frac = q - m0
-            got = flat[((m0 + later) % depth * (2 * ends) + far).ravel()]
-            w = (np.repeat(1.0 - frac, b).reshape(2 * ends, b) * got[:2 * ends]
-                 + np.repeat(frac, b).reshape(2 * ends, b) * got[2 * ends:])
+            at = np.concatenate([m0, m0 + 1], axis=1) % depth * (2 * ends)
+            return at + np.tile(far, 2), np.concatenate([1.0 - frac, frac], axis=1)
+
+        def histories(at, weight):
+            """-h of every end for the next solve: far-end state one delay
+            back, interpolated between the ring samples at rows `at`.
+            vf/zc + iw is bitwise the negation of the scalar -vf/zc - iw."""
+            part = weight.repeat(b).reshape(4 * ends, b) * flat.take(at, axis=0)
+            w = part[:2 * ends] + part[2 * ends:]
             return w[:ends] / zc + w[ends:]
 
-        neg_h = histories(0)
+        at, weight = interpolation(0)
+        neg_h = histories(at[0], weight[0])
         flash = np.zeros(b, dtype=np.intp)
         finite = np.ones(b, dtype=bool)
         live = np.ones(b, dtype=bool)
-        v = np.zeros((b, nodes))
+        rhs_ok = np.empty((nodes - 1, b), dtype=bool)
+        rhs = np.empty((nodes, b))
+        v = np.zeros((nodes, b))
         for n in range(1, steps + 1):
-            rhs = base.copy()
-            rhs[inject] += surge[:, n - 1]
-            rhs += np.bincount(hist, weights=neg_h.ravel(),
-                               minlength=b * nodes).reshape(b, nodes)
-            v[:, 1:] = np.matmul(ginv, rhs[:, 1:, None])[..., 0]
+            base.ravel()[inject] = surged[n - 1]
+            np.add(base, np.bincount(hist, weights=neg_h.ravel(),
+                                     minlength=nodes * b).reshape(nodes, b),
+                   out=rhs)
+            np.multiply(gdiag, rhs[1:], out=v[1:])
+            np.isfinite(rhs[1:], out=rhs_ok)
+            if not rhs_ok.all():
+                _as_dense_product(v[1:], rhs_ok)
             self.n = n
             ve, ie = ring[n % depth].reshape(2, ends, b)
-            ve[...] = v[:, self._ln_ends].T
+            v.take(self._ln_ends, axis=0, out=ve)
             np.divide(ve, zc, out=ie)
             ie -= neg_h  # i = v/zc + h
-            neg_h = histories(n)
-            over = np.abs(v[:, self._fo_a] - v[:, self._fo_b]) >= strength
+            if n % chunk == 0:
+                at, weight = interpolation(n)
+            neg_h = histories(at[n % chunk], weight[n % chunk])
+            over = np.abs(v[self._fo_a] - v[self._fo_b]) >= strength
             if over.any():
-                hit = live & over.any(axis=1)
+                hit = live & over.any(axis=0)
                 flash[hit] = n
-                finite[hit] = np.isfinite(v[hit]).all(axis=1)
+                finite[hit] = np.isfinite(v[:, hit]).all(axis=0)
                 live &= ~hit
-                strength[hit] = np.inf  # keeps ended rows off this branch
+                # NaN compares false, which keeps ended rows off this branch
+                strength[:, hit] = np.nan
                 if not live.any():
                     break
-        finite[live] = np.isfinite(v[live]).all(axis=1)
+        finite[live] = np.isfinite(v[:, live]).all(axis=0)
         return flash, finite

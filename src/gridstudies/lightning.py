@@ -449,8 +449,10 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
 
 
 # Rows per lock-step replay batch.  Memory, not speed, sets it: each row
-# holds its own G⁻¹ and line buffers, and 64 rows cost more peak memory
-# than 32 for little further gain.
+# holds its columns of the line-history ring (about 75 kB in a strike
+# network) plus its G⁻¹ diagonal of 46 floats and a few hundred more of
+# injections, strengths and line state; larger batches raise peak memory
+# for little further gain.
 REPLAY_BATCH = 32
 
 

@@ -412,19 +412,17 @@ def mlp_train(train: Dataset, layout, seed: int, epochs: int,
     targets = model.targets_for(train.labels)
     loss, gw, gb = _mlp_loss_and_grads(model, train.features, targets)
     model.loss_history.append(loss)
-    for epoch in range(1, epochs + 1):
-        # non-finite states are detected explicitly below, so silence the
-        # intermediate overflow/NaN warnings they would spray
-        with np.errstate(over="ignore", invalid="ignore"):
-            for layer in range(len(model.weights)):
-                model.weights[layer] -= lr * gw[layer]
-                model.biases[layer] -= lr * gb[layer]
+    params = model.weights + model.biases  # updated in place
+    # non-finite states are detected explicitly below, so silence the
+    # intermediate overflow/NaN warnings they would spray
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            for p, g in zip(params, gw + gb):
+                p -= lr * g
             loss, gw, gb = _mlp_loss_and_grads(model, train.features, targets)
-        finite = np.isfinite(loss) and all(
-            np.all(np.isfinite(w)) for w in model.weights + model.biases)
-        if not finite:
-            raise DivergenceError(f"training diverged at epoch {epoch}")
-        model.loss_history.append(loss)
+            if not (np.isfinite(loss) and all(np.isfinite(p).all() for p in params)):
+                raise DivergenceError(f"training diverged at epoch {epoch}")
+            model.loss_history.append(loss)
     return model
 
 

@@ -281,6 +281,10 @@ def test_rejects_sub_step_travel_time():
     net.add_line("a", "b", ZC, 0.1 * DT)
     with pytest.raises(ValueError, match="travel time"):
         net.assemble(DT)
+    # a hair under one step: the later interpolation sample is not yet written
+    net.lines[0].travel_time = DT * (1 - 1e-13)
+    with pytest.raises(ValueError, match="travel time"):
+        net.assemble(DT)
 
 def test_rejects_unknown_record_node():
     sim = rl_step_network().assemble(DT)
@@ -376,6 +380,60 @@ def test_batch_takes_one_structure():
         batch.add(surge_network(10.0, tower=3 * DT).assemble(DT))
     with pytest.raises(ValueError, match="DoubleRampSource"):
         EmtBatch(rl_step_network().assemble(DT), 1)
-    # the scalar stepper accepts a travel time a hair under dt
-    with pytest.raises(ValueError, match="shorter than one step"):
-        EmtBatch(surge_network(10.0, tower=DT * (1 - 1e-13)).assemble(DT), 1)
+    # the scalar stepper and the batch both refuse a line under one step
+    with pytest.raises(ValueError, match="travel time"):
+        surge_network(10.0, tower=DT * (1 - 1e-13)).assemble(DT)
+    # a resistor between two nodes puts G off the diagonal
+    coupled = surge_network(10.0)
+    coupled.add_resistor("a", "b", 500.0)
+    with pytest.raises(ValueError, match="diagonal"):
+        EmtBatch(coupled.assemble(DT), 1)
+    with pytest.raises(ValueError, match="diagonal"):
+        batch.add(coupled.assemble(DT))
+
+
+def washout_network(peak, x_strength):
+    # the surge drives a node no line reaches, so a finite one changes
+    # nothing elsewhere; a constant source charges line a-b until the
+    # switch at b flashes.  The 2-step front and 3-step half time take an
+    # infinite surge through NaN back to 0 A by step 5
+    net = EmtNetwork()
+    net.add_current_source("x", DoubleRampSource(peak, 2 * DT, 3 * DT))
+    net.add_resistor("x", "ground", 50.0)
+    net.add_current_source("a", 1.0)
+    net.add_resistor("a", "ground", ZC)
+    net.add_line("a", "b", ZC, 6.5 * DT)
+    net.add_resistor("b", "ground", 1e4)
+    net.add_flashover_switch("b", "ground", 300.0)
+    if x_strength:
+        net.add_flashover_switch("x", "ground", x_strength)
+    return net
+
+
+@pytest.mark.parametrize("x_strength", [None, 1e6])
+def test_batch_spreads_a_non_finite_rhs_as_the_dense_product_does(x_strength):
+    # in the dense product 0 * inf is NaN: while the surge is not finite,
+    # every voltage is NaN but x's own, which is infinite.  With a switch
+    # at x that flashes the run on step 1, with voltages not finite.
+    # Without one the NaN washes out of the line, and the run flashes
+    # later than the finite rows, with finite voltages: a diagonal product
+    # alone would flash with them, and a row kept failed would not flash
+    nets = [washout_network(p, x_strength)
+            for p in (-1e3, math.inf, -math.inf, 5.0)]
+    batch = EmtBatch(nets[0].assemble(DT), len(nets))
+    for net in nets:
+        batch.add(net.assemble(DT))
+    with np.errstate(invalid="ignore"):
+        flash, finite = batch.run(40 * DT)
+    for net, step, ok in zip(nets, flash.tolist(), finite.tolist()):
+        try:
+            with np.errstate(invalid="ignore"):
+                res = net.assemble(DT).run(40 * DT)
+        except np.linalg.LinAlgError:
+            assert not ok and step == 1
+            continue
+        assert ok and step == round(res.flashovers[0][1] / DT)
+    assert finite.tolist() == [True, not x_strength, not x_strength, True]
+    assert flash[0] == flash[3] > 4
+    if not x_strength:
+        assert flash[1] == flash[2] > flash[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridstudies import lightning
+from gridstudies import emt, lightning
 from gridstudies.emt import EmtNetwork, EmtSimulation
 from gridstudies.lightning import (
     DEFAULT_GEOMETRY,
@@ -591,6 +591,51 @@ def test_nan_row_fails_alone_in_its_batch():
     assert got[2].failed and not got[2].flashover
     assert [_verdict(got[k]) for k in keep] == [_verdict(r) for r in alone]
     assert not any(r.failed for r in alone) and any(r.flashover for r in alone)
+
+
+@pytest.mark.parametrize("place", [TOWER, SPAN])
+@pytest.mark.parametrize("wire", [SHIELD, PHASE_A, PHASE_C])
+def test_every_strike_network_batches_with_a_diagonal_g(wire, place):
+    # every lumped element goes to ground and a line stamps 1/Zc from each
+    # end to ground, so G and its inverse are diagonal
+    config = StudyConfig(n=1)
+    count = (DEFAULT_GEOMETRY.tower_count if place == TOWER
+             else DEFAULT_GEOMETRY.span_count)
+    fields_ = dict(x_m=0.0, y_m=0.0, angle_deg=30.0, peak_ka=30.0,
+                   front_us=2.0, half_us=50.0, footing_ohm=20.0,
+                   strength_kv=900.0)
+    for index in range(count):
+        sample, impacts = _rows([(fields_, (wire, place, index))])
+        sim = build_strike_network(sample[0], impacts[0],
+                                   config).assemble(config.dt_s)
+        emt._batch_structure(sim)  # raises for a network a batch refuses
+        ginv = sim._ginv
+        assert np.count_nonzero(ginv - np.diag(np.diag(ginv))) == 0
+
+
+def test_infinite_peaks_in_a_batch_replay_as_simulate_event():
+    # a 2 us front and 3 us half time take an infinite surge through NaN
+    # back to 0 A at 4 us, inside the window; tower and span strokes
+    config = StudyConfig(n=1)
+    base = dict(x_m=0.0, y_m=0.0, front_us=2.0, half_us=3.0,
+                footing_ohm=40.0, strength_kv=977.5)
+    strokes = [(dict(base, peak_ka=p, angle_deg=50.0 * k), codes)
+               for k, (p, codes) in enumerate([
+                   (150.0, (SHIELD, TOWER, 1)), (math.inf, (SHIELD, TOWER, 2)),
+                   (-math.inf, (SHIELD, TOWER, 3)),
+                   (math.inf, (PHASE_A, SPAN, 2)), (30.0, (PHASE_A, SPAN, 2)),
+                   (-math.inf, (PHASE_A, SPAN, 2))])]
+    sample, impacts = _rows(strokes)
+    with np.errstate(invalid="ignore"):
+        got = lightning.replay_strokes(sample, impacts, config)
+        want = [simulate_event(sample[i], impacts[i], config)
+                for i in range(len(sample))]
+    assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
+    finite = [0, 4]
+    alone = lightning.replay_strokes(*_rows([strokes[k] for k in finite]),
+                                     config)
+    assert [_verdict(got[k]) for k in finite] == [_verdict(r) for r in alone]
+    assert all(r.flashover for r in alone)
 
 
 # -------------------------------------------------------------- full study
