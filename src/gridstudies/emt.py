@@ -7,7 +7,8 @@ conductance system G v = i.  G never changes during a run, so it is stamped
 and inverted once and each step is the product v = G⁻¹ i; a voltage source
 is its Norton pair (a resistor to ground and a current source).  A run ends
 at the step on which any flashover switch reaches its strength, recording
-every switch that does.
+every switch that does, and fails (LinAlgError) on the first step whose
+node voltages are not all finite.
 
 Companion models (step dt):
     resistor   G = 1/R                history 0
@@ -22,14 +23,15 @@ non-integer tau/dt).
 
 EmtBatch steps many assembled networks of one structure in lock step, each
 row in the scalar stepper's arithmetic, so a row ends exactly where
-EmtSimulation.run ends for its network.  It takes only networks whose G is
-diagonal (no resistor between two non-ground nodes, no L or C), so its
-solve multiplies each node by its G⁻¹ diagonal entry; its per-step arrays
-are node-major, one row per node across the batch.  On a step with a
-non-finite injection it gives the voltages the NaN that the dense product
-would.  It keeps the line histories of all its rows in one time-major
+EmtSimulation.run ends for its network, with the same verdict.  It takes
+only networks whose G is diagonal (no resistor between two non-ground
+nodes, no L or C), so its solve multiplies each node by its G⁻¹ diagonal
+entry; its per-step arrays are node-major, one row per node across the
+batch.  It keeps the line histories of all its rows in one time-major
 ring, prefilled with each line's pre-history, so one gather per step reads
-every far end's samples.
+every far end's samples.  run_lockstep takes a stream of assembled
+networks, groups them into batches by structure and returns each one's
+verdict in input order.
 
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
@@ -290,7 +292,7 @@ class EmtSimulation:
         vals = np.concatenate([-self._lc_h, self._lc_h, -self._ln_h])
         rhs += np.bincount(self._hist_idx, weights=vals, minlength=len(rhs))
 
-        # non-finite values pass through; run() checks the final voltages once
+        # non-finite values pass through; run() checks every step's voltages
         v = np.zeros(rhs.size)
         v[1:] = self._ginv @ rhs[1:]
         self.n = n
@@ -375,8 +377,8 @@ class EmtSimulation:
         """Step from the initial state to t_end, or to the first step on
         which a flashover switch reaches its strength, recording named node
         voltages and the currents of selected L/C branches (by storage
-        index).  Raises LinAlgError when the final node voltages are not
-        finite."""
+        index).  Raises LinAlgError on the first step whose node voltages
+        are not all finite."""
         if self.n != 0:
             raise RuntimeError("run() must start from the initial state")
         if not 0 < t_end < math.inf:
@@ -390,10 +392,12 @@ class EmtSimulation:
         for k in record_storage:
             branch_traces[k][0] = self.net.storage[k][4]
         times = np.arange(steps + 1) * self.dt
-        v = self._v_init
         while self.n < steps:
             h_before = self._lc_h.copy() if record_storage else None
             v = self.solve_step()
+            if not np.isfinite(v).all():
+                raise np.linalg.LinAlgError(
+                    f"node voltages are not finite at step {self.n}")
             for name, node in zip(record, rec_nodes):
                 node_traces[name][self.n] = v[node]
             for k in record_storage:
@@ -401,10 +405,6 @@ class EmtSimulation:
                 branch_traces[k][self.n] = self._lc_g[k] * (v[a] - v[b]) + h_before[k]
             if self.flashover_events:
                 break
-        # NaN never reaches a strength, so a run gone non-finite reaches here
-        if not np.isfinite(v).all():
-            raise np.linalg.LinAlgError(
-                f"node voltages are not finite at step {self.n}")
         end = self.n + 1
         times = times[:end]
         node_traces = {k: tr[:end] for k, tr in node_traces.items()}
@@ -425,16 +425,6 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
         sim._hist_idx, sim._ln_delay, sim._ln_zc, sim._fo_a, sim._fo_b)))
 
 
-def _as_dense_product(v, finite_rhs):
-    """Give v = diag(G⁻¹) * rhs, node-major, the non-finite values of the
-    dense product G⁻¹ rhs: 0 * inf is NaN, so a non-finite rhs entry makes
-    every node of its row NaN, except its own node when it is the row's
-    only one, which keeps its diagonal product."""
-    bad = ~finite_rhs
-    count = bad.sum(axis=0)
-    v[(count > 0) & ~(bad & (count == 1))] = np.nan
-
-
 class EmtBatch:
     """Up to `capacity` assembled networks of one structure, stepped in lock
     step.
@@ -448,20 +438,15 @@ class EmtBatch:
     EmtSimulation.solve_step's, in its order, with the product G⁻¹ rhs
     taken as one elementwise product by the diagonal: for finite rhs the
     dense product's off-diagonal terms are exact zeros, so the voltages
-    are the same bits, up to the sign of a zero voltage.  So a row ends on
-    the step, and with the voltages, that EmtSimulation.run reaches for its
-    network.  `add` copies a row out of an EmtSimulation, which the caller
-    can then drop.
+    are the same bits, up to the sign of a zero voltage.  The diagonal is
+    finite and non-zero, so a row's voltages are non-finite on exactly the
+    steps the dense product's are.  So a row ends on the step, and with
+    the verdict, that EmtSimulation.run reaches for its network.  `add`
+    copies a row out of an EmtSimulation, which the caller can then drop.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row, and the line-end
-    voltages go into the ring with one row gather.  In the dense product
-    0 * inf is NaN, so one non-finite rhs entry makes every voltage of its
-    row NaN but its own node's, and that NaN travels the lines and can
-    later wash out.  The elementwise product would keep it at its node, so
-    run() checks every step whether any rhs entry is non-finite and, on
-    such a step, writes the dense product's NaN into the voltages
-    (_as_dense_product).
+    voltages go into the ring with one row gather.
 
     The line histories of all rows live in one time-major ring of shape
     (D, 2E, b): D is the deepest line end's buffer depth, E the number of
@@ -511,10 +496,10 @@ class EmtBatch:
 
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
-        step on which one of its switches reaches its strength.  Returns
-        each row's flashover step (0 where none) and whether its node
-        voltages on its last step are finite.  A row that has ended keeps
-        stepping, masked, until every row has."""
+        step on which one of its switches reaches its strength or one of
+        its node voltages is not finite.  Returns each row's end step (0
+        where it reaches t_end) and whether its voltages stayed finite.  A
+        row that has ended keeps stepping, masked, until every row has."""
         if self.n != 0:
             raise RuntimeError("run() must start from the initial state")
         if not 0 < t_end < math.inf:
@@ -568,10 +553,10 @@ class EmtBatch:
 
         at, weight = interpolation(0)
         neg_h = histories(at[0], weight[0])
-        flash = np.zeros(b, dtype=np.intp)
+        end = np.zeros(b, dtype=np.intp)
         finite = np.ones(b, dtype=bool)
         live = np.ones(b, dtype=bool)
-        rhs_ok = np.empty((nodes - 1, b), dtype=bool)
+        v_ok = np.empty((nodes - 1, b), dtype=bool)
         rhs = np.empty((nodes, b))
         v = np.zeros((nodes, b))
         for n in range(1, steps + 1):
@@ -580,9 +565,7 @@ class EmtBatch:
                                      minlength=nodes * b).reshape(nodes, b),
                    out=rhs)
             np.multiply(gdiag, rhs[1:], out=v[1:])
-            np.isfinite(rhs[1:], out=rhs_ok)
-            if not rhs_ok.all():
-                _as_dense_product(v[1:], rhs_ok)
+            np.isfinite(v[1:], out=v_ok)
             self.n = n
             ve, ie = ring[n % depth].reshape(2, ends, b)
             v.take(self._ln_ends, axis=0, out=ve)
@@ -592,14 +575,53 @@ class EmtBatch:
                 at, weight = interpolation(n)
             neg_h = histories(at[n % chunk], weight[n % chunk])
             over = np.abs(v[self._fo_a] - v[self._fo_b]) >= strength
-            if over.any():
-                hit = live & over.any(axis=0)
-                flash[hit] = n
-                finite[hit] = np.isfinite(v[:, hit]).all(axis=0)
+            if over.any() or not v_ok.all():
+                failed = live & ~v_ok.all(axis=0)
+                finite[failed] = False
+                hit = failed | live & over.any(axis=0)
+                end[hit] = n
                 live &= ~hit
-                # NaN compares false, which keeps ended rows off this branch
+                # NaN compares false, which keeps ended rows from flashing
                 strength[:, hit] = np.nan
                 if not live.any():
                     break
-        finite[live] = np.isfinite(v[:, live]).all(axis=0)
-        return flash, finite
+        return end, finite
+
+
+# Rows per lock-step batch.  Memory, not speed, sets it: while its batch
+# runs, each row holds its columns of the line-history ring (about 75 kB in
+# a strike network); before that, each open batch holds its G⁻¹ diagonal
+# of 46 floats and a few hundred more of injections, strengths and line
+# state per row.  Larger batches raise peak memory for little further gain.
+REPLAY_BATCH = 32
+
+
+def run_lockstep(sims, t_end: float) -> list:
+    """Run a stream of assembled, not yet stepped networks to t_end in
+    lock step; None stands for a network that failed to assemble.
+
+    Networks of one structure (`_batch_structure`) share an open EmtBatch,
+    which runs when it holds REPLAY_BATCH rows; the part-filled ones run
+    after the stream ends.  Returns, in input order, each network's
+    (end step, finite) from EmtBatch.run, and (0, False) for a None."""
+    verdicts, open_batches = [], {}
+
+    def run(batch, rows):
+        for i, step, ok in zip(rows, *batch.run(t_end)):
+            verdicts[i] = int(step), bool(ok)
+
+    for i, sim in enumerate(sims):
+        verdicts.append((0, False))
+        if sim is None:
+            continue
+        key = _batch_structure(sim)
+        if key not in open_batches:
+            open_batches[key] = EmtBatch(sim, REPLAY_BATCH), []
+        batch, rows = open_batches[key]
+        batch.add(sim)
+        rows.append(i)
+        if batch.size == REPLAY_BATCH:
+            run(*open_batches.pop(key))
+    for batch, rows in open_batches.values():
+        run(batch, rows)
+    return verdicts

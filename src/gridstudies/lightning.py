@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .emt import DoubleRampSource, EmtBatch, EmtNetwork
+from .emt import DoubleRampSource, EmtNetwork, run_lockstep
 from .report import write_csv
 
 LIGHT_SPEED_M_S = 299_792_458.0
@@ -436,8 +436,8 @@ class EventResult:
 def simulate_event(stroke: StrokeSample, impact: Impacts,
                    config: StudyConfig) -> EventResult:
     """Replay one line stroke (a row of a sample); a numerical failure of
-    the solver (singular matrix, non-finite voltages) is reported, not
-    raised."""
+    the solver (a singular matrix, or node voltages that are not finite on
+    some step) is reported, not raised."""
     try:
         net = build_strike_network(stroke, impact, config)
         res = net.assemble(config.dt_s).run(config.t_end_s)
@@ -448,61 +448,28 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
     return EventResult()
 
 
-# Rows per lock-step replay batch.  Memory, not speed, sets it: each row
-# holds its columns of the line-history ring (about 75 kB in a strike
-# network) plus its G⁻¹ diagonal of 46 floats and a few hundred more of
-# injections, strengths and line state; larger batches raise peak memory
-# for little further gain.
-REPLAY_BATCH = 32
-
-
 def replay_strokes(sample: StrokeSample, impacts: Impacts,
                    config: StudyConfig) -> list:
     """Replay line strokes (rows of `sample`, with their `impacts`) in lock
     step; row i's EventResult equals simulate_event(sample[i], impacts[i],
     config), close time bit for bit.
 
-    Strokes are grouped by network structure: every tower stroke shares one
-    (only the struck node differs), a span stroke's is its wire and span.
-    Each group steps in batches of up to REPLAY_BATCH rows.  A stroke whose
-    network is singular or whose voltages end non-finite is failed alone.
-    """
-    groups = {}
-    for i, (wire, place, index) in enumerate(zip(
-            impacts.wire.tolist(), impacts.place.tolist(),
-            impacts.index.tolist())):
-        key = None if place == TOWER else (wire, index)
-        groups.setdefault(key, []).append(i)
-    results = [EventResult(failed=True)] * len(sample)
-    for rows in groups.values():
-        for start in range(0, len(rows), REPLAY_BATCH):
-            _replay_batch(rows[start:start + REPLAY_BATCH], sample, impacts,
-                          config, results)
-    return results
+    Each stroke's network is built and assembled in turn and streamed to
+    emt.run_lockstep, which batches the networks that share a structure.
+    A stroke whose network is singular, or whose voltages are not finite
+    on some step, is failed alone."""
+    def assembled():
+        for i in range(len(sample)):
+            try:
+                sim = build_strike_network(sample[i], impacts[i],
+                                           config).assemble(config.dt_s)
+            except np.linalg.LinAlgError:
+                sim = None
+            yield sim
 
-
-def _replay_batch(rows, sample, impacts, config, results):
-    """Assemble each row's network into one EmtBatch, dropping each
-    simulation once copied, and run the batch into `results`."""
-    batch, kept = None, []
-    for i in rows:
-        try:
-            sim = build_strike_network(sample[i], impacts[i],
-                                       config).assemble(config.dt_s)
-        except np.linalg.LinAlgError:
-            continue  # results[i] stays failed
-        if batch is None:
-            batch = EmtBatch(sim, len(rows))
-        batch.add(sim)
-        kept.append(i)
-    if batch is None:
-        return
-    flash, finite = batch.run(config.t_end_s)
-    for i, step, ok in zip(kept, flash.tolist(), finite.tolist()):
-        if ok:
-            results[i] = (EventResult(flashover=True,
-                                      close_time_s=step * config.dt_s)
-                          if step else EventResult())
+    return [EventResult(flashover=True, close_time_s=step * config.dt_s)
+            if ok and step else EventResult(failed=not ok)
+            for step, ok in run_lockstep(assembled(), config.t_end_s)]
 
 
 @dataclass(frozen=True)

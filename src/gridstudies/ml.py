@@ -94,9 +94,6 @@ class MinMaxScaler:
             raise RuntimeError("scaler not fitted")
         return (np.asarray(features, dtype=float) - self.lo) / self._span()
 
-    def fit_transform(self, features) -> np.ndarray:
-        return self.fit(features).transform(features)
-
 
 def one_hot(values) -> tuple[np.ndarray, list]:
     """0/1 columns for the sorted distinct values."""
@@ -458,11 +455,7 @@ def gradient_check(model: MlpModel, features, labels, h: float = 1e-5) -> float:
 # -- persistence ----------------------------------------------------------------
 
 def save_model(model, path):
-    if isinstance(model, KnnModel):
-        blob = {"kind": "knn", "k": model.k,
-                "features": model.features.tolist(),
-                "labels": model.labels.tolist()}
-    elif isinstance(model, SvmModel):
+    if isinstance(model, SvmModel):
         blob = {"kind": "svm", "C": model.C, "sigma": model.sigma,
                 "classes": model.classes,
                 "machines": [{
@@ -487,9 +480,6 @@ def load_model(path):
     with open(path) as fh:
         blob = json.load(fh)
     kind = blob.get("kind")
-    if kind == "knn":
-        return KnnModel(blob["k"], np.asarray(blob["features"], dtype=float),
-                        np.asarray(blob["labels"]))
     if kind == "svm":
         model = SvmModel(blob["classes"], blob["C"], blob["sigma"])
         for m in blob["machines"]:

