@@ -347,6 +347,7 @@ class EmtSimulation:
         i = np.where(init, 0.0, i)
         return v, i
 
+    # kept: the energy ledger of test_emt.py::test_line_energy_conservation
     def line_stored_energy(self, line_index: int) -> float:
         """Field energy on a line, rebuilt from its travelling-wave buffers.
 

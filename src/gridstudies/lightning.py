@@ -221,6 +221,7 @@ def critical_currents(geometry: LineGeometry = DEFAULT_GEOMETRY) -> CriticalCurr
                             span_ka=_critical(geometry, at_midspan=True))
 
 
+# kept: DEFAULT_GEOMETRY's provenance; test_calibration_recovers_defaults
 def calibrate_geometry(geometry: LineGeometry = DEFAULT_GEOMETRY,
                        tower_target_ka: float = 17.62,
                        span_target_ka: float = 64.15) -> LineGeometry:
@@ -595,6 +596,7 @@ def write_events_csv(path, result: StudyResult):
         result.flashover.astype(int).tolist()))
 
 
+# kept: the learning frame of test_ml.py's lightning-flashover tests
 def flashover_dataset(result: StudyResult):
     """Learning frame for flashover prediction: strokes that reached the line,
     waveshape columns numeric, termination columns one-hot."""

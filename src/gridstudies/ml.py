@@ -326,7 +326,15 @@ def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
 # -- feed-forward network -----------------------------------------------------
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    """Logistic function of z, computed in place in z (a fresh array) and
+    returned: clip, negate, exp, add 1 and reciprocal round exactly as
+    1 / (1 + exp(-clip(z, -500, 500))) does."""
+    np.maximum(z, -500.0, out=z)
+    np.minimum(z, 500.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 @dataclass
@@ -343,7 +351,9 @@ class MlpModel:
     def forward(self, features) -> list:
         acts = [np.atleast_2d(np.asarray(features, dtype=float))]
         for w, b in zip(self.weights, self.biases):
-            acts.append(_sigmoid(acts[-1] @ w.T + b))
+            z = acts[-1] @ w.T
+            z += b
+            acts.append(_sigmoid(z))
         return acts
 
     def predict(self, features) -> np.ndarray:
@@ -368,13 +378,16 @@ def _mlp_loss_and_grads(model: MlpModel, features, targets):
     acts = model.forward(features)
     err = acts[-1] - targets
     loss = 0.5 * float(np.sum(err * err))
-    delta = err * acts[-1] * (1.0 - acts[-1])
+    delta = err * acts[-1]
+    delta *= 1.0 - acts[-1]
     grads_w, grads_b = [], []
     for layer in range(len(model.weights) - 1, -1, -1):
         grads_w.append(delta.T @ acts[layer])
         grads_b.append(delta.sum(axis=0))
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * acts[layer] * (1.0 - acts[layer])
+            delta = delta @ model.weights[layer]
+            delta *= acts[layer]
+            delta *= 1.0 - acts[layer]
     grads_w.reverse()
     grads_b.reverse()
     return loss, grads_w, grads_b

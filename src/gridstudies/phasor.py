@@ -214,6 +214,7 @@ class PhasorSolution:
     def angle_deg(self, name: str) -> float:
         return math.degrees(cmath.phase(self.voltage(name)))
 
+    # kept: test_phasor.py's power-conservation checks (test_power_balance)
     def power_balance(self) -> tuple[complex, complex]:
         """(complex power delivered by ideal emfs, complex power absorbed).
 

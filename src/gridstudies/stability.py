@@ -13,6 +13,15 @@ instant are split so each RK4 step sees a single network state.  Stability is
 judged against the post-fault unstable equilibrium (pole-slip detection) with
 a hard delta - delta0 > pi backstop.  An equal-area criterion routine provides
 an independent critical-clearing-time oracle for the Pe = 0 fault.
+
+The parametric sweep integrates all its rows in lock step and retires a row
+early once the transient energy function (Pai, "Energy Function Analysis for
+Power System Stability", 1989; Chiang, "Direct Methods for Stability Analysis
+of Electric Power Systems", 2011) proves the verdict the time-domain rules
+must reach: below the unstable equilibrium's energy the rotor is trapped in
+the potential well, and without damping a rotor with enough energy to spare
+over that equilibrium must swing beyond delta0 + pi before its horizon.  Its
+verdicts equal simulate's; its step counts do not.
 """
 
 from __future__ import annotations
@@ -180,6 +189,14 @@ class SimulationResult:
 # pole-slip persistence: dw > 0 beyond the unstable equilibrium this long
 SLIP_HOLD_S = 0.5
 
+# energy-certificate band, relative to 2*pi*Pm + Pmax (a bound on the
+# potential's size over the angles the sweep's certificates use).  RK4's
+# energy drift, over 3 s or until the rotor passes delta0 + pi, measures at
+# most 1.2e-12 of that at dt = 5e-4 and 1.9e-11 at dt = 1e-3 on the default
+# grid, and 1.3e-10 for inertias of 0.5-10 s; the default grid's rows clear
+# at least 7.8e-4 of it away from the unstable equilibrium's energy.
+ENERGY_BAND = 1e-6
+
 
 def _check_dt(dt: float) -> None:
     if not 0 < dt <= 1e-3:
@@ -277,7 +294,10 @@ def simulate(model: SmibModel, op: OperatingPoint, fault: FaultEvent,
 
 def cct_equal_area(model: SmibModel, op: OperatingPoint) -> tuple[float, float]:
     """Critical clearing angle and time for the Pe = 0 fault, from the
-    equal-area criterion on the post-fault power curve.
+    equal-area criterion on the post-fault power curve.  This is the energy
+    argument the sweep's certificates make (Pai 1989; Chiang 2011): the
+    rotor is saved if it clears with less energy than the unstable
+    equilibrium holds.
 
     Returns (delta_crit_rad, t_crit_s); t_crit is inf when no mechanical
     power accelerates the rotor.
@@ -344,10 +364,34 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
     arrays of the rows' d and w with simulate's rules, operation for
     operation, so each row's trajectory is bit-identical to
     simulate(..., stop_on_verdict=True) wherever np.sin rounds like
-    math.sin.  A row leaves the arrays on the
-    step it retires: when it slips, or after its own last step.
+    math.sin.  A row leaves the arrays on the step it retires: when it
+    slips, after its own last step, or as soon as an energy certificate
+    proves which verdict simulate's rules must reach.
 
-    Returns per-row arrays (flag, steps, d, w) at retirement, factor-major.
+    The certificates use the post-clearing energy
+    V = H*w0*w^2 - Pm*d - Pmax*cos(d), whose rate dV/dt = -D*w0*w^2 is never
+    positive, and V_u, its value at rest on the unstable equilibrium d_u
+    (Pai 1989; Chiang 2011).  A cleared row is certified
+      - stable, at any damping, when d < d_u and V < V_u - band: it is
+        trapped in the potential well, so it can reach neither d_u nor
+        delta0 + pi.  (The well's left rim, d_u - 2*pi, is higher still,
+        and no row gets there: w >= 0 at clearing, and it turns back only
+        inside the well.)
+      - unstable, with no damping, when w > 0 and the kinetic energy left
+        at the highest potential ahead, min(H*w0*w^2, V - V_u) - band
+        (V - V_u only while d < d_u and an equilibrium exists), carries it
+        past delta0 + pi two steps before its horizon: the d - delta0 > pi
+        rule then fires in time.
+    band, ENERGY_BAND times a bound on |potential| over the angles the
+    certificates reason about, stands far above RK4's energy drift, so the
+    discrete trajectory obeys the continuous argument.  A row inside the
+    band, or a null-fault row (simulate judges it against the post-fault
+    equilibrium while it stays on the pre-fault network), keeps
+    integrating under simulate's rules.  Verdicts therefore equal
+    simulate's; the step counts of certified rows are shorter.
+
+    Returns per-row arrays (flag, steps, d, w, certified) at retirement,
+    factor-major; certified marks rows an energy certificate retired.
     """
     _check_dt(dt)
     v = model.v_bus
@@ -358,9 +402,15 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
         e, delta0 = init_conditions(model, op)
         pm = e * v * math.sin(delta0) / model.x_pre
         pmax_post = e * v / model.x_post
-        uep = math.pi - math.asin(pm / pmax_post) if pm < pmax_post else math.inf
-        per_pf.append((delta0, pm, e * v / model.x_pre, pmax_post, uep))
-    delta0, pm, pmax_pre, pmax_post, uep = np.repeat(
+        if pm < pmax_post:
+            uep = math.pi - math.asin(pm / pmax_post)
+            v_u = -pm * uep - pmax_post * math.cos(uep)
+        else:
+            uep, v_u = math.inf, -math.inf
+        band = ENERGY_BAND * (2.0 * math.pi * pm + pmax_post)
+        per_pf.append((delta0, pm, e * v / model.x_pre, pmax_post, uep, v_u,
+                       band))
+    delta0, pm, pmax_pre, pmax_post, uep, v_u, band = np.repeat(
         np.array(per_pf), len(durations_s), axis=0).T
     t_clear = np.array([f.t_clear for f in faults])
     events = np.array([f.duration != 0.0 for f in faults])
@@ -371,6 +421,7 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
     clear_end = t_clear.max()  # from here on every row runs post-fault
 
     w0, two_h, damping = model.omega0, 2.0 * model.inertia_h, model.damping
+    h_w0 = model.inertia_h * w0
     sin = np.sin
 
     def rk4(d, w, h, pmax, pm):
@@ -391,6 +442,7 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
     n = len(faults)
     flags, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     d_end, w_end = np.empty(n), np.empty(n)
+    certified = np.zeros(n, dtype=bool)
     row = np.arange(n)
     d, w = delta0.copy(), np.zeros(n)
     slip_since = np.full(n, np.nan)  # NaN: not beyond the UEP
@@ -426,17 +478,34 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
         slipped = (cleared & (d - delta0 > math.pi)) | (
             t1 - slip_since >= SLIP_HOLD_S)
         done = slipped | (last == i)
+        judge = cleared & events & ~done
+        if judge.any():
+            kinetic = h_w0 * w * w
+            energy = kinetic - pm * d - pmax_after * np.cos(d)
+            proven = judge & (d < uep) & (energy < v_u - band)
+            if damping == 0.0:
+                # left: kinetic energy at the highest potential ahead
+                barrier = np.where(d < uep, v_u, -np.inf)
+                left = np.minimum(kinetic, energy - barrier) - band
+                reach = w0 * np.sqrt(np.maximum(left, 0.0) / h_w0) * (
+                    (last - i - 2) * dt)
+                slips = judge & (w > 0) & (left > 0) & (
+                    delta0 + math.pi - d < reach)
+                slipped |= slips
+                proven |= slips
+            certified[row[proven]] = True
+            done |= proven
         if done.any():
             out = row[done]
             flags[out], steps[out] = slipped[done], i
             d_end[out], w_end[out] = d[done], w[done]
             keep = ~done
             (row, d, w, slip_since, delta0, pm, pmax_pre, pmax_fault,
-             pmax_after, uep, t_clear, events, last) = (
+             pmax_after, uep, v_u, band, t_clear, events, last) = (
                 a[keep] for a in (row, d, w, slip_since, delta0, pm, pmax_pre,
-                                  pmax_fault, pmax_after, uep, t_clear,
-                                  events, last))
-    return flags, steps, d_end, w_end
+                                  pmax_fault, pmax_after, uep, v_u, band,
+                                  t_clear, events, last))
+    return flags, steps, d_end, w_end, certified
 
 
 def sweep_to_dataset(rows: list[SweepRow]):

@@ -297,13 +297,35 @@ def test_sweep_rejects_empty_grid():
         st.sweep(st.SmibModel(), durations_s=(), power_factors=(0.9,))
 
 
-def _simulated(pfs, durations, dt):
+def _simulated(pfs, durations, dt, model=None):
     """The scalar oracle for each sweep row, factor-major."""
-    m = st.SmibModel()
+    m = model or st.SmibModel()
     return [st.simulate(m, st.OperatingPoint.from_power_factor(pf),
                         st.FaultEvent(0.1, float(dur)), dt=dt,
                         stop_on_verdict=True)
             for pf in pfs for dur in durations]
+
+
+def _assert_lockstep_matches_simulate(pfs, durations, dt):
+    """Flags equal simulate's; a row an energy certificate retired stops
+    early, every other row runs exactly as long as simulate's trace; and
+    each row's state at retirement is the trace's sample at that step.
+    Returns the certified mask."""
+    flags, steps, d, w, certified = st._lockstep(st.SmibModel(), durations,
+                                                 pfs, dt, 0.1)
+    oracle = _simulated(pfs, durations, dt)
+    assert list(flags) == [r.stability_flag for r in oracle]
+    length = np.array([len(r.trace.times) - 1 for r in oracle])
+    assert np.all(steps <= length)
+    assert np.array_equal(steps[~certified], length[~certified])
+    assert np.all(steps[certified] < length[certified])
+    # the same arithmetic in the same order: bit for bit, given that
+    # np.sin rounds like math.sin
+    at = np.array([(r.trace.delta_rad[k], r.trace.speed_dev_pu[k])
+                   for r, k in zip(oracle, steps)])
+    assert d.tobytes() == at[:, 0].tobytes()
+    assert w.tobytes() == at[:, 1].tobytes()
+    return certified
 
 
 # null fault, sub-step faults, faults ending mid-step or within a few ulps
@@ -315,17 +337,58 @@ EDGE_DURATIONS_S = (0.0, 0.5e-3, 60.5e-3, 100e-3, 160.5e-3, 161e-3 + 1e-16,
 @pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])
 def test_lockstep_sweep_matches_simulate_on_edge_grid(dt):
     pfs = (0.6, 0.8, 0.98)
-    flags, steps, d, w = st._lockstep(st.SmibModel(), EDGE_DURATIONS_S, pfs,
-                                      dt, 0.1)
-    oracle = _simulated(pfs, EDGE_DURATIONS_S, dt)
-    assert list(flags) == [r.stability_flag for r in oracle]
-    assert list(steps) == [len(r.trace.times) - 1 for r in oracle]
-    # the same arithmetic in the same order: bit for bit, given that
-    # np.sin rounds like math.sin
-    final = np.array([(r.trace.delta_rad[-1], r.trace.speed_dev_pu[-1])
-                      for r in oracle])
-    assert d.tobytes() == final[:, 0].tobytes()
-    assert w.tobytes() == final[:, 1].tobytes()
+    certified = _assert_lockstep_matches_simulate(pfs, EDGE_DURATIONS_S, dt)
+    # simulate judges a null fault against the post-fault equilibrium while
+    # the machine stays on the pre-fault network: no certificate applies
+    null = np.tile(np.array(EDGE_DURATIONS_S) == 0.0, len(pfs))
+    assert not certified[null].any()
+    assert certified[~null].all()
+
+
+def test_lockstep_matches_simulate_near_the_stability_boundary():
+    # the high power factors leave the shallowest energy well, where a
+    # certificate's margin is thinnest
+    certified = _assert_lockstep_matches_simulate(
+        tuple(np.linspace(0.90, 0.98, 9)), tuple(np.linspace(0.0, 0.3, 21)),
+        5e-4)
+    assert certified.sum() == 9 * 20  # all but the null-fault rows
+
+
+def test_late_slip_keeps_simulate_verdict():
+    # a heavy rotor cleared just past the critical time creeps over the
+    # unstable equilibrium in the last SLIP_HOLD_S of its horizon: its
+    # energy proves a slip, but simulate's rules call it stable, so the
+    # slip certificate must respect the horizon
+    model = st.SmibModel(inertia_h=40.0)
+    op = st.OperatingPoint.from_power_factor(0.8)
+
+    def run(duration):
+        return st.simulate(model, op, st.FaultEvent(0.1, duration),
+                           stop_on_verdict=True)
+
+    lo, hi = 0.4, 0.7  # around the equal-area critical time, 0.54 s
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if run(mid).stable else (lo, mid)
+    e, d0 = st.init_conditions(model, op)
+    pm = e * model.v_bus * math.sin(d0) / model.x_pre
+    pmax = e * model.v_bus / model.x_post
+    late = run(lo).trace
+    assert late.delta_rad[-1] > math.pi - math.asin(pm / pmax)
+    assert late.speed_dev_pu[-1] > 0
+    flags = st._lockstep(model, (lo, hi), (0.8,), 5e-4, 0.1)[0]
+    assert list(flags) == [0, 1]
+
+
+def test_default_grid_retires_by_certificate():
+    # the energy certificates settle every default row soon after its
+    # clearing (the last clears at step 700); without them the stable rows
+    # integrate to step 6340-6700
+    _, steps, _, _, certified = st._lockstep(
+        st.SmibModel(), st.DEFAULT_DURATIONS_S, st.DEFAULT_POWER_FACTORS,
+        5e-4, 0.1)
+    assert certified.all()
+    assert steps.max() <= 1000
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -337,6 +400,21 @@ def test_random_sweeps_match_simulate(pfs, durations, dt):
                     dt=dt)
     assert [r.stability for r in rows] == \
            [r.stability_flag for r in _simulated(pfs, durations, dt)]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(pfs=hst.lists(hst.floats(0.6, 0.98), min_size=1, max_size=2),
+       durations=hst.lists(hst.floats(0.0, 0.3), min_size=1, max_size=3),
+       inertia_h=hst.floats(1.0, 10.0),
+       damping=hst.floats(0.0, 20.0, exclude_min=True),
+       dt=hst.sampled_from([5e-4, 1e-3]))
+def test_random_damped_sweeps_match_simulate(pfs, durations, inertia_h,
+                                             damping, dt):
+    # damping drains energy, so only the stable certificate applies
+    model = st.SmibModel(inertia_h=inertia_h, damping=damping)
+    rows = st.sweep(model, durations_s=durations, power_factors=pfs, dt=dt)
+    assert [r.stability for r in rows] == \
+           [r.stability_flag for r in _simulated(pfs, durations, dt, model)]
 
 
 def test_default_grid_definition():
