@@ -25,6 +25,8 @@ import numpy as np
 from .report import write_csv
 
 SQRT3 = math.sqrt(3.0)
+PF_TOL = 1e-8  # largest voltage change of a converged pass, per unit
+PF_MAX_ITER = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -218,13 +220,13 @@ class Snapshot:
                                  - self.pv_kw - self.storage_kw)
 
 
-def solve_snapshot(feeder, inputs=None, tol=1e-8, max_iter=100):
+def solve_snapshot(feeder, inputs=None):
     """Fixed-point load-current injection on the ladder network.
 
     Constant-PQ load currents are recomputed from the latest voltages, then
     one backward current sweep and one forward voltage sweep update the bus
-    voltages.  Converged when the largest voltage change drops below tol
-    (per unit of the source voltage) within max_iter passes.
+    voltages.  Converged when the largest voltage change drops below
+    PF_TOL (per unit of the source voltage) within PF_MAX_ITER passes.
     """
     if inputs is None:
         inputs = HourInputs(tuple(ld.kw for ld in feeder.loads))
@@ -245,7 +247,7 @@ def solve_snapshot(feeder, inputs=None, tol=1e-8, max_iter=100):
     trace = []
     converged = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(PF_MAX_ITER):
             i_load = np.conj(s_va / v[1:])
             branch = np.cumsum(i_load[::-1])[::-1]
             v_new = np.empty_like(v)
@@ -255,7 +257,7 @@ def solve_snapshot(feeder, inputs=None, tol=1e-8, max_iter=100):
             dev = float(np.max(np.abs(v_new - v))) / feeder.source.volts_ln
             trace.append(dev)
             v = v_new
-            if dev < tol:
+            if dev < PF_TOL:
                 converged = True
                 break
     if not converged:
@@ -367,7 +369,7 @@ class DailyResult:
         return {name: Meter.over(*hourly) for name, hourly in cols.items()}
 
 
-def run_daily(feeder, hours=200, tol=1e-8):
+def run_daily(feeder, hours=200):
     """One snapshot per hour with shape-driven loads, generation and storage."""
     st = feeder.storage
     shapes = [(ld.name, ld.shape) for ld in feeder.loads]
@@ -392,8 +394,7 @@ def run_daily(feeder, hours=200, tol=1e-8):
         if st:
             storage_kw = dispatch_storage(st, hour, soc)
             soc = apply_storage_power(st, soc, storage_kw)
-        snap = solve_snapshot(
-            feeder, HourInputs(load_kw, pv_kw, storage_kw), tol=tol)
+        snap = solve_snapshot(feeder, HourInputs(load_kw, pv_kw, storage_kw))
         records.append(HourRecord(hour, snap, soc))
     return DailyResult(feeder, tuple(records))
 
@@ -447,8 +448,7 @@ class McResult:
                 for name, col in self.columns()}
 
 
-def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
-                    tol=1e-8):
+def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None):
     """Solve one snapshot per run with random load levels.
 
     internal mode draws each load's power from a normal distribution around
@@ -477,7 +477,7 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None,
             kw = draw_load_kw(feeder, seed, run)
         else:
             kw = tuple(table[run][name] for name in names)
-        snap = solve_snapshot(feeder, HourInputs(kw, pv_kw=pv_kw), tol=tol)
+        snap = solve_snapshot(feeder, HourInputs(kw, pv_kw=pv_kw))
         load_kva[run] = snap.load_power_kva
         line_kva[run] = snap.line_power_kva
         source_kva[run] = snap.source_power_kva

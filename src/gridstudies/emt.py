@@ -427,8 +427,7 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
 
 
 class EmtBatch:
-    """Up to `capacity` assembled networks of one structure, stepped in lock
-    step.
+    """Assembled networks of one structure, stepped in lock step.
 
     The rows share node numbering, lines, switch nodes and the step; each
     keeps its own G⁻¹ diagonal, constant injections, line state, switch
@@ -443,7 +442,9 @@ class EmtBatch:
     finite and non-zero, so a row's voltages are non-finite on exactly the
     steps the dense product's are.  So a row ends on the step, and with
     the verdict, that EmtSimulation.run reaches for its network.  `add`
-    copies a row out of an EmtSimulation, which the caller can then drop.
+    keeps a row's values and no reference into its EmtSimulation, so the
+    caller can drop the simulation; `run` stacks the rows and changes
+    nothing, so a second call returns the same arrays.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row, and the line-end
@@ -459,41 +460,28 @@ class EmtBatch:
     EmtSimulation._read_far does.
     """
 
-    def __init__(self, like: EmtSimulation, capacity: int):
+    def __init__(self, like: EmtSimulation):
         self.dt = like.dt
-        self.n = 0
-        self.size = 0
         self._structure = _batch_structure(like)
         self._hist_idx = like._hist_idx
         self._ln_ends, self._ln_zc = like._ln_ends, like._ln_zc
         self._ln_delay, self._ln_far = like._ln_delay, like._ln_far
         self._depth = int(like._ln_depth.max(initial=1))
         self._fo_a, self._fo_b = like._fo_a, like._fo_b
-        nodes, ends = like._base_inj.size, like._ln_ends.size
-        self._gdiag = np.empty((nodes - 1, capacity))
-        self._base_inj = np.empty((nodes, capacity))
-        self._ln_v0 = np.empty((ends, capacity))
-        self._ln_t0 = np.empty((2 * ends, capacity))  # t=0 [v; i] per end
-        self._fo_strength = np.empty((like._fo_strength.size, capacity))
-        self._inj_node = np.empty(capacity, dtype=np.intp)
-        self._ramp = np.empty((3, capacity))  # peak, front time, half time
+        # per row: surge node, (peak, front time, half time), G⁻¹ diagonal,
+        # constant injections, line v0, t=0 [v; i] per end, switch strengths
+        self._rows = []
 
     def add(self, sim: EmtSimulation):
-        """Copy an assembled, not yet stepped network into the next row."""
+        """Keep an assembled, not yet stepped network's values as a row."""
         if sim.n != 0 or _batch_structure(sim) != self._structure:
             raise ValueError("network does not match the batch's structure")
-        k = self.size
         [(node, wave)] = sim._varying_inj
-        self._inj_node[k] = node
-        self._ramp[:, k] = wave.peak_amps, wave.front_time_s, wave.half_time_s
-        self._gdiag[:, k] = np.diagonal(sim._ginv)
-        self._base_inj[:, k] = sim._base_inj
-        ends = self._ln_ends.size
-        self._ln_v0[:, k] = sim._ln_v0
-        self._ln_t0[:ends, k] = sim._buf_v[:, 0]
-        self._ln_t0[ends:, k] = sim._buf_i[:, 0]
-        self._fo_strength[:, k] = sim._fo_strength
-        self.size = k + 1
+        self._rows.append((
+            node, (wave.peak_amps, wave.front_time_s, wave.half_time_s),
+            np.diagonal(sim._ginv).copy(), sim._base_inj, sim._ln_v0,
+            np.concatenate([sim._buf_v[:, 0], sim._buf_i[:, 0]]),
+            sim._fo_strength))
 
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
@@ -501,22 +489,19 @@ class EmtBatch:
         its node voltages is not finite.  Returns each row's end step (0
         where it reaches t_end) and whether its voltages stayed finite.  A
         row that has ended keeps stepping, masked, until every row has."""
-        if self.n != 0:
-            raise RuntimeError("run() must start from the initial state")
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be finite and positive")
         steps = int(math.ceil(t_end / self.dt - 1e-12))
-        b, nodes = self.size, self._base_inj.shape[0]
+        node, ramp, gdiag, base, ln_v0, ln_t0, strength = (
+            np.column_stack(col) for col in zip(*self._rows))
+        b, nodes = len(self._rows), base.shape[0]
         ends, depth = self._ln_ends.size, self._depth
-        gdiag = self._gdiag[:, :b].copy()
-        strength = self._fo_strength[:, :b].copy()
         rows = np.arange(b)
-        surge = DoubleRampSource(*self._ramp[:, None, :b])(
+        surge = DoubleRampSource(*ramp[:, None])(
             (np.arange(1, steps + 1) * self.dt)[:, None])
         # the constant injections; each step sets the surge node's entry to
         # base + surge(t), as the scalar rhs[node] += fn(t) does
-        base = self._base_inj[:, :b].copy()
-        inject = self._inj_node[:b] * b + rows  # into base.ravel()
+        inject = node.ravel() * b + rows  # into base.ravel()
         surged = base.ravel()[inject] + surge
         hist = (self._hist_idx[:, None] * b + rows).ravel()
         # per-end factors are spelled out to full (ends, b) arrays: against
@@ -524,9 +509,9 @@ class EmtBatch:
         zc = np.repeat(self._ln_zc, b).reshape(ends, b)
 
         ring = np.empty((depth, 2 * ends, b))
-        ring[:, :ends] = self._ln_v0[:, :b]
+        ring[:, :ends] = ln_v0
         ring[:, ends:] = 0.0
-        ring[0] = self._ln_t0[:, :b]
+        ring[0] = ln_t0
         flat = ring.reshape(depth * 2 * ends, b)
         # per [v; i] row of an end: its delay and the ring row of its far end
         delay = np.tile(self._ln_delay, 2)
@@ -567,7 +552,6 @@ class EmtBatch:
                    out=rhs)
             np.multiply(gdiag, rhs[1:], out=v[1:])
             np.isfinite(v[1:], out=v_ok)
-            self.n = n
             ve, ie = ring[n % depth].reshape(2, ends, b)
             v.take(self._ln_ends, axis=0, out=ve)
             np.divide(ve, zc, out=ie)
@@ -591,9 +575,10 @@ class EmtBatch:
 
 # Rows per lock-step batch.  Memory, not speed, sets it: while its batch
 # runs, each row holds its columns of the line-history ring (about 75 kB in
-# a strike network); before that, each open batch holds its G⁻¹ diagonal
-# of 46 floats and a few hundred more of injections, strengths and line
-# state per row.  Larger batches raise peak memory for little further gain.
+# a strike network); before that, an open row holds its own copy of its G⁻¹
+# diagonal (46 floats) and t=0 line-end samples, and its injections, line
+# v0 and switch strengths: a few hundred floats, and no G⁻¹ or line buffer.
+# Larger batches raise peak memory for little further gain.
 REPLAY_BATCH = 32
 
 
@@ -617,11 +602,11 @@ def run_lockstep(sims, t_end: float) -> list:
             continue
         key = _batch_structure(sim)
         if key not in open_batches:
-            open_batches[key] = EmtBatch(sim, REPLAY_BATCH), []
+            open_batches[key] = EmtBatch(sim), []
         batch, rows = open_batches[key]
         batch.add(sim)
         rows.append(i)
-        if batch.size == REPLAY_BATCH:
+        if len(rows) == REPLAY_BATCH:
             run(*open_batches.pop(key))
     for batch, rows in open_batches.values():
         run(batch, rows)

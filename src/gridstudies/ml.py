@@ -339,8 +339,8 @@ def _sigmoid(z):
 
 @dataclass
 class MlpModel:
-    """Fully-connected logistic layers; one output unit for two classes,
-    one-hot outputs otherwise."""
+    """Fully-connected logistic layers with one output unit: at or above
+    0.5 it names the second of the two classes."""
 
     layout: tuple
     weights: list
@@ -358,20 +358,12 @@ class MlpModel:
 
     def predict(self, features) -> np.ndarray:
         out = self.forward(features)[-1]
-        if len(self.classes) == 2:
-            idx = (out[:, 0] >= 0.5).astype(int)
-        else:
-            idx = np.argmax(out, axis=1)
+        idx = (out[:, 0] >= 0.5).astype(int)
         return np.asarray([self.classes[i] for i in idx])
 
     def targets_for(self, labels) -> np.ndarray:
         col = {c: j for j, c in enumerate(self.classes)}
-        if len(self.classes) == 2:
-            return np.asarray([[float(col[v])] for v in labels])
-        t = np.zeros((len(labels), len(self.classes)))
-        for i, v in enumerate(labels):
-            t[i, col[v]] = 1.0
-        return t
+        return np.asarray([[float(col[v])] for v in labels])
 
 
 def _mlp_loss_and_grads(model: MlpModel, features, targets):
@@ -411,13 +403,12 @@ def mlp_train(train: Dataset, layout, seed: int, epochs: int,
     if epochs < 0 or lr <= 0:
         raise ValueError("need epochs >= 0 and lr > 0")
     classes = sorted(set(train.labels.tolist()))
-    if len(classes) < 2:
-        raise ValueError("need at least two classes")
-    n_out = 1 if len(classes) == 2 else len(classes)
+    if len(classes) != 2:
+        raise ValueError(f"need exactly two classes, got {len(classes)}")
     layout = tuple(int(s) for s in layout)
-    if layout[0] != train.d or layout[-1] != n_out:
+    if layout[0] != train.d or layout[-1] != 1:
         raise ValueError(
-            f"layout {layout} does not match {train.d} inputs / {n_out} outputs")
+            f"layout {layout} does not match {train.d} inputs / 1 output")
     model = mlp_init(layout, classes, seed)
     targets = model.targets_for(train.labels)
     loss, gw, gb = _mlp_loss_and_grads(model, train.features, targets)

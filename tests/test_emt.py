@@ -12,7 +12,9 @@ Four kinds of evidence:
      reaches its strength, recording every switch that does
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -324,7 +326,7 @@ def test_batch_rows_end_as_their_scalar_runs():
     # the front, and the NaN surge fails alone
     nets = [surge_network(f, p) for f, p in
             ((10.0, -1e3), (1e4, -1e3), (100.0, math.nan), (30.0, -2e3))]
-    batch = EmtBatch(nets[0].assemble(DT), len(nets))
+    batch = EmtBatch(nets[0].assemble(DT))
     for net in nets:
         batch.add(net.assemble(DT))
     flash, finite = batch.run(60 * DT)
@@ -362,7 +364,7 @@ def test_batch_reads_the_pre_history_before_t0():
     nets = [prehistory_network(p, v, i) for p, v, i in
             ((-10.0, 3e3, 5.0), (-3.0, 1e4, 0.0), (-2.0, 0.0, 40.0),
              (-5.0, -2e3, -10.0))]
-    batch = EmtBatch(nets[0].assemble(DT), len(nets))
+    batch = EmtBatch(nets[0].assemble(DT))
     for net in nets:
         batch.add(net.assemble(DT))
     flash, finite = batch.run(60 * DT)
@@ -374,12 +376,37 @@ def test_batch_reads_the_pre_history_before_t0():
     assert steps == [3, 2, 2, 0]
 
 
+def test_batch_run_is_a_function_of_its_rows():
+    # a second run starts again from the rows' initial states: a switch
+    # that flashed, or a surge injected, in the first leaves no trace
+    nets = [surge_network(f, p) for f, p in
+            ((10.0, -1e3), (1e4, -1e3), (30.0, -2e3))]
+    batch = EmtBatch(nets[0].assemble(DT))
+    for net in nets:
+        batch.add(net.assemble(DT))
+    (end, finite), (again, finite_again) = batch.run(60 * DT), batch.run(60 * DT)
+    assert np.array_equal(end, again) and np.array_equal(finite, finite_again)
+    assert end[0] == 0 and 0 not in end[1:] and finite.all()
+
+
+def test_an_open_row_pins_no_inverse_or_line_buffer():
+    # a batch keeps a row's values, not its network's arrays: once the
+    # caller drops the simulation, its G⁻¹ and line buffers are freed
+    sim = surge_network(10.0).assemble(DT)
+    batch = EmtBatch(sim)
+    batch.add(sim)
+    refs = [weakref.ref(a) for a in (sim._ginv, sim._buf_v, sim._buf_i)]
+    del sim
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
 def test_batch_takes_one_structure():
-    batch = EmtBatch(surge_network(10.0).assemble(DT), 2)
+    batch = EmtBatch(surge_network(10.0).assemble(DT))
     with pytest.raises(ValueError, match="structure"):
         batch.add(surge_network(10.0, tower=3 * DT).assemble(DT))
     with pytest.raises(ValueError, match="DoubleRampSource"):
-        EmtBatch(rl_step_network().assemble(DT), 1)
+        EmtBatch(rl_step_network().assemble(DT))
     # the scalar stepper and the batch both refuse a line under one step
     with pytest.raises(ValueError, match="travel time"):
         surge_network(10.0, tower=DT * (1 - 1e-13)).assemble(DT)
@@ -387,7 +414,7 @@ def test_batch_takes_one_structure():
     coupled = surge_network(10.0)
     coupled.add_resistor("a", "b", 500.0)
     with pytest.raises(ValueError, match="diagonal"):
-        EmtBatch(coupled.assemble(DT), 1)
+        EmtBatch(coupled.assemble(DT))
     with pytest.raises(ValueError, match="diagonal"):
         batch.add(coupled.assemble(DT))
 
@@ -427,7 +454,7 @@ def test_batch_and_scalar_fail_a_row_on_its_first_non_finite_step(x_strength):
     # x or not; the finite rows flash at b as they would alone
     nets = [washout_network(p, x_strength)
             for p in (-1e3, math.inf, -math.inf, 5.0)]
-    batch = EmtBatch(nets[0].assemble(DT), len(nets))
+    batch = EmtBatch(nets[0].assemble(DT))
     for net in nets:
         batch.add(net.assemble(DT))
     with np.errstate(invalid="ignore"):

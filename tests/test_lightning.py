@@ -639,8 +639,9 @@ def test_a_full_batch_runs_mid_stream_as_simulate_event(monkeypatch):
         return build(*args)
 
     def counted_run(self, t_end):
-        runs.append((self.size, len(built)))
-        return run(self, t_end)
+        end, finite = run(self, t_end)
+        runs.append((len(end), len(built)))
+        return end, finite
 
     monkeypatch.setattr(lightning, "build_strike_network", counted_build)
     monkeypatch.setattr(emt.EmtBatch, "run", counted_run)

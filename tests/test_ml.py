@@ -244,6 +244,10 @@ def test_mlp_rejects_mismatched_layout():
         mlp_train(XOR, layout=(3, 2, 1), seed=0, epochs=1, lr=0.1)
     with pytest.raises(ValueError):
         mlp_train(XOR, layout=(2, 2, 2), seed=0, epochs=1, lr=0.1)
+    # the network has one output unit, so it takes two classes only
+    three = blob_dataset(n_per=5, centers=((0, 0), (6, 0), (0, 6)), seed=13)
+    with pytest.raises(ValueError, match="exactly two classes"):
+        mlp_train(three, layout=(2, 2, 1), seed=0, epochs=1, lr=0.1)
 
 def test_gradient_check_fresh_model():
     rng = np.random.default_rng(17)
