@@ -3,9 +3,21 @@
 Models a balanced medium-voltage feeder as a per-phase positive-sequence
 ladder: a stiff source behind an impedance, series line segments, and
 constant-PQ loads at every junction, with optional photovoltaic generation
-and an energy-storage unit at the last bus.  Three modes build on one
-snapshot solver: a single power flow, an hourly time series with shape-driven
-loads, and Monte Carlo sampling of random load levels.
+and an energy-storage unit at the last bus.  Three modes share one ladder
+iteration: a single power flow (solve_snapshot), an hourly time series with
+shape-driven loads (run_daily), and Monte Carlo sampling of random load
+levels (run_monte_carlo).
+
+The two series modes compute every row's inputs first (storage dispatch
+depends only on the hour and the previous state of charge, never on the
+power flow) and solve all rows in one call to solve_lockstep.  Each pass of
+the fixed-point iteration steps every unconverged row at once, and a row
+leaves the arrays on the pass it converges.  Its forward sweep multiplies in
+real arithmetic (re*re - im*im, re*im + im*re), as numpy's scalar complex
+product does, because numpy's SIMD array product rounds differently; every
+other step is the array operation solve_snapshot applies.  So each row is
+bit-identical to solve_snapshot on that row, which stays as the
+one-snapshot oracle.
 
 All electrical quantities are per phase unless a name says otherwise:
 voltages are line-to-neutral volts, powers per phase in kVA.  Meter and
@@ -72,16 +84,23 @@ class HourlyShape:
         return len(self.values)
 
 
+def _check_impedance(owner, z):
+    """A series impedance: finite, with a non-negative resistance."""
+    if not (0 <= z.real < math.inf and math.isfinite(z.imag)):
+        raise ValueError(f"{owner}: impedance_ohm must be finite, with a "
+                         f"non-negative real part, got {z!r}")
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     kv_ll: float = 4.8
     impedance_ohm: complex = 0.05 + 0.5j
 
     def __post_init__(self):
-        if self.kv_ll <= 0:
-            raise ValueError("source voltage must be positive")
-        if self.impedance_ohm.real < 0:
-            raise ValueError("source resistance must be non-negative")
+        # written so that NaN fails every check
+        if not 0 < self.kv_ll < math.inf:
+            raise ValueError("kv_ll must be finite and > 0")
+        _check_impedance("source", self.impedance_ohm)
 
     @property
     def volts_ln(self):
@@ -94,8 +113,7 @@ class LineSegment:
     impedance_ohm: complex = 0.5 + 0.9j
 
     def __post_init__(self):
-        if self.impedance_ohm.real < 0:
-            raise ValueError(f"{self.name}: negative series resistance")
+        _check_impedance(self.name, self.impedance_ohm)
 
 
 @dataclass(frozen=True)
@@ -108,10 +126,10 @@ class LoadSpec:
     shape: HourlyShape | None = None
 
     def __post_init__(self):
-        if self.kw < 0:
-            raise ValueError(f"{self.name}: negative power rating")
+        if not 0 <= self.kw < math.inf:
+            raise ValueError(f"{self.name}: kw must be finite and >= 0")
         if not 0 < self.power_factor <= 1:
-            raise ValueError(f"{self.name}: power factor outside (0, 1]")
+            raise ValueError(f"{self.name}: power_factor outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -122,8 +140,8 @@ class PvSpec:
     shape: HourlyShape | None = None
 
     def __post_init__(self):
-        if self.rated_kw <= 0:
-            raise ValueError("generator rating must be positive")
+        if not 0 < self.rated_kw < math.inf:
+            raise ValueError("rated_kw must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -137,14 +155,16 @@ class StorageSpec:
     dispatch: HourlyShape | None = None
 
     def __post_init__(self):
-        if self.rated_kw <= 0 or self.rated_kwh <= 0:
-            raise ValueError("storage ratings must be positive")
+        # written so that NaN fails every check
+        for name in ("rated_kw", "rated_kwh"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 <= self.soc_min < self.soc_max <= 1:
             raise ValueError("need 0 <= soc_min < soc_max <= 1")
         if not self.soc_min <= self.soc <= self.soc_max:
-            raise ValueError("initial state of charge outside its bounds")
+            raise ValueError("soc outside [soc_min, soc_max]")
         if not 0 < self.round_trip_efficiency <= 1:
-            raise ValueError("round-trip efficiency outside (0, 1]")
+            raise ValueError("round_trip_efficiency outside (0, 1]")
 
     @property
     def one_way_efficiency(self):
@@ -281,6 +301,110 @@ def solve_snapshot(feeder, inputs=None):
         iterations=len(trace))
 
 
+@dataclass(frozen=True)
+class Flows:
+    """Converged power flows of many rows: Snapshot's solved fields, each an
+    array with a leading row axis."""
+
+    bus_voltage: np.ndarray
+    line_power_kva: np.ndarray
+    load_power_kva: np.ndarray
+    source_power_kva: np.ndarray
+    line_losses_kw: np.ndarray
+    line_losses_kvar: np.ndarray
+    iterations: np.ndarray
+
+    def snapshot(self, row, pv_kw=0.0, storage_kw=0.0):
+        """One row as the Snapshot solve_snapshot returns, scalar types
+        included: write_daily_csv repr()s them."""
+        return Snapshot(
+            bus_voltage=tuple(self.bus_voltage[row]),
+            line_power_kva=tuple(self.line_power_kva[row]),
+            load_power_kva=tuple(self.load_power_kva[row]),
+            source_power_kva=complex(self.source_power_kva[row]),
+            line_losses_kw=tuple(self.line_losses_kw[row]),
+            line_losses_kvar=tuple(self.line_losses_kvar[row]),
+            pv_kw=float(pv_kw),
+            storage_kw=float(storage_kw),
+            iterations=int(self.iterations[row]))
+
+
+def solve_lockstep(feeder, load_kw, injection_kw):
+    """solve_snapshot on many rows at once, bit for bit.
+
+    load_kw is a (rows, loads) array of three-phase load kW, injection_kw the
+    rows' generation plus storage discharge at the last bus, in kW.  Each
+    pass steps every unconverged row with solve_snapshot's operations, and a
+    row leaves the arrays on the pass it converges.  The forward sweep is
+    written in real arithmetic, as numpy's scalar complex product computes
+    it; numpy's SIMD array product rounds differently.  If any row fails to
+    converge, solve_snapshot on the first such row raises its
+    ConvergenceError, message and trace included.
+    """
+    load_kw = np.asarray(load_kw, dtype=float)
+    injection_kw = np.asarray(injection_kw, dtype=float)
+    rows, n = load_kw.shape
+    if n != len(feeder.loads):
+        raise ValueError(f"expected {len(feeder.loads)} load powers, got {n}")
+
+    e = complex(feeder.source.volts_ln)
+    zs = feeder.source.impedance_ohm
+    z = np.array([seg.impedance_ohm for seg in feeder.lines], dtype=complex)
+    tan_phi = np.array([math.tan(math.acos(ld.power_factor)) for ld in feeder.loads])
+    s_load = (load_kw + 1j * load_kw * tan_phi) * 1e3 / 3.0
+    s_va = s_load.copy()
+    s_va[:, -1] -= injection_kw * 1e3 / 3.0
+
+    v_out = np.empty((rows, n + 1), dtype=complex)
+    iterations = np.zeros(rows, dtype=int)
+    row = np.arange(rows)  # run index of each row still iterating
+    v = np.full((rows, n + 1), e)
+    s = s_va
+    passes = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while row.size and passes < PF_MAX_ITER:
+            passes += 1
+            i_load = np.conj(s / v[:, 1:])
+            branch = np.cumsum(i_load[:, ::-1], axis=1)[:, ::-1]
+            b_re, b_im = branch.real, branch.imag
+            v_new = np.empty_like(v)
+            re, im = v_new.real, v_new.imag
+            re[:, 0] = e.real - (zs.real * b_re[:, 0] - zs.imag * b_im[:, 0])
+            im[:, 0] = e.imag - (zs.real * b_im[:, 0] + zs.imag * b_re[:, 0])
+            for k in range(n):
+                zr, zi = z[k].real, z[k].imag
+                re[:, k + 1] = re[:, k] - (zr * b_re[:, k] - zi * b_im[:, k])
+                im[:, k + 1] = im[:, k] - (zr * b_im[:, k] + zi * b_re[:, k])
+            dev = np.max(np.abs(v_new - v), axis=1) / feeder.source.volts_ln
+            v = v_new
+            done = dev < PF_TOL
+            if done.any():
+                v_out[row[done]] = v[done]
+                iterations[row[done]] = passes
+                keep = ~done
+                row, v, s = row[keep], v[keep], s[keep]
+    if row.size:
+        first = int(row[0])
+        solve_snapshot(feeder, HourInputs(tuple(load_kw[first]),
+                                          pv_kw=injection_kw[first]))
+        raise RuntimeError(f"row {first} converged alone but not in lock step")
+
+    i_load = np.conj(s_va / v_out[:, 1:])
+    branch = np.cumsum(i_load[:, ::-1], axis=1)[:, ::-1]
+    line_s = v_out[:, :-1] * np.conj(branch) / 1e3
+    # np.abs of solve_snapshot's reversed (negative-stride) branch takes
+    # numpy's scalar hypot, which np.hypot matches; a SIMD np.abs would not
+    loss = np.hypot(branch.real, branch.imag) ** 2 * z * 3.0 / 1e3
+    return Flows(
+        bus_voltage=v_out,
+        line_power_kva=line_s,
+        load_power_kva=s_load / 1e3,
+        source_power_kva=line_s[:, 0],
+        line_losses_kw=loss.real,
+        line_losses_kvar=loss.imag,
+        iterations=iterations)
+
+
 # -- storage -----------------------------------------------------------------
 
 def dispatch_storage(spec, hour, soc):
@@ -370,7 +494,7 @@ class DailyResult:
 
 
 def run_daily(feeder, hours=200):
-    """One snapshot per hour with shape-driven loads, generation and storage."""
+    """One power flow per hour with shape-driven loads, generation and storage."""
     st = feeder.storage
     shapes = [(ld.name, ld.shape) for ld in feeder.loads]
     shapes += [("generation", feeder.pv and feeder.pv.shape),
@@ -380,23 +504,30 @@ def run_daily(feeder, hours=200):
             raise ValueError(
                 f"{label}: shape covers {len(shape)} hours, {hours} needed")
 
+    # dispatch and state of charge never depend on the power flow, so every
+    # hour's inputs are known before one lock-step solve
     soc = st.soc if st else math.nan
-    records = []
+    load_kw = np.empty((hours, len(feeder.loads)))
+    pv_kw, storage_kw, socs = [], [], []
     for hour in range(hours):
-        load_kw = tuple(
-            ld.kw * (ld.shape.at(hour) if ld.shape else 1.0)
-            for ld in feeder.loads)
-        pv_kw = 0.0
+        load_kw[hour] = [ld.kw * (ld.shape.at(hour) if ld.shape else 1.0)
+                         for ld in feeder.loads]
+        pv = 0.0
         if feeder.pv:
             mult = feeder.pv.shape.at(hour) if feeder.pv.shape else 1.0
-            pv_kw = feeder.pv.rated_kw * mult
-        storage_kw = 0.0
+            pv = feeder.pv.rated_kw * mult
+        storage = 0.0
         if st:
-            storage_kw = dispatch_storage(st, hour, soc)
-            soc = apply_storage_power(st, soc, storage_kw)
-        snap = solve_snapshot(feeder, HourInputs(load_kw, pv_kw, storage_kw))
-        records.append(HourRecord(hour, snap, soc))
-    return DailyResult(feeder, tuple(records))
+            storage = dispatch_storage(st, hour, soc)
+            soc = apply_storage_power(st, soc, storage)
+        pv_kw.append(pv)
+        storage_kw.append(storage)
+        socs.append(soc)
+    flows = solve_lockstep(feeder, load_kw, np.add(pv_kw, storage_kw))
+    return DailyResult(feeder, tuple(
+        HourRecord(hour, flows.snapshot(hour, pv_kw[hour], storage_kw[hour]),
+                   socs[hour])
+        for hour in range(hours)))
 
 
 # -- Monte Carlo mode ----------------------------------------------------------
@@ -449,7 +580,7 @@ class McResult:
 
 
 def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None):
-    """Solve one snapshot per run with random load levels.
+    """One power flow per run with random load levels.
 
     internal mode draws each load's power from a normal distribution around
     half its rating; external mode takes the powers from a pre-read table.
@@ -468,20 +599,14 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None):
         check_load_table(feeder, table, n_runs)
 
     names = [ld.name for ld in feeder.loads]
-    load_kva = np.empty((n_runs, len(names)), dtype=complex)
-    line_kva = np.empty((n_runs, len(names)), dtype=complex)
-    source_kva = np.empty(n_runs, dtype=complex)
-    pv_kw = feeder.pv.rated_kw if feeder.pv else 0.0
+    kw = np.empty((n_runs, len(names)))
     for run in range(n_runs):
-        if mode == "internal":
-            kw = draw_load_kw(feeder, seed, run)
-        else:
-            kw = tuple(table[run][name] for name in names)
-        snap = solve_snapshot(feeder, HourInputs(kw, pv_kw=pv_kw))
-        load_kva[run] = snap.load_power_kva
-        line_kva[run] = snap.line_power_kva
-        source_kva[run] = snap.source_power_kva
-    return McResult(feeder, load_kva, line_kva, source_kva)
+        kw[run] = (draw_load_kw(feeder, seed, run) if mode == "internal"
+                   else [table[run][name] for name in names])
+    pv_kw = feeder.pv.rated_kw if feeder.pv else 0.0
+    flows = solve_lockstep(feeder, kw, np.full(n_runs, float(pv_kw)))
+    return McResult(feeder, flows.load_power_kva, flows.line_power_kva,
+                    flows.source_power_kva)
 
 
 # -- load tables -----------------------------------------------------------------

@@ -107,6 +107,37 @@ def test_spec_validation():
         ds.Feeder(ds.SourceSpec(), (ds.LineSegment("a"),), ())
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ds.LoadSpec("x", NAN, 0.9), "x: kw"),
+    (lambda: ds.LoadSpec("x", INF, 0.9), "x: kw"),
+    (lambda: ds.LoadSpec("x", 5.0, NAN), "x: power_factor"),
+    (lambda: ds.PvSpec(INF), "rated_kw"),
+    (lambda: ds.PvSpec(NAN), "rated_kw"),
+    (lambda: ds.StorageSpec(NAN, 400.0), "rated_kw"),
+    (lambda: ds.StorageSpec(100.0, INF), "rated_kwh"),
+    (lambda: ds.StorageSpec(100.0, 400.0, soc=NAN), "soc"),
+    (lambda: ds.StorageSpec(100.0, 400.0, soc_min=NAN), "soc_min"),
+    (lambda: ds.StorageSpec(100.0, 400.0, soc_max=NAN), "soc_max"),
+    (lambda: ds.StorageSpec(100.0, 400.0, round_trip_efficiency=NAN),
+     "round_trip_efficiency"),
+    (lambda: ds.SourceSpec(NAN), "kv_ll"),
+    (lambda: ds.SourceSpec(INF), "kv_ll"),
+    (lambda: ds.SourceSpec(impedance_ohm=complex(NAN, 0.5)),
+     "source: impedance_ohm"),
+    (lambda: ds.SourceSpec(impedance_ohm=complex(0.05, INF)),
+     "source: impedance_ohm"),
+    (lambda: ds.LineSegment("l", complex(NAN, 1)), "l: impedance_ohm"),
+    (lambda: ds.LineSegment("l", complex(0.5, NAN)), "l: impedance_ohm"),
+    (lambda: ds.LineSegment("l", complex(-INF, 1)), "l: impedance_ohm"),
+])
+def test_specs_reject_non_finite_values(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_load_kvar_follows_power_factor():
     snap = ds.solve_snapshot(two_bus_feeder(kw=285.0, pf=0.90))
     kvar = 3.0 * snap.load_power_kva[0].imag
@@ -243,9 +274,21 @@ def fold_meter(daily, name):
     return m
 
 
-def bits(meter):
-    """Each field's type and exact bits; -0.0 and 0.0 differ here."""
-    return [(type(v), float.hex(v)) for v in dataclasses.astuple(meter)]
+def scalar_bits(x):
+    """Type and exact bits; -0.0 and 0.0 differ here."""
+    if isinstance(x, tuple):
+        return tuple(scalar_bits(y) for y in x)
+    if isinstance(x, complex):
+        return type(x), float.hex(x.real), float.hex(x.imag)
+    if isinstance(x, float):
+        return type(x), float.hex(x)
+    return type(x), x
+
+
+def bits(record):
+    """Each field's type and exact bits."""
+    return tuple(scalar_bits(getattr(record, f.name))
+                 for f in dataclasses.fields(record))
 
 
 @pytest.mark.parametrize("case", ["A1", "A2", "A3", "A4"])
@@ -382,7 +425,9 @@ def test_mc_external_table_round_trip(tmp_path):
     assert len(table) == 4
     external = ds.run_monte_carlo(f, 4, mode="external", table=table)
     internal = ds.run_monte_carlo(f, 4, mode="internal", seed=3)
-    assert np.allclose(external.load_kva, internal.load_kva)
+    assert np.array_equal(external.load_kva, internal.load_kva)
+    assert np.array_equal(external.line_kva, internal.line_kva)
+    assert np.array_equal(external.source_kva, internal.source_kva)
 
 
 def test_mc_external_errors(tmp_path):
@@ -413,6 +458,167 @@ def test_mc_external_errors(tmp_path):
         path.write_text(f"run,load,kW\n0,load1,10.0\n0,load2,{bad}\n")
         with pytest.raises(ValueError, match="line 3: kW must be finite"):
             ds.read_load_table(path)
+
+
+# -- lock-step solve ------------------------------------------------------------
+# solve_snapshot is the oracle: every row of a lock-step solve must carry the
+# same bits and scalar types as solve_snapshot gives for that row alone.
+
+def hourly_oracle(feeder, hours):
+    """The per-hour loop run_daily replaced: one solve_snapshot per hour."""
+    st, records = feeder.storage, []
+    soc = st.soc if st else math.nan
+    for hour in range(hours):
+        load_kw = tuple(ld.kw * ld.shape.at(hour) for ld in feeder.loads)
+        pv_kw = feeder.pv.rated_kw * feeder.pv.shape.at(hour) if feeder.pv else 0.0
+        storage_kw = 0.0
+        if st:
+            storage_kw = ds.dispatch_storage(st, hour, soc)
+            soc = ds.apply_storage_power(st, soc, storage_kw)
+        snap = ds.solve_snapshot(feeder, ds.HourInputs(load_kw, pv_kw, storage_kw))
+        records.append(ds.HourRecord(hour, snap, soc))
+    return records
+
+
+@pytest.mark.parametrize("case", ["A1", "A2", "A3", "A4"])
+def test_lockstep_daily_matches_snapshot_oracle(case):
+    feeder = ds.build_case(case)
+    daily = ds.run_daily(feeder, hours=200)
+    oracle = hourly_oracle(feeder, 200)
+    assert len(daily.records) == len(oracle) == 200
+    for got, want in zip(daily.records, oracle):
+        assert got.hour == want.hour
+        assert scalar_bits(got.soc) == scalar_bits(want.soc)
+        assert bits(got.snapshot) == bits(want.snapshot), got.hour
+
+
+def table_of(rows):
+    """A pre-read load table from (run, load, kW) rows."""
+    table = {}
+    for run, name, kw in rows:
+        table.setdefault(run, {})[name] = kw
+    return tuple(table[run] for run in range(len(table)))
+
+
+MC_ORACLE_RUNS = 1000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", ["B1", "B2", "B3", "B4"])
+def test_lockstep_mc_matches_snapshot_oracle(case, seed):
+    feeder = ds.build_case(case)
+    names = [ld.name for ld in feeder.loads]
+    if case in ("B3", "B4"):
+        table = table_of(ds.synthesize_load_table(feeder, MC_ORACLE_RUNS, seed))
+        mc = ds.run_monte_carlo(feeder, MC_ORACLE_RUNS, mode="external",
+                                table=table)
+        kw = [tuple(row[name] for name in names) for row in table]
+    else:
+        mc = ds.run_monte_carlo(feeder, MC_ORACLE_RUNS, seed=seed)
+        kw = [ds.draw_load_kw(feeder, seed, run) for run in range(MC_ORACLE_RUNS)]
+    pv_kw = feeder.pv.rated_kw if feeder.pv else 0.0
+    flows = ds.solve_lockstep(feeder, kw, [pv_kw] * MC_ORACLE_RUNS)
+    for run, loads in enumerate(kw):
+        oracle = ds.solve_snapshot(feeder, ds.HourInputs(loads, pv_kw=pv_kw))
+        assert bits(flows.snapshot(run, pv_kw)) == bits(oracle), run
+    # McResult holds exactly these rows
+    for got, want in ((mc.load_kva, flows.load_power_kva),
+                      (mc.line_kva, flows.line_power_kva),
+                      (mc.source_kva, flows.source_power_kva)):
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64))
+
+
+def oracle_rows(feeder, kw, injection):
+    """Per-row solve_snapshot: Snapshots, or the first row's ConvergenceError."""
+    snaps = []
+    for loads, inj in zip(kw, injection):
+        try:
+            snaps.append(ds.solve_snapshot(feeder, ds.HourInputs(loads, pv_kw=inj)))
+        except ds.ConvergenceError as exc:
+            return exc
+    return snaps
+
+
+def trace_hex(exc):
+    return [float.hex(t) for t in exc.trace]
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want) is ds.ConvergenceError
+    assert str(got) == str(want)
+    assert trace_hex(got) == trace_hex(want)
+
+
+@st.composite
+def random_ladders(draw):
+    n = draw(st.integers(1, 5))
+    feeder = ds.Feeder(
+        ds.SourceSpec(impedance_ohm=draw(impedances)),
+        tuple(ds.LineSegment(f"line{k}", draw(impedances)) for k in range(n)),
+        tuple(ds.LoadSpec(f"load{k}", 100.0, draw(st.floats(0.7, 1.0)))
+              for k in range(n)))
+    kw_value = st.just(0.0) | st.floats(0.0, 250.0)
+    rows = draw(st.integers(1, 12))
+    kw = [tuple(draw(kw_value) for _ in range(n)) for _ in range(rows)]
+    # at times one row is heavy enough that the whole call fails
+    heavy = draw(st.none() | st.integers(0, rows - 1))
+    if heavy is not None:
+        kw[heavy] = tuple(40.0 * x for x in kw[heavy])
+    injection = [draw(st.just(0.0) | st.floats(-100.0, 300.0)) for _ in range(rows)]
+    return feeder, kw, injection
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_ladders())
+def test_lockstep_rows_match_snapshot_on_random_ladders(ladder):
+    feeder, kw, injection = ladder
+    oracle = oracle_rows(feeder, kw, injection)
+    if isinstance(oracle, ds.ConvergenceError):
+        with pytest.raises(ds.ConvergenceError) as info:
+            ds.solve_lockstep(feeder, kw, injection)
+        assert_same_error(info.value, oracle)
+        return
+    flows = ds.solve_lockstep(feeder, kw, injection)
+    for row, (snap, inj) in enumerate(zip(oracle, injection)):
+        assert bits(flows.snapshot(row, inj)) == bits(snap), row
+
+
+@pytest.mark.parametrize("first_bad", [(20000.0,) * 3, (NAN, 10.0, 10.0)])
+def test_first_failing_run_raises_its_oracle_error(first_bad):
+    feeder = ds.build_case("B1")
+    names = [ld.name for ld in feeder.loads]
+    kw = [(40.0, 30.0, 20.0)] * 8
+    kw[3] = first_bad
+    kw[6] = (60000.0,) * 3  # fails too, with another trace
+    table = tuple(dict(zip(names, row)) for row in kw)
+    errors = []
+    for run in (3, 6):
+        with pytest.raises(ds.ConvergenceError) as info:
+            ds.solve_snapshot(feeder, ds.HourInputs(kw[run]))
+        errors.append(info.value)
+    assert trace_hex(errors[0]) != trace_hex(errors[1])
+    with pytest.raises(ds.ConvergenceError) as info:
+        ds.run_monte_carlo(feeder, 8, mode="external", table=table)
+    assert_same_error(info.value, errors[0])
+
+
+def test_first_failing_hour_raises_its_oracle_error():
+    # hours 3 and 5 are infeasible, with different traces
+    shape = ds.HourlyShape((0.02, 0.02, 0.02, 1.0, 0.02, 0.9, 0.02))
+    feeder = ds.Feeder(ds.SourceSpec(), (ds.LineSegment("seg", 0.8 + 1.1j),),
+                       (ds.LoadSpec("ld", 5000.0, 0.92, shape=shape),),
+                       pv=ds.PvSpec(50.0, ds.HourlyShape((0.5,) * 7)))
+    errors = []
+    for hour in (3, 5):
+        with pytest.raises(ds.ConvergenceError) as info:
+            ds.solve_snapshot(feeder, ds.HourInputs((5000.0 * shape.at(hour),),
+                                                    pv_kw=25.0))
+        errors.append(info.value)
+    assert trace_hex(errors[0]) != trace_hex(errors[1])
+    with pytest.raises(ds.ConvergenceError) as info:
+        ds.run_daily(feeder, hours=7)
+    assert_same_error(info.value, errors[0])
 
 
 # -- shipped cases and output ---------------------------------------------------
