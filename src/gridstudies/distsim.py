@@ -655,14 +655,19 @@ def read_load_table(path):
 
 
 def check_load_table(feeder, table, n_runs):
-    """A pre-read table fits the request: at least n_runs runs, and each run
-    used names exactly the feeder's loads."""
+    """A pre-read table fits the request: at least n_runs runs, each run used
+    names exactly the feeder's loads, and every kW is finite and >= 0, as
+    read_load_table demands of a file."""
     if len(table) < n_runs:
         raise ValueError(f"load table provides {len(table)} runs, {n_runs} requested")
     names = [ld.name for ld in feeder.loads]
     for run, row in enumerate(table[:n_runs]):
         if row.keys() != set(names):
             raise ValueError(f"run {run}: loads {sorted(row)}, feeder has {names}")
+        for name in names:
+            if not 0.0 <= row[name] < math.inf:
+                raise ValueError(f"run {run}, load {name!r}: kW must be finite, "
+                                 f">= 0: {row[name]!r}")
 
 
 def synthesize_load_table(feeder, n_runs, seed):

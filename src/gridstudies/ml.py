@@ -5,12 +5,20 @@ distance and then the lower label; the SVM trains with a sequential pair
 optimizer whose working-pair choice is a fixed heuristic (no random draws);
 the network trains full-batch from a seeded initialization.
 
+The pair optimizer judges all partners of a violating multiplier in one array
+pass and steps with the first, in its fixed order, that can move; the network
+trains in a workspace allocated once per call (a flat parameter vector with
+per-layer views, a gradient vector laid out alike, per-layer activation,
+delta and scratch buffers) that every operation writes in place.  Both give
+the bits of the pair-by-pair loop and per-array network they replaced.
+
 Models serialize to JSON so a trained predictor can be reloaded bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,33 +207,41 @@ class BinarySvm:
 
 def _smo(x, y, C, sigma, tol, max_sweeps):
     """Pairwise dual ascent; deterministic partner choice by largest |E_i-E_j|
-    with an in-order fallback. Returns (alpha, b, kkt_residual)."""
+    with an in-order fallback, judged for all partners at once. Returns
+    (alpha, b, kkt_residual)."""
     n = len(y)
     K = rbf_kernel(x, x, sigma)
+    k_diag = K.diagonal().copy()
     alpha = np.zeros(n)
     b = 0.0
     E = -y.astype(float)  # decision minus target, all-zero model
 
-    def try_pair(i, j):
+    def step(i, order):
+        """Pair i with the first partner in order that passes the four tests
+        (j != i, a box of width >= 1e-12, curvature eta > 1e-12, a clipped
+        move >= 1e-12), all judged in one array pass with the scalar
+        expressions in the scalar order; False when no partner passes."""
         nonlocal b, E
-        if i == j:
+        same = y == y[i]
+        plus = alpha[i] + alpha
+        L = np.where(same, np.maximum(0.0, plus - C),
+                     np.maximum(0.0, alpha - alpha[i]))
+        H = np.where(same, np.minimum(C, plus),
+                     np.minimum(C, C + alpha - alpha[i]))
+        eta = K[i, i] + k_diag - 2.0 * K[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # eta <= 1e-12 (j = i included) fails the test below anyway
+            aj = alpha + y * (E[i] - E) / eta
+        aj = np.minimum(H, np.maximum(L, aj))
+        dj = aj - alpha
+        ok = (H - L >= 1e-12) & (eta > 1e-12) & (np.abs(dj) >= 1e-12)
+        ok[i] = False
+        ok = ok[order]
+        first = int(np.argmax(ok))
+        if not ok[first]:
             return False
-        if y[i] != y[j]:
-            L = max(0.0, alpha[j] - alpha[i])
-            H = min(C, C + alpha[j] - alpha[i])
-        else:
-            L = max(0.0, alpha[i] + alpha[j] - C)
-            H = min(C, alpha[i] + alpha[j])
-        if H - L < 1e-12:
-            return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 1e-12:
-            return False
-        aj = alpha[j] + y[j] * (E[i] - E[j]) / eta
-        aj = min(H, max(L, aj))
-        dj = aj - alpha[j]
-        if abs(dj) < 1e-12:
-            return False
+        j = int(order[first])
+        aj, dj = aj[j], dj[j]
         ai = alpha[i] - y[i] * y[j] * dj
         di = ai - alpha[i]
         b1 = b - E[i] - y[i] * di * K[i, i] - y[j] * dj * K[i, j]
@@ -257,7 +273,7 @@ def _smo(x, y, C, sigma, tol, max_sweeps):
             if (r < -tol and alpha[i] < C - 1e-9) or (r > tol and alpha[i] > 1e-9):
                 violations += 1
                 order = np.argsort(-np.abs(E - E[i]), kind="stable")
-                if any(try_pair(i, int(j)) for j in order):
+                if step(i, order):
                     progressed += 1
         if violations == 0:
             return alpha, b, residual()
@@ -326,9 +342,9 @@ def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
 # -- feed-forward network -----------------------------------------------------
 
 def _sigmoid(z):
-    """Logistic function of z, computed in place in z (a fresh array) and
-    returned: clip, negate, exp, add 1 and reciprocal round exactly as
-    1 / (1 + exp(-clip(z, -500, 500))) does."""
+    """Logistic function of z, computed in place in z (an array the caller
+    owns) and returned: clip, negate, exp, add 1 and reciprocal round exactly
+    as 1 / (1 + exp(-clip(z, -500, 500))) does."""
     np.maximum(z, -500.0, out=z)
     np.minimum(z, 500.0, out=z)
     np.negative(z, out=z)
@@ -366,23 +382,65 @@ class MlpModel:
         return np.asarray([[float(col[v])] for v in labels])
 
 
-def _mlp_loss_and_grads(model: MlpModel, features, targets):
-    acts = model.forward(features)
-    err = acts[-1] - targets
-    loss = 0.5 * float(np.sum(err * err))
-    delta = err * acts[-1]
-    delta *= 1.0 - acts[-1]
-    grads_w, grads_b = [], []
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w.append(delta.T @ acts[layer])
-        grads_b.append(delta.sum(axis=0))
-        if layer > 0:
-            delta = delta @ model.weights[layer]
-            delta *= acts[layer]
-            delta *= 1.0 - acts[layer]
-    grads_w.reverse()
-    grads_b.reverse()
-    return loss, grads_w, grads_b
+class _MlpWorkspace:
+    """Every array one full-batch loss-and-gradient pass touches, allocated
+    once for a network and a feature matrix.
+
+    flat holds the parameters layer by layer, weights then biases, and
+    weights/biases are views into it; grad is laid out the same way, with
+    gw/gb its views.  acts[k + 1], deltas[k] and scratch[k] have shape
+    (rows, layout[k + 1]); acts[0] is the feature matrix itself."""
+
+    def __init__(self, model: MlpModel, features):
+        params = [p for pair in zip(model.weights, model.biases) for p in pair]
+        self.flat = np.empty(sum(p.size for p in params))
+        self.grad = np.empty_like(self.flat)
+        views, grads = [], []
+        at = 0
+        for p in params:
+            span = slice(at, at + p.size)
+            at += p.size
+            views.append(self.flat[span].reshape(p.shape))
+            grads.append(self.grad[span].reshape(p.shape))
+            views[-1][...] = p
+        self.weights, self.biases = views[0::2], views[1::2]
+        self.gw, self.gb = grads[0::2], grads[1::2]
+        x = np.atleast_2d(np.asarray(features, dtype=float))
+        widths = model.layout[1:]
+        self.acts = [x] + [np.empty((len(x), w)) for w in widths]
+        self.deltas = [np.empty((len(x), w)) for w in widths]
+        self.scratch = [np.empty((len(x), w)) for w in widths]
+
+    def loss(self, targets) -> float:
+        """Forward pass and half the summed squared error; the output error
+        stays in scratch[-1] for the backward pass."""
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(self.acts[k], w.T, out=self.acts[k + 1])
+            z += b
+            _sigmoid(z)
+        err, sq = self.scratch[-1], self.deltas[-1]
+        np.subtract(self.acts[-1], targets, out=err)
+        np.multiply(err, err, out=sq)
+        # np.add.reduce is np.sum without its Python wrapper: same reduction
+        return 0.5 * float(np.add.reduce(sq, axis=None))
+
+    def loss_and_grads(self, targets) -> float:
+        """loss(targets), with its gradient written into grad."""
+        loss = self.loss(targets)
+        out = self.acts[-1]
+        delta = np.multiply(self.scratch[-1], out, out=self.deltas[-1])
+        delta *= np.subtract(1.0, out, out=self.scratch[-1])
+        for layer in range(len(self.weights) - 1, -1, -1):
+            np.matmul(delta.T, self.acts[layer], out=self.gw[layer])
+            # a sequential axis-0 sum; a ones-vector product rounds otherwise
+            np.add.reduce(delta, axis=0, out=self.gb[layer])
+            if layer > 0:
+                act = self.acts[layer]
+                delta = np.matmul(delta, self.weights[layer],
+                                  out=self.deltas[layer - 1])
+                delta *= act
+                delta *= np.subtract(1.0, act, out=self.scratch[layer - 1])
+        return loss
 
 
 def mlp_init(layout, classes, seed: int) -> MlpModel:
@@ -411,48 +469,45 @@ def mlp_train(train: Dataset, layout, seed: int, epochs: int,
             f"layout {layout} does not match {train.d} inputs / 1 output")
     model = mlp_init(layout, classes, seed)
     targets = model.targets_for(train.labels)
-    loss, gw, gb = _mlp_loss_and_grads(model, train.features, targets)
-    model.loss_history.append(loss)
-    params = model.weights + model.biases  # updated in place
+    ws = _MlpWorkspace(model, train.features)
+    step = np.empty_like(ws.flat)
+    model.loss_history.append(ws.loss_and_grads(targets))
     # non-finite states are detected explicitly below, so silence the
     # intermediate overflow/NaN warnings they would spray
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
-            for p, g in zip(params, gw + gb):
-                p -= lr * g
-            loss, gw, gb = _mlp_loss_and_grads(model, train.features, targets)
-            if not (np.isfinite(loss) and all(np.isfinite(p).all() for p in params)):
+            np.multiply(ws.grad, lr, out=step)
+            ws.flat -= step
+            loss = ws.loss_and_grads(targets)
+            if not (math.isfinite(loss) and np.isfinite(ws.flat).all()):
                 raise DivergenceError(f"training diverged at epoch {epoch}")
             model.loss_history.append(loss)
+    model.weights = [w.copy() for w in ws.weights]
+    model.biases = [b.copy() for b in ws.biases]
     return model
 
 
 def gradient_check(model: MlpModel, features, labels, h: float = 1e-5) -> float:
     """Max relative gap between backprop and central finite differences."""
     targets = model.targets_for(labels)
-    _, gw, gb = _mlp_loss_and_grads(model, features, targets)
+    ws = _MlpWorkspace(model, features)
+    ws.loss_and_grads(targets)
+    analytic = ws.grad.copy()
+    flat = ws.flat
     worst = 0.0
-
-    def probe(array, analytic):
-        nonlocal worst
-        flat = array.ravel()
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + h
-            up = _mlp_loss_and_grads(model, features, targets)[0]
-            flat[idx] = keep - h
-            dn = _mlp_loss_and_grads(model, features, targets)[0]
-            flat[idx] = keep
-            numeric = (up - dn) / (2.0 * h)
-            a = analytic.ravel()[idx]
-            scale = abs(a) + abs(numeric)
-            # absolute gap when both vanish, relative otherwise
-            gap = abs(a - numeric) / (scale if scale > 1e-8 else 1.0)
-            worst = max(worst, gap)
-
-    for layer in range(len(model.weights)):
-        probe(model.weights[layer], gw[layer])
-        probe(model.biases[layer], gb[layer])
+    for idx in range(flat.size):
+        keep = flat[idx]
+        flat[idx] = keep + h
+        up = ws.loss(targets)
+        flat[idx] = keep - h
+        dn = ws.loss(targets)
+        flat[idx] = keep
+        numeric = (up - dn) / (2.0 * h)
+        a = analytic[idx]
+        scale = abs(a) + abs(numeric)
+        # absolute gap when both vanish, relative otherwise
+        gap = abs(a - numeric) / (scale if scale > 1e-8 else 1.0)
+        worst = max(worst, gap)
     return worst
 
 

@@ -330,19 +330,23 @@ def _csv_bytes(out):
 
 
 def test_c10_byte_identical_reruns(tmp_path):
+    # each study's CSVs, plus the files named beside it
     runs = (
-        ("fault-lab", ["--seed", "4"]),
-        ("lightning", ["--n", "800", "--seed", "1"]),
-        ("dist", ["--case", "B1", "--runs", "200", "--seed", "2"]),
-        ("stability", ["--sweep"]),
-        ("ml", ["--epochs", "200"]),
+        ("fault-lab", ["--seed", "4"], ()),
+        ("lightning", ["--n", "800", "--seed", "1"], ()),
+        ("dist", ["--case", "B1", "--runs", "200", "--seed", "2"], ()),
+        ("stability", ["--sweep"], ()),
+        ("ml", ["--epochs", "200"],
+         ("svm.json", "mlp.json", "mlp_small.json", "summary.txt")),
     )
-    for study, extra in runs:
+    for study, extra, also in runs:
         first, second = tmp_path / f"{study}-1", tmp_path / f"{study}-2"
         for out in (first, second):
             assert cli_main([study, *extra, "--out", str(out)]) == 0
         a, b = _csv_bytes(first), _csv_bytes(second)
         assert a and a == b, study
+        for name in also:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     # thread count changes neither the rows nor the aggregates
     one, two = tmp_path / "thr-1", tmp_path / "thr-2"

@@ -599,8 +599,34 @@ def test_first_failing_run_raises_its_oracle_error(first_bad):
         errors.append(info.value)
     assert trace_hex(errors[0]) != trace_hex(errors[1])
     with pytest.raises(ds.ConvergenceError) as info:
+        ds.solve_lockstep(feeder, np.array(kw), np.zeros(len(kw)))
+    assert_same_error(info.value, errors[0])
+    if math.isnan(first_bad[0]):
+        # the table check refuses a NaN kW before any solve
+        with pytest.raises(ValueError, match=r"run 3, load 'load1': kW must be finite"):
+            ds.run_monte_carlo(feeder, 8, mode="external", table=table)
+        return
+    with pytest.raises(ds.ConvergenceError) as info:
         ds.run_monte_carlo(feeder, 8, mode="external", table=table)
     assert_same_error(info.value, errors[0])
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF, -1.0, -1e-300])
+def test_pre_read_table_rejects_bad_kw_before_solving(bad, monkeypatch):
+    feeder = ds.build_case("B1")
+    names = [ld.name for ld in feeder.loads]
+    table = [dict.fromkeys(names, 10.0) for _ in range(4)]
+    table[2][names[1]] = bad
+    table = tuple(table)
+
+    def no_solve(*args):
+        raise AssertionError("solved a table that fails its check")
+    monkeypatch.setattr(ds, "solve_lockstep", no_solve)
+    with pytest.raises(ValueError, match=rf"run 2, load {names[1]!r}: kW must be"):
+        ds.run_monte_carlo(feeder, 4, mode="external", table=table)
+    # runs past the request are not the run's concern
+    with pytest.raises(AssertionError, match="solved"):
+        ds.run_monte_carlo(feeder, 2, mode="external", table=table)
 
 
 def test_first_failing_hour_raises_its_oracle_error():

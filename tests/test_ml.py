@@ -9,6 +9,8 @@ Oracles in play:
      XOR trainability result
   4. round-trip identities: split partitions, scaler bijectivity, JSON
      save/load preserving predictions exactly
+  5. the SMO partner scan and the MLP training workspace against the
+     pair-by-pair loop and the per-array network they replaced, bit for bit
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from gridstudies.ml import (
     KnnModel,
     MinMaxScaler,
     DivergenceError as _,  # noqa: F401  (re-exported name sanity)
+    _smo,
     evaluate,
     gradient_check,
     knn_fit,
@@ -30,6 +33,7 @@ from gridstudies.ml import (
     mlp_init,
     mlp_train,
     one_hot,
+    rbf_kernel,
     save_model,
     split,
     svm_train,
@@ -274,6 +278,249 @@ def test_gradient_check_degrades_with_h():
     errs = [gradient_check(model, features, labels, h=h)
             for h in (1e-5, 1e-3, 1e-2)]
     assert errs[0] <= errs[1] <= errs[2]
+
+
+# -- learners against their scalar oracles ----------------------------------------
+#
+# _smo judges every partner of a violating i in one array pass, and the
+# network trains in one preallocated workspace.  The oracles below are the
+# pair-by-pair loop and the per-array network they replaced; both must give
+# the same bits.
+
+def smo_oracle(x, y, C, sigma, tol, max_sweeps):
+    """Pair-by-pair dual ascent: each partner in order is tried alone."""
+    n = len(y)
+    K = rbf_kernel(x, x, sigma)
+    alpha = np.zeros(n)
+    b = 0.0
+    E = -y.astype(float)
+
+    def try_pair(i, j):
+        nonlocal b, E
+        if i == j:
+            return False
+        if y[i] != y[j]:
+            L = max(0.0, alpha[j] - alpha[i])
+            H = min(C, C + alpha[j] - alpha[i])
+        else:
+            L = max(0.0, alpha[i] + alpha[j] - C)
+            H = min(C, alpha[i] + alpha[j])
+        if H - L < 1e-12:
+            return False
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta <= 1e-12:
+            return False
+        aj = alpha[j] + y[j] * (E[i] - E[j]) / eta
+        aj = min(H, max(L, aj))
+        dj = aj - alpha[j]
+        if abs(dj) < 1e-12:
+            return False
+        ai = alpha[i] - y[i] * y[j] * dj
+        di = ai - alpha[i]
+        b1 = b - E[i] - y[i] * di * K[i, i] - y[j] * dj * K[i, j]
+        b2 = b - E[j] - y[i] * di * K[i, j] - y[j] * dj * K[j, j]
+        if 0.0 < ai < C:
+            nb = b1
+        elif 0.0 < aj < C:
+            nb = b2
+        else:
+            nb = 0.5 * (b1 + b2)
+        E += y[i] * di * K[i] + y[j] * dj * K[j] + (nb - b)
+        alpha[i], alpha[j] = ai, aj
+        b = nb
+        return True
+
+    def residual():
+        r = y * E
+        lower = np.where(alpha < C - 1e-9, np.maximum(0.0, -r), 0.0)
+        upper = np.where(alpha > 1e-9, np.maximum(0.0, r), 0.0)
+        return float(np.max(np.maximum(lower, upper))) if n else 0.0
+
+    for _sweep in range(max_sweeps):
+        violations = 0
+        progressed = 0
+        for i in range(n):
+            r = y[i] * E[i]
+            if (r < -tol and alpha[i] < C - 1e-9) or (r > tol and alpha[i] > 1e-9):
+                violations += 1
+                order = np.argsort(-np.abs(E - E[i]), kind="stable")
+                if any(try_pair(i, int(j)) for j in order):
+                    progressed += 1
+        if violations == 0:
+            return alpha, b, residual()
+        if progressed == 0:
+            break
+    res = residual()
+    if res <= tol:
+        return alpha, b, res
+    raise ConvergenceError(
+        f"pair optimizer stopped with KKT residual {res:.3e} "
+        f"(tolerance {tol}) after {max_sweeps} sweeps")
+
+
+def smo_outcome(solver, x, y, C, sigma):
+    """(alpha, b, residual) bytes, or the ConvergenceError message."""
+    try:
+        alpha, b, res = solver(x, y, C, sigma, 1e-3, 200)
+    except ConvergenceError as exc:
+        return str(exc)
+    return alpha.tobytes(), np.float64(b).tobytes(), np.float64(res).tobytes()
+
+
+def assert_smo_matches_oracle(data, C, sigma="auto"):
+    """Every class pair svm_train would solve, scan against oracle."""
+    if sigma == "auto":
+        sigma = median_pairwise_distance(data.features)
+    classes = sorted(set(data.labels.tolist()))
+    outcomes = []
+    for a, neg in enumerate(classes):
+        for pos in classes[a + 1:]:
+            mask = (data.labels == neg) | (data.labels == pos)
+            x = data.features[mask]
+            y = np.where(data.labels[mask] == pos, 1.0, -1.0)
+            outcome = smo_outcome(_smo, x, y, C, sigma)
+            assert outcome == smo_outcome(smo_oracle, x, y, C, sigma), (neg, pos)
+            outcomes.append(outcome)
+    return outcomes
+
+
+def scaled_split(data, seed, fraction=0.5):
+    """The training side of `ml`'s split, min-max scaled as `ml` scales it."""
+    train, _ = split(data, fraction, seed)
+    scaler = MinMaxScaler().fit(train.features)
+    return Dataset(scaler.transform(train.features), train.labels)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 11])
+def test_smo_scan_matches_pairwise_oracle_on_stability_grid(stability_grid, seed):
+    from gridstudies.stability import sweep_to_dataset
+
+    train = scaled_split(sweep_to_dataset(stability_grid), seed)
+    for C in (1.0, 10.0, 100.0):
+        (outcome,) = assert_smo_matches_oracle(train, C)
+        if (seed, C) == (1, 100.0):
+            # the optimizer gives up here; the scan must say so alike
+            assert outcome.startswith("pair optimizer stopped")
+
+
+def test_smo_scan_matches_pairwise_oracle_on_small_sets():
+    assert_smo_matches_oracle(XOR, 10.0, sigma=0.7)
+    assert_smo_matches_oracle(blob_dataset(), 1.0)
+    assert_smo_matches_oracle(blob_dataset(seed=9), 1.0)
+    three = blob_dataset(n_per=20, centers=((0, 0), (6, 0), (0, 6)), seed=13)
+    assert len(assert_smo_matches_oracle(three, 1.0)) == 3
+
+
+def oracle_loss_and_grads(model, features, targets):
+    """Loss and gradients with fresh arrays for every intermediate."""
+    acts = model.forward(features)
+    err = acts[-1] - targets
+    loss = 0.5 * float(np.sum(err * err))
+    delta = err * acts[-1]
+    delta *= 1.0 - acts[-1]
+    grads_w, grads_b = [], []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w.append(delta.T @ acts[layer])
+        grads_b.append(delta.sum(axis=0))
+        if layer > 0:
+            delta = delta @ model.weights[layer]
+            delta *= acts[layer]
+            delta *= 1.0 - acts[layer]
+    grads_w.reverse()
+    grads_b.reverse()
+    return loss, grads_w, grads_b
+
+
+def oracle_mlp_train(train, layout, seed, epochs, lr):
+    model = mlp_init(layout, sorted(set(train.labels.tolist())), seed)
+    targets = model.targets_for(train.labels)
+    loss, gw, gb = oracle_loss_and_grads(model, train.features, targets)
+    model.loss_history.append(loss)
+    params = model.weights + model.biases
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            for p, g in zip(params, gw + gb):
+                p -= lr * g
+            loss, gw, gb = oracle_loss_and_grads(model, train.features, targets)
+            if not (np.isfinite(loss) and all(np.isfinite(p).all() for p in params)):
+                raise DivergenceError(f"training diverged at epoch {epoch}")
+            model.loss_history.append(loss)
+    return model
+
+
+def oracle_gradient_check(model, features, labels, h=1e-5):
+    targets = model.targets_for(labels)
+    _, gw, gb = oracle_loss_and_grads(model, features, targets)
+    worst = 0.0
+    for params, grads in zip(model.weights + model.biases, gw + gb):
+        flat = params.ravel()
+        for idx in range(flat.size):
+            keep = flat[idx]
+            flat[idx] = keep + h
+            up = oracle_loss_and_grads(model, features, targets)[0]
+            flat[idx] = keep - h
+            dn = oracle_loss_and_grads(model, features, targets)[0]
+            flat[idx] = keep
+            numeric = (up - dn) / (2.0 * h)
+            a = grads.ravel()[idx]
+            scale = abs(a) + abs(numeric)
+            worst = max(worst, abs(a - numeric) / (scale if scale > 1e-8 else 1.0))
+    return worst
+
+
+def assert_same_network(train, layout, seed, epochs, lr):
+    model = mlp_train(train, layout, seed=seed, epochs=epochs, lr=lr)
+    oracle = oracle_mlp_train(train, layout, seed, epochs, lr)
+    assert np.asarray(model.loss_history).tobytes() == \
+        np.asarray(oracle.loss_history).tobytes()
+    assert len(model.loss_history) == epochs + 1
+    for mine, theirs in zip(model.weights + model.biases,
+                            oracle.weights + oracle.biases):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        assert mine.flags.owndata  # plain arrays, not views of the workspace
+
+
+def test_mlp_workspace_matches_per_array_oracle_on_stability_grid(stability_grid):
+    from gridstudies.stability import sweep_to_dataset
+
+    train = scaled_split(sweep_to_dataset(stability_grid), 7)
+    for layout in ((2, 8, 8, 1), (2, 1, 1)):
+        assert_same_network(train, layout, seed=8, epochs=2000, lr=1.0)
+    fresh = mlp_init((2, 8, 8, 1), classes=(0, 1), seed=8)
+    got = gradient_check(fresh, train.features[:10], train.labels[:10])
+    assert got == oracle_gradient_check(fresh, train.features[:10],
+                                        train.labels[:10])
+
+
+def test_mlp_workspace_matches_per_array_oracle_on_xor():
+    assert_same_network(XOR, (2, 2, 1), seed=4, epochs=5000, lr=0.5)
+    assert_same_network(XOR, (2, 3, 1), seed=99, epochs=0, lr=0.1)
+    assert_same_network(XOR, (2, 4, 1), seed=1, epochs=500, lr=0.5)
+
+
+def test_gradient_check_matches_per_array_oracle():
+    rng = np.random.default_rng(17)
+    features = rng.uniform(0, 1, size=(10, 2))
+    labels = np.asarray(rng.integers(0, 2, size=10))
+    for layout, seed in (((2, 3, 1), 3), ((2, 4, 3, 1), 5)):
+        model = mlp_init(layout, classes=[0, 1], seed=seed)
+        before = [p.copy() for p in model.weights + model.biases]
+        for h in (1e-5, 1e-2):
+            assert gradient_check(model, features, labels, h=h) == \
+                oracle_gradient_check(model, features, labels, h=h)
+        # the probe perturbs its own copy of the parameters
+        for p, q in zip(model.weights + model.biases, before):
+            assert p.tobytes() == q.tobytes()
+
+
+def test_mlp_divergence_epoch_matches_per_array_oracle():
+    data = blob_dataset(n_per=200)
+    messages = []
+    for train in (mlp_train, oracle_mlp_train):
+        with pytest.raises(DivergenceError) as info:
+            train(data, (2, 2, 1), 0, 50, 1e308)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "training diverged at epoch 1"
 
 
 # -- persistence ------------------------------------------------------------------
