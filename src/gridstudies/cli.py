@@ -397,21 +397,21 @@ def _run_ml(cfg, out, man):
     if len(np.unique(train.labels)) < 2:
         raise ConfigError(f"split must leave both verdicts in the {train.n}-row "
                           f"training side, got {cfg['split']!r}")
-    path = os.path.join(out, "dataset.csv")
-    stability.write_sweep_csv(rows, path)
-    man.add_output(path)
-
     scaler = ml.MinMaxScaler().fit(train.features)
     tr = ml.Dataset(scaler.transform(train.features), train.labels,
                     dataset.feature_names, dataset.label_name)
     te = ml.Dataset(scaler.transform(test.features), test.labels,
                     dataset.feature_names, dataset.label_name)
 
+    # train before writing, so an optimizer that gives up leaves no file
     svm_model = ml.svm_train(tr, C=cfg["svm_c"])
     big = ml.mlp_train(tr, (2, 8, 8, 1), seed=cfg["mlp_seed"],
                        epochs=cfg["epochs"], lr=cfg["lr"])
     small = ml.mlp_train(tr, (2, 1, 1), seed=cfg["mlp_seed"],
                          epochs=cfg["epochs"], lr=cfg["lr"])
+    path = os.path.join(out, "dataset.csv")
+    stability.write_sweep_csv(rows, path)
+    man.add_output(path)
     for name, model in (("svm.json", svm_model), ("mlp.json", big),
                         ("mlp_small.json", small)):
         path = os.path.join(out, name)

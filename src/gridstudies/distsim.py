@@ -288,7 +288,9 @@ def solve_snapshot(feeder, inputs=None):
     i_load = np.conj(s_va / v[1:])
     branch = np.cumsum(i_load[::-1])[::-1]
     line_s = v[:-1] * np.conj(branch) / 1e3
-    loss = np.abs(branch) ** 2 * z * 3.0 / 1e3
+    # np.hypot, as solve_lockstep takes it: np.abs of complex values rounds
+    # differently by array stride and SIMD level
+    loss = np.hypot(branch.real, branch.imag) ** 2 * z * 3.0 / 1e3
     return Snapshot(
         bus_voltage=tuple(v),
         line_power_kva=tuple(line_s),
@@ -392,8 +394,8 @@ def solve_lockstep(feeder, load_kw, injection_kw):
     i_load = np.conj(s_va / v_out[:, 1:])
     branch = np.cumsum(i_load[:, ::-1], axis=1)[:, ::-1]
     line_s = v_out[:, :-1] * np.conj(branch) / 1e3
-    # np.abs of solve_snapshot's reversed (negative-stride) branch takes
-    # numpy's scalar hypot, which np.hypot matches; a SIMD np.abs would not
+    # np.hypot, as solve_snapshot takes it: np.abs of complex values rounds
+    # differently by array stride and SIMD level
     loss = np.hypot(branch.real, branch.imag) ** 2 * z * 3.0 / 1e3
     return Flows(
         bus_voltage=v_out,

@@ -27,11 +27,13 @@ EmtSimulation.run ends for its network, with the same verdict.  It takes
 only networks whose G is diagonal (no resistor between two non-ground
 nodes, no L or C), so its solve multiplies each node by its G⁻¹ diagonal
 entry; its per-step arrays are node-major, one row per node across the
-batch.  It keeps the line histories of all its rows in one time-major
-ring, prefilled with each line's pre-history, so one gather per step reads
-every far end's samples.  run_lockstep takes a stream of assembled
-networks, groups them into batches by structure and returns each one's
-verdict in input order.
+batch.  A batch is made from one assembled network of the structure and
+takes its rows as column arrays (BatchRows), one column per row, so a
+caller that knows how its rows' values differ fills many rows from one
+template without assembling each; `batch_rows` reads an assembled
+network's own row.  It keeps the line histories of all its rows in one
+time-major ring, prefilled with each line's pre-history, so one gather
+per step reads every far end's samples.
 
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -426,8 +429,40 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
         sim._hist_idx, sim._ln_delay, sim._ln_zc, sim._fo_a, sim._fo_b)))
 
 
+class BatchRows(NamedTuple):
+    """The values of k rows of an EmtBatch, one column per row: each
+    field's last axis runs over the rows.  Node k is entry k of a node
+    array (ground is 0) and entry k - 1 of the G⁻¹ diagonal; line j's a and
+    b ends are line ends 2j and 2j + 1."""
+
+    node: np.ndarray       # (k,) node of the DoubleRampSource
+    ramp: np.ndarray       # (3, k) its peak, front time and half time
+    ginv_diag: np.ndarray  # (nodes - 1, k) diagonal of G⁻¹
+    inject: np.ndarray     # (nodes, k) constant injections
+    line_v0: np.ndarray    # (ends, k) line pre-history voltage per end
+    line_t0: np.ndarray    # (2 ends, k) t=0 [v; i] per end
+    strength: np.ndarray   # (switches, k) switch strengths
+
+
+def batch_rows(sim: EmtSimulation) -> BatchRows:
+    """An assembled, not yet stepped network's values as one row; copies,
+    so the row pins no G⁻¹ or line buffer of the simulation.  Raises
+    ValueError for a network a batch cannot step."""
+    _batch_structure(sim)
+    if sim.n != 0:
+        raise ValueError("a batch row starts from the initial state")
+    [(node, wave)] = sim._varying_inj
+    return BatchRows(
+        np.array([node]),
+        np.array([[wave.peak_amps], [wave.front_time_s], [wave.half_time_s]]),
+        np.diagonal(sim._ginv)[:, None].copy(), sim._base_inj[:, None].copy(),
+        sim._ln_v0[:, None].copy(),
+        np.concatenate([sim._buf_v[:, 0], sim._buf_i[:, 0]])[:, None],
+        sim._fo_strength[:, None].copy())
+
+
 class EmtBatch:
-    """Assembled networks of one structure, stepped in lock step.
+    """Rows of one network structure, stepped in lock step.
 
     The rows share node numbering, lines, switch nodes and the step; each
     keeps its own G⁻¹ diagonal, constant injections, line state, switch
@@ -441,10 +476,12 @@ class EmtBatch:
     are the same bits, up to the sign of a zero voltage.  The diagonal is
     finite and non-zero, so a row's voltages are non-finite on exactly the
     steps the dense product's are.  So a row ends on the step, and with
-    the verdict, that EmtSimulation.run reaches for its network.  `add`
-    keeps a row's values and no reference into its EmtSimulation, so the
-    caller can drop the simulation; `run` stacks the rows and changes
-    nothing, so a second call returns the same arrays.
+    the verdict, that EmtSimulation.run reaches for its network.
+
+    `like`, an assembled network, gives the structure; `extend` takes rows
+    as BatchRows columns and `add` one assembled network's row.  `run`
+    stacks the rows and changes nothing, so a second call returns the same
+    arrays.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row, and the line-end
@@ -468,20 +505,23 @@ class EmtBatch:
         self._ln_delay, self._ln_far = like._ln_delay, like._ln_far
         self._depth = int(like._ln_depth.max(initial=1))
         self._fo_a, self._fo_b = like._fo_a, like._fo_b
-        # per row: surge node, (peak, front time, half time), G⁻¹ diagonal,
-        # constant injections, line v0, t=0 [v; i] per end, switch strengths
-        self._rows = []
+        nodes, ends = like._base_inj.size, like._ln_ends.size
+        self._heights = (nodes - 1, nodes, ends, 2 * ends, like._fo_a.size)
+        self._blocks: list[BatchRows] = []
+
+    def extend(self, rows: BatchRows):
+        """Keep k more rows, given as column arrays."""
+        k = rows.node.shape[0]
+        if [c.shape for c in rows] != [(k,), (3, k),
+                                       *((h, k) for h in self._heights)]:
+            raise ValueError("rows do not match the batch's structure")
+        self._blocks.append(rows)
 
     def add(self, sim: EmtSimulation):
         """Keep an assembled, not yet stepped network's values as a row."""
-        if sim.n != 0 or _batch_structure(sim) != self._structure:
+        if _batch_structure(sim) != self._structure:
             raise ValueError("network does not match the batch's structure")
-        [(node, wave)] = sim._varying_inj
-        self._rows.append((
-            node, (wave.peak_amps, wave.front_time_s, wave.half_time_s),
-            np.diagonal(sim._ginv).copy(), sim._base_inj, sim._ln_v0,
-            np.concatenate([sim._buf_v[:, 0], sim._buf_i[:, 0]]),
-            sim._fo_strength))
+        self.extend(batch_rows(sim))
 
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
@@ -493,15 +533,15 @@ class EmtBatch:
             raise ValueError("t_end must be finite and positive")
         steps = int(math.ceil(t_end / self.dt - 1e-12))
         node, ramp, gdiag, base, ln_v0, ln_t0, strength = (
-            np.column_stack(col) for col in zip(*self._rows))
-        b, nodes = len(self._rows), base.shape[0]
+            np.concatenate(col, axis=-1) for col in zip(*self._blocks))
+        b, nodes = node.size, base.shape[0]
         ends, depth = self._ln_ends.size, self._depth
         rows = np.arange(b)
         surge = DoubleRampSource(*ramp[:, None])(
             (np.arange(1, steps + 1) * self.dt)[:, None])
         # the constant injections; each step sets the surge node's entry to
         # base + surge(t), as the scalar rhs[node] += fn(t) does
-        inject = node.ravel() * b + rows  # into base.ravel()
+        inject = node * b + rows  # into base.ravel()
         surged = base.ravel()[inject] + surge
         hist = (self._hist_idx[:, None] * b + rows).ravel()
         # per-end factors are spelled out to full (ends, b) arrays: against
@@ -575,39 +615,6 @@ class EmtBatch:
 
 # Rows per lock-step batch.  Memory, not speed, sets it: while its batch
 # runs, each row holds its columns of the line-history ring (about 75 kB in
-# a strike network); before that, an open row holds its own copy of its G⁻¹
-# diagonal (46 floats) and t=0 line-end samples, and its injections, line
-# v0 and switch strengths: a few hundred floats, and no G⁻¹ or line buffer.
-# Larger batches raise peak memory for little further gain.
+# a strike network).  Larger batches raise peak memory for little further
+# gain.
 REPLAY_BATCH = 32
-
-
-def run_lockstep(sims, t_end: float) -> list:
-    """Run a stream of assembled, not yet stepped networks to t_end in
-    lock step; None stands for a network that failed to assemble.
-
-    Networks of one structure (`_batch_structure`) share an open EmtBatch,
-    which runs when it holds REPLAY_BATCH rows; the part-filled ones run
-    after the stream ends.  Returns, in input order, each network's
-    (end step, finite) from EmtBatch.run, and (0, False) for a None."""
-    verdicts, open_batches = [], {}
-
-    def run(batch, rows):
-        for i, step, ok in zip(rows, *batch.run(t_end)):
-            verdicts[i] = int(step), bool(ok)
-
-    for i, sim in enumerate(sims):
-        verdicts.append((0, False))
-        if sim is None:
-            continue
-        key = _batch_structure(sim)
-        if key not in open_batches:
-            open_batches[key] = EmtBatch(sim), []
-        batch, rows = open_batches[key]
-        batch.add(sim)
-        rows.append(i)
-        if len(rows) == REPLAY_BATCH:
-            run(*open_batches.pop(key))
-    for batch, rows in open_batches.values():
-        run(batch, rows)
-    return verdicts

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .emt import DoubleRampSource, EmtNetwork, run_lockstep
+from .emt import (REPLAY_BATCH, BatchRows, DoubleRampSource, EmtBatch,
+                  EmtNetwork, batch_rows)
 from .report import write_csv
 
 LIGHT_SPEED_M_S = 299_792_458.0
@@ -349,6 +350,21 @@ class StudyConfig:
                                 / self.tower_base_radius_m) - 1.0)
 
 
+_PHASE_NAMES = {PHASE_A: "a", PHASE_C: "c"}
+
+
+def _phase_volts(angle_deg, config: StudyConfig) -> tuple:
+    """Instantaneous phase a, b and c voltages at a stroke's phase angle."""
+    v_peak = math.sqrt(2.0) * config.system_kv * 1e3 / math.sqrt(3.0)
+    return tuple(v_peak * math.cos(math.radians(angle_deg + shift))
+                 for shift in (0.0, -120.0, 120.0))
+
+
+def _tower_node(wire: int, k: int) -> str:
+    """The node a stroke to `wire` at tower k of a strike network strikes."""
+    return f"s{k}" if wire == SHIELD else f"p{_PHASE_NAMES.get(wire)}{k}"
+
+
 def build_strike_network(stroke: StrokeSample, impact: Impacts,
                          config: StudyConfig) -> EmtNetwork:
     """Assemble the traveling-wave network for one line stroke.
@@ -363,7 +379,7 @@ def build_strike_network(stroke: StrokeSample, impact: Impacts,
     wire, place, index = int(impact.wire), int(impact.place), int(impact.index)
     if wire == GROUND:
         raise ValueError("only line strokes get a network")
-    phase = {PHASE_A: "a", PHASE_C: "c"}.get(wire)
+    phase = _PHASE_NAMES.get(wire)
     split_span = index if place == SPAN else None
     geom = config.geometry
     ext = config.extension_towers
@@ -374,9 +390,7 @@ def build_strike_network(stroke: StrokeSample, impact: Impacts,
     z_shield = config.shield_surge_ohms
     z_phase = config.phase_surge_ohms
 
-    v_peak = math.sqrt(2.0) * config.system_kv * 1e3 / math.sqrt(3.0)
-    volts = {p: v_peak * math.cos(math.radians(stroke.angle_deg + shift))
-             for p, shift in (("a", 0.0), ("b", -120.0), ("c", 120.0))}
+    volts = dict(zip("abc", _phase_volts(stroke.angle_deg, config)))
 
     net = EmtNetwork()
     for k in range(total):
@@ -418,8 +432,7 @@ def build_strike_network(stroke: StrokeSample, impact: Impacts,
             net.add_flashover_switch(f"s{k}", f"p{p}{k}", stroke.strength_kv * 1e3)
 
     if inject is None:
-        k = ext + index
-        inject = f"s{k}" if wire == SHIELD else f"p{phase}{k}"
+        inject = _tower_node(wire, ext + index)
     front = stroke.front_us * 1e-6
     half = max(stroke.half_us * 1e-6, front * 1.001)
     net.add_current_source(inject, DoubleRampSource(-stroke.peak_ka * 1e3,
@@ -449,28 +462,118 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
     return EventResult()
 
 
+def _replay_batches(sample: StrokeSample, impacts: Impacts,
+                    config: StudyConfig):
+    """The lock-step batches of `replay_strokes`: yields (stroke indices,
+    template, BatchRows) per batch, with template and rows None for the
+    strokes of a structure whose network is singular.
+
+    Every tower stroke shares one structure, where only the struck node
+    differs; a span stroke's follows its wire and span.  Each structure's
+    network is built and assembled once, from its first stroke, and its
+    strokes run in stroke order, REPLAY_BATCH at a time.  A stroke changes
+    only values in the network, so its row is filled from the template and
+    the stroke's columns, each value formed as build_strike_network and
+    EmtSimulation form it:
+      - G⁻¹ diagonal: the template's, and at each tower foot 1 / G with G
+        stamped as 1 / footing, then 1 / Zc of the tower line;
+      - constant injections: the phase sources' Norton currents, the
+        phase voltage over the phase surge impedance;
+      - line pre-history and t=0 end voltages: the phase voltage on phase
+        conductor ends (with the split node of a struck phase span), 0 on
+        shield and tower ends; t=0 currents 0;
+      - switch strengths, ramp, and the struck node.
+    Every input check of build_strike_network runs first, over all
+    strokes: the first stroke that fails one is built alone, which raises
+    that check's ValueError before any batch steps."""
+    n = len(sample)
+    footing = sample.footing_ohm
+    strength = sample.strength_kv * 1e3
+    front = sample.front_us * 1e-6
+    half = sample.half_us * 1e-6
+    half = np.where(front * 1.001 > half, front * 1.001, half)  # Python's max
+    valid = ((0 < footing) & (footing < math.inf) & (0 < strength)
+             & (strength < math.inf) & (0 < front) & (front < half)
+             & ~np.isinf(sample.angle_deg))  # math.cos refuses an infinity
+    if not valid.all():
+        first = int(np.argmin(valid))
+        build_strike_network(sample[first], impacts[first], config)  # raises
+    ramp = np.stack([-sample.peak_ka * 1e3, front, half])
+    foot = 1.0 / (1.0 / footing + 1.0 / config.tower_surge_ohms)
+    volts = np.zeros((n, 4))  # 0 V, then the phase a, b and c voltages
+    volts[:, 1:] = np.array([_phase_volts(angle, config) for angle in
+                             sample.angle_deg.tolist()]).reshape(n, 3)
+
+    structures = {}
+    for i, codes in enumerate(zip(impacts.wire.tolist(), impacts.place.tolist(),
+                                  impacts.index.tolist())):
+        structures.setdefault(TOWER if codes[1] == TOWER else codes,
+                              []).append(i)
+    ext = config.extension_towers
+    towers = config.geometry.tower_count + 2 * ext
+
+    for key, strokes in structures.items():
+        first = strokes[0]
+        try:
+            template = build_strike_network(sample[first], impacts[first],
+                                            config).assemble(config.dt_s)
+        except np.linalg.LinAlgError:
+            yield np.array(strokes), None, None
+            continue
+        own, net = batch_rows(template), template.net
+        # per node: the column of `volts` it rests at
+        mid = {PHASE_A: 1, PHASE_C: 3}.get(int(impacts.wire[first]), 0)
+        rest = np.array([mid if name == "mid" else
+                         " abc".index(name[1]) if name[0] == "p" else 0
+                         for name in map(net.node_name,
+                                         range(own.inject.shape[0]))])
+        ends = rest[[end for line in net.lines
+                     for end in (line.node_a, line.node_b)]]
+        sources = [node for node, wave in net.current_sources
+                   if not callable(wave)]
+        feet = [net.require_node(f"g{k}") - 1 for k in range(towers)]
+        for start in range(0, len(strokes), REPLAY_BATCH):
+            rows = np.array(strokes[start:start + REPLAY_BATCH])
+            v = volts[rows]
+            if key == TOWER:
+                node = np.array([net.require_node(_tower_node(w, ext + k))
+                                 for w, k in zip(impacts.wire[rows].tolist(),
+                                                 impacts.index[rows].tolist())])
+            else:
+                node = np.repeat(own.node, rows.size)
+            ginv = np.repeat(own.ginv_diag, rows.size, axis=1)
+            ginv[feet] = foot[rows]
+            inject = np.zeros((own.inject.shape[0], rows.size))
+            inject[sources] = v[:, rest[sources]].T / config.phase_surge_ohms
+            line_v0 = v[:, ends].T
+            yield rows, template, BatchRows(
+                node, ramp[:, rows], ginv, inject, line_v0,
+                np.concatenate([line_v0, np.zeros_like(line_v0)]),
+                np.repeat(strength[None, rows], own.strength.shape[0], axis=0))
+
+
 def replay_strokes(sample: StrokeSample, impacts: Impacts,
                    config: StudyConfig) -> list:
     """Replay line strokes (rows of `sample`, with their `impacts`) in lock
     step; row i's EventResult equals simulate_event(sample[i], impacts[i],
     config), close time bit for bit.
 
-    Each stroke's network is built and assembled in turn and streamed to
-    emt.run_lockstep, which batches the networks that share a structure.
-    A stroke whose network is singular, or whose voltages are not finite
-    on some step, is failed alone."""
-    def assembled():
-        for i in range(len(sample)):
-            try:
-                sim = build_strike_network(sample[i], impacts[i],
-                                           config).assemble(config.dt_s)
-            except np.linalg.LinAlgError:
-                sim = None
-            yield sim
-
-    return [EventResult(flashover=True, close_time_s=step * config.dt_s)
-            if ok and step else EventResult(failed=not ok)
-            for step, ok in run_lockstep(assembled(), config.t_end_s)]
+    One network per structure is built and assembled, a template whose
+    values each stroke's batch row replaces (`_replay_batches`); no
+    per-stroke network is built.  A stroke whose voltages are not finite
+    on some step is failed alone; every stroke of a structure whose
+    template is singular is failed."""
+    results = [EventResult(failed=True)] * len(sample)
+    for rows, template, columns in _replay_batches(sample, impacts, config):
+        if template is None:
+            continue
+        batch = EmtBatch(template)
+        batch.extend(columns)
+        for i, step, ok in zip(rows.tolist(),
+                               *(a.tolist() for a in batch.run(config.t_end_s))):
+            results[i] = (EventResult(flashover=True, close_time_s=step * config.dt_s)
+                          if ok and step else EventResult(failed=not ok))
+    return results
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gridstudies import cli, report, stability
+from gridstudies import cli, ml, report, stability
 from gridstudies.cli import main
 
 
@@ -333,6 +333,22 @@ def test_one_class_training_split_exits_2(tmp_path, capsys, monkeypatch):
     assert os.listdir(out) == ["manifest.json"]
     man = read_manifest(out)
     assert "split must" in man["error"]
+    assert man["outputs"] == []
+
+
+@pytest.mark.parametrize("trainer", ["svm_train", "mlp_train"])
+def test_failed_training_writes_no_dataset(tmp_path, monkeypatch, trainer):
+    # every model trains before the first output is written, so an
+    # optimizer that gives up leaves only the manifest
+    def stall(*args, **kwargs):
+        raise ml.ConvergenceError("pair optimizer stopped")
+
+    monkeypatch.setattr(ml, trainer, stall)
+    out = tmp_path / "ml"
+    assert run("ml", "--epochs", 5, "--out", out) == 1
+    assert os.listdir(out) == ["manifest.json"]
+    man = read_manifest(out)
+    assert "pair optimizer stopped" in man["error"]
     assert man["outputs"] == []
 
 

@@ -19,7 +19,8 @@ import weakref
 import numpy as np
 import pytest
 
-from gridstudies.emt import DoubleRampSource, EmtBatch, EmtNetwork
+from gridstudies.emt import (BatchRows, DoubleRampSource, EmtBatch, EmtNetwork,
+                             batch_rows)
 
 DT = 1e-3
 
@@ -417,6 +418,31 @@ def test_batch_takes_one_structure():
         EmtBatch(coupled.assemble(DT))
     with pytest.raises(ValueError, match="diagonal"):
         batch.add(coupled.assemble(DT))
+
+
+def test_column_intake_runs_as_added_rows():
+    # the rows of several networks, given as one block of columns, run as
+    # the same networks added one by one; a block of the wrong height or a
+    # stepped network is refused
+    nets = [surge_network(f, p) for f, p in
+            ((10.0, -1e3), (1e4, -1e3), (100.0, math.nan), (30.0, -2e3))]
+    added = EmtBatch(nets[0].assemble(DT))
+    for net in nets:
+        added.add(net.assemble(DT))
+    rows = [batch_rows(net.assemble(DT)) for net in nets]
+    block = BatchRows(*(np.concatenate(col, axis=-1) for col in zip(*rows)))
+    taken = EmtBatch(nets[0].assemble(DT))
+    taken.extend(BatchRows(*(c[..., :1] for c in block)))
+    taken.extend(BatchRows(*(c[..., 1:] for c in block)))
+    with np.errstate(invalid="ignore"):
+        want, got = added.run(60 * DT), taken.run(60 * DT)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    with pytest.raises(ValueError, match="structure"):
+        taken.extend(block._replace(ginv_diag=block.ginv_diag[1:]))
+    stepped = nets[0].assemble(DT)
+    stepped.solve_step()
+    with pytest.raises(ValueError, match="initial state"):
+        batch_rows(stepped)
 
 
 def washout_network(peak, x_strength):

@@ -613,10 +613,10 @@ def test_every_strike_network_batches_with_a_diagonal_g(wire, place):
         assert np.count_nonzero(ginv - np.diag(np.diag(ginv))) == 0
 
 
-def test_a_full_batch_runs_mid_stream_as_simulate_event(monkeypatch):
-    # 39 tower strokes (one structure) between span strokes and a NaN peak:
-    # the first REPLAY_BATCH tower networks run while strokes are still
-    # being built, the rest after the stream ends
+def test_a_structure_over_replay_batch_runs_as_simulate_event(monkeypatch):
+    # 39 tower strokes (one structure) between span strokes of two
+    # structures and a NaN peak: one network is built per structure, and
+    # the tower rows run as a full batch and the remainder
     strokes = []
     for k in range(52):
         fields_ = dict(x_m=0.0, y_m=0.0, angle_deg=7.0 * k,
@@ -629,7 +629,7 @@ def test_a_full_batch_runs_mid_stream_as_simulate_event(monkeypatch):
                  if k % 4 == 3 else ((SHIELD, PHASE_C)[k % 2], TOWER, k % 5))
         strokes.append((fields_, codes))
     sample, impacts = _rows(strokes)
-    assert (impacts.place == TOWER).sum() > emt.REPLAY_BATCH
+    assert (impacts.place == TOWER).sum() == 39 > emt.REPLAY_BATCH
 
     built, runs = [], []
     build, run = lightning.build_strike_network, emt.EmtBatch.run
@@ -640,7 +640,7 @@ def test_a_full_batch_runs_mid_stream_as_simulate_event(monkeypatch):
 
     def counted_run(self, t_end):
         end, finite = run(self, t_end)
-        runs.append((len(end), len(built)))
+        runs.append(len(end))
         return end, finite
 
     monkeypatch.setattr(lightning, "build_strike_network", counted_build)
@@ -648,13 +648,92 @@ def test_a_full_batch_runs_mid_stream_as_simulate_event(monkeypatch):
     with np.errstate(invalid="ignore"):
         got = lightning.replay_strokes(sample, impacts, _SHORT)
     monkeypatch.undo()
-    assert runs[0][0] == emt.REPLAY_BATCH and runs[0][1] < len(sample)
+    # structures in order of their first stroke: tower, phase A span 3,
+    # shield span 3
+    assert len(built) == 3
+    assert runs == [emt.REPLAY_BATCH, 39 - emt.REPLAY_BATCH, 7, 6]
     with np.errstate(invalid="ignore"):
         want = [simulate_event(sample[i], impacts[i], _SHORT)
                 for i in range(len(sample))]
     assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
     assert got[21].failed and sum(r.failed for r in got) == 1
     assert 0 < sum(r.flashover for r in got) < len(got) - 1
+
+
+def _twice_every_code():
+    """_EVERY_CODE's strokes, then the same codes with other values, so
+    every structure has a row besides its template's; every third of those
+    has a half time under its front time, which the ramp raises to 1.001
+    times the front."""
+    again = [(dict(f, angle_deg=301.0 - 11.0 * k, footing_ohm=97.0 - 2.9 * k,
+                   strength_kv=650.0 + 17.0 * k, peak_ka=150.0 - 5.0 * k,
+                   front_us=0.7 + 0.3 * k,
+                   half_us=0.5 + 0.2 * k if k % 3 == 0 else 20.0 + 7.0 * k),
+               codes)
+             for k, (f, codes, _near) in enumerate(_EVERY_CODE)]
+    return _rows([(f, codes) for f, codes, _near in _EVERY_CODE] + again)
+
+
+def _study_line_strokes():
+    config = StudyConfig(n=2000, seed=1)
+    sample = sample_strokes(config.n, config.seed, config.geometry)
+    impacts = classify_impact(sample.x_m, sample.y_m, sample.peak_ka,
+                              config.geometry)
+    return sample[impacts.on_line], impacts[impacts.on_line]
+
+
+@pytest.mark.parametrize("strokes", [_twice_every_code, _study_line_strokes],
+                         ids=["every-code", "study"])
+def test_template_rows_match_each_assembled_network(strokes):
+    # every array a template fills for a row is the one EmtBatch.add takes
+    # from that stroke's own assembled network, bit for bit
+    config = StudyConfig(n=1)
+    sample, impacts = strokes()
+    seen = []
+    for rows, template, got in lightning._replay_batches(sample, impacts,
+                                                         config):
+        assert template is not None
+        for col, i in enumerate(rows.tolist()):
+            seen.append(i)
+            sim = build_strike_network(sample[i], impacts[i],
+                                       config).assemble(config.dt_s)
+            want = emt.batch_rows(sim)
+            for name, g, w in zip(want._fields, got, want):
+                assert g[..., col].dtype == w[..., 0].dtype, name
+                assert g[..., col].tobytes() == w[..., 0].tobytes(), (name, i)
+    assert sorted(seen) == list(range(len(sample)))
+    # one template per structure: the tower one, one per wire and span
+    codes = zip(impacts.wire.tolist(), impacts.place.tolist(),
+                impacts.index.tolist())
+    assert len({template for _rows, template, _cols in
+                lightning._replay_batches(sample, impacts, config)}) == len(
+        {TOWER if place == TOWER else (w, place, i) for w, place, i in codes})
+
+
+@pytest.mark.parametrize("bad", [
+    dict(footing_ohm=0.0), dict(footing_ohm=math.nan),
+    dict(footing_ohm=math.inf), dict(strength_kv=0.0),
+    dict(strength_kv=1e306),  # 1e309 V overflows to inf
+    dict(front_us=0.0), dict(front_us=math.nan),
+    dict(half_us=math.nan), dict(angle_deg=math.inf)],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_bad_stroke_values_raise_before_any_batch_steps(bad, monkeypatch):
+    # the stroke's own network build raises, with the same message, and no
+    # batch has stepped; a row before it and one after it are well formed
+    config = StudyConfig(n=1)
+    strokes = [(dict(_EVERY_CODE[k][0], **(bad if k == 16 else {})),
+                _EVERY_CODE[k][1]) for k in (0, 16, 20)]
+    sample, impacts = _rows(strokes)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+        build_strike_network(sample[1], impacts[1], config)
+
+    def stepped(*args):
+        raise AssertionError("a batch stepped")
+
+    monkeypatch.setattr(emt.EmtBatch, "run", stepped)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+        lightning.replay_strokes(sample, impacts, config)
+    assert str(got.value) == str(want.value)
 
 
 def test_infinite_peaks_in_a_batch_replay_as_simulate_event():
@@ -720,28 +799,28 @@ class TestStudy:
         with pytest.raises(ValueError, match="rounds to 0 years of exposure"):
             run_study(config)
 
-    def test_singular_network_fails_only_its_stroke(self, monkeypatch):
-        config = StudyConfig(n=300, seed=8)
+    def test_singular_template_fails_only_its_structure(self, monkeypatch):
+        config = StudyConfig(n=1000, seed=8)
         clean = run_study(config)
-        # a tower stroke, so its batch holds other strokes
-        target = clean.sample.x_m[np.flatnonzero(clean.impacts.place == TOWER)[1]]
         build = lightning.build_strike_network
 
-        def one_floating(stroke, impact, config):
-            if stroke.x_m != target:
+        def floating_towers(stroke, impact, config):
+            if int(impact.place) != TOWER:
                 return build(stroke, impact, config)
             net = EmtNetwork()  # two nodes with no path to ground
             net.add_current_source("a", 1.0)
             net.add_resistor("a", "b", 50.0)
             return net
 
-        monkeypatch.setattr(lightning, "build_strike_network", one_floating)
+        monkeypatch.setattr(lightning, "build_strike_network", floating_towers)
         res = run_study(config)
-        bad = res.sample.x_m == target
+        bad = res.impacts.place == TOWER
+        assert bad.sum() > emt.REPLAY_BATCH  # more than one batch fails
         assert res.failed[bad].all() and not res.flashover[bad].any()
         assert not res.failed[~bad].any()
         assert np.array_equal(res.flashover[~bad], clean.flashover[~bad])
-        assert res.counts.failures == 1
+        assert clean.flashover[~bad].any() and clean.flashover[bad].any()
+        assert res.counts.failures == bad.sum()
 
     def test_rate_uses_line_length(self):
         res = run_study(StudyConfig(n=400, seed=12))
