@@ -9,8 +9,10 @@ The pair optimizer judges all partners of a violating multiplier in one array
 pass and steps with the first, in its fixed order, that can move; the network
 trains in a workspace allocated once per call (a flat parameter vector with
 per-layer views, a gradient vector laid out alike, per-layer activation,
-delta and scratch buffers) that every operation writes in place.  Both give
-the bits of the pair-by-pair loop and per-array network they replaced.
+delta and scratch buffers) that every operation writes in place.  kNN takes
+the distances of a block of queries in one pass and one sort.  All three
+give the bits of the pair-by-pair loop, per-array network and per-query
+scan they replaced.
 
 Models serialize to JSON so a trained predictor can be reloaded bit-exactly.
 """
@@ -133,6 +135,9 @@ def evaluate(model, dataset: Dataset) -> Agreement:
 
 # -- k nearest neighbours -----------------------------------------------------
 
+KNN_BLOCK_BYTES = 1 << 18  # 0.25 MB of query-to-train differences at a time
+
+
 @dataclass
 class KnnModel:
     k: int
@@ -144,19 +149,33 @@ class KnnModel:
             raise ValueError(f"k={self.k} outside 1..{len(self.labels)}")
 
     def predict(self, features) -> np.ndarray:
+        x = np.asarray(features, dtype=float)
+        n_train, dim = self.features.shape
+        # query rows per block: one buffer of (rows, n_train, dim)
+        # differences, within KNN_BLOCK_BYTES, serves every block
+        block = max(1, min(len(x), KNN_BLOCK_BYTES // (8 * n_train * dim)))
+        buffer = np.empty((block, n_train, dim))
         out = []
-        for x in np.asarray(features, dtype=float):
-            diff = self.features - x
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            nearest = np.argsort(dist, kind="stable")[: self.k]
-            votes: dict = {}
-            for idx in nearest:
-                votes.setdefault(self.labels[idx], []).append(dist[idx])
-            # most votes, then smaller mean distance, then lower label
-            ranked = sorted(votes.items(), key=lambda kv: (
-                -len(kv[1]), float(np.mean(kv[1])), kv[0]))
-            out.append(ranked[0][0])
-        return np.asarray(out)
+        for start in range(0, len(x), block):
+            queries = x[start:start + block, None, :]
+            diff = np.subtract(self.features, queries, out=buffer[:len(queries)])
+            dist = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+            order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
+            near_dist = np.take_along_axis(dist, order, axis=1).tolist()
+            for labels, dists in zip(self.labels[order].tolist(), near_dist):
+                votes: dict = {}
+                for label, dist_k in zip(labels, dists):
+                    votes.setdefault(label, []).append(dist_k)
+                # most votes, then smaller mean distance, then lower label
+                ranked = sorted(votes.items(), key=lambda kv: (
+                    -len(kv[1]), _mean(kv[1]), kv[0]))
+                out.append(ranked[0][0])
+        return np.asarray(out, dtype=self.labels.dtype)
+
+
+def _mean(values: list[float]) -> float:
+    # np.mean of one value is that value; a single vote is the common case
+    return values[0] if len(values) == 1 else float(np.mean(values))
 
 
 def knn_fit(train: Dataset, k: int) -> KnnModel:

@@ -95,8 +95,12 @@ class FaultSpec:
     def __post_init__(self):
         if self.fault_type not in FAULT_CONNECTIONS:
             raise ValueError(f"unknown fault code {self.fault_type}; valid codes are 1..11")
-        if any(r < 0 for r in self.phase_resistances) or self.ground_resistance < 0:
-            raise ValueError("fault resistances must be >= 0")
+        if not all(math.isfinite(r) and r >= 0 for r in self.phase_resistances):
+            raise ValueError("phase_resistances must be finite and >= 0, "
+                             f"got {self.phase_resistances}")
+        if not (math.isfinite(self.ground_resistance) and self.ground_resistance >= 0):
+            raise ValueError("ground_resistance must be finite and >= 0, "
+                             f"got {self.ground_resistance}")
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Tests for the fault dataset builder.
 
-Covers four evidence groups: case enumeration and sampling, single-row
+Covers five evidence groups: case enumeration and sampling, single-row
 physics (per-unit conversion, bolted faults, an independently assembled
 dense-solve oracle for the healthy system, rotation symmetry, distance
-monotonicity), the CSV write round trip, and the
-nearest-neighbour pipeline properties.
+monotonicity), the lock-step dataset against `build_row` bit for bit and
+error for error, the CSV write round trip, and the nearest-neighbour
+pipeline properties.
 """
 
 import csv
@@ -15,7 +16,7 @@ import pytest
 
 from gridstudies import faultlab as fl
 from gridstudies.ml import evaluate, knn_fit
-from gridstudies.phasor import PHASES, solve_steady_state
+from gridstudies.phasor import PHASES, SingularNetworkError, solve_steady_state
 
 
 # -- cases --------------------------------------------------------------------
@@ -64,8 +65,9 @@ def test_case_validation():
         fl.FaultCase(20, 1)
     with pytest.raises(ValueError):
         fl.FaultCase(1, 12)
-    with pytest.raises(ValueError):
-        fl.FaultCase(1, 1, -0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="fault_resistance"):
+            fl.FaultCase(3, 9, bad)
 
 
 def test_codes_decode_uniquely():
@@ -169,6 +171,131 @@ def test_rotation_symmetry_without_skew():
 def test_faulted_phase_voltage_monotone_in_distance():
     va = [fl.build_row(fl.FaultCase(p, 9)).v_bus[0] for p in range(1, 20)]
     assert all(b >= a - 1e-12 for a, b in zip(va, va[1:]))
+
+
+# -- lock-step dataset against build_row ---------------------------------------
+
+def _row_bytes(row):
+    return np.array([*row.features(), row.distance_km, row.code]).tobytes()
+
+
+def _assert_rows_match_build_row(cases, config=None):
+    rows = fl.build_dataset(cases, config)
+    assert len(rows) == len(cases)
+    for case, row in zip(cases, rows):
+        assert _row_bytes(row) == _row_bytes(fl.build_row(case, config)), case
+
+
+def _mixed_cases(seed):
+    """Every (position, type), bolted on every third and at a random
+    resistance otherwise, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    cases = [fl.FaultCase(p, t, 0.0 if (p + t) % 3 == 0 else rng.uniform(0.0, 5.0))
+             for p in range(1, 20) for t in range(1, 12)]
+    return [cases[i] for i in rng.permutation(len(cases))]
+
+
+def test_lockstep_rows_match_build_row():
+    _assert_rows_match_build_row(fl.enumerate_train_cases())
+    for seed, r_max in ((1, 1.0), (2, 5.0), (7, 1.0)):
+        _assert_rows_match_build_row(fl.sample_test_cases(seed, r_max))
+    _assert_rows_match_build_row(_mixed_cases(3))
+    # another system: transposed line, stiffer source, lighter load
+    config = fl.CaseOneConfig(source_impedance=0.5 + 12.0j,
+                              load_impedance=5000.0 + 2000.0j)
+    config.line.mutual_skew = 0.0
+    _assert_rows_match_build_row(_mixed_cases(4), config)
+    assert fl.build_dataset([]) == []
+
+
+def test_one_stacked_solve_per_group(monkeypatch):
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def no_scalar_solve(net):
+        raise AssertionError("solve_steady_state called")
+
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(fl, "solve_steady_state", no_scalar_solve)
+    cases = fl.enumerate_train_cases() + fl.sample_test_cases(1, 1.0)
+    rows = fl.build_dataset(cases)
+    assert len(rows) == 418
+    # 11 fault types, each bolted (train) and resistive (test)
+    assert calls == {"inv": 1, "solve": 22}
+
+
+def test_singular_row_raises_the_oracle_error():
+    cases = fl.sample_test_cases(5, 1.0)
+    # a denormal resistance has an infinite admittance: the solution is NaN
+    cases[100] = fl.FaultCase(7, cases[101].fault_type, 5e-324)
+    with pytest.raises(SingularNetworkError) as oracle:
+        fl.build_row(cases[100])
+    with pytest.raises(SingularNetworkError) as got:
+        fl.build_dataset(cases)
+    assert str(got.value) == str(oracle.value) == \
+        "singular nodal matrix (solution is not finite)"
+
+
+def test_first_bad_case_in_case_order_raises():
+    config = fl.CaseOneConfig()
+    config.line.length_km = 50.0  # positions 10..19 no longer split the line
+    singular = fl.FaultCase(3, 2, 5e-324)
+    outside = fl.FaultCase(12, 1, 1.0)
+    good = [fl.FaultCase(p, t, 0.5) for p in (1, 5, 9) for t in (1, 2)]
+    with pytest.raises(SingularNetworkError):
+        fl.build_dataset(good + [singular, outside], config)
+    with pytest.raises(ValueError, match="must split the 50.0 km line"):
+        fl.build_dataset(good + [outside, singular], config)
+
+
+def test_singular_stacked_solve_falls_back_row_by_row(monkeypatch):
+    solve = np.linalg.solve
+
+    def stacked_fails(a, b):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", stacked_fails)
+    _assert_rows_match_build_row(_mixed_cases(5)[:40])
+
+
+def test_kcl_residual_checked_per_row(monkeypatch):
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        v = solve(a, b)
+        if np.ndim(a) == 3:
+            v[1::2] *= 1.0 + 1e-6  # every other row misses the 1e-9 residual
+        return v
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    _assert_rows_match_build_row(_mixed_cases(6)[:40])
+
+
+@pytest.mark.parametrize("stub", [
+    [("ground", complex(math.inf))],  # admittance 0: a zero row
+    [("ground", 1.0), ("load.A", -1.0)],  # a zero diagonal only
+])
+def test_isolated_node_named_as_in_the_oracle(monkeypatch, stub):
+    base = fl.base_network
+
+    def with_stub(config=None):
+        net = base(config)
+        for to_node, ohms in stub:
+            net.add_branch("stub", to_node, ohms)
+        return net
+
+    monkeypatch.setattr(fl, "base_network", with_stub)
+    with pytest.raises(SingularNetworkError, match="'stub' is isolated") as got:
+        fl.build_dataset(fl.enumerate_train_cases()[:5])
+    assert got.value.node == "stub"
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Oracles in play:
   1. kNN against an exhaustive plain-Python distance scan with the same
-     documented tie rule
+     documented tie rule, and the block predict against the per-row
+     predict it replaced, bit for bit
   2. SVM against capacity facts (RBF separates XOR, linear blobs are easy),
      KKT residuals, and permutation invariance of the fitted decision
   3. MLP gradients against central finite differences, plus the classical
@@ -16,6 +17,7 @@ Oracles in play:
 import numpy as np
 import pytest
 
+from gridstudies import faultlab, ml
 from gridstudies.ml import (
     Agreement,
     ConvergenceError,
@@ -134,6 +136,31 @@ def knn_oracle(train_x, train_y, x, k):
     return sorted(per_label.items(),
                   key=lambda kv: (-len(kv[1]), sum(kv[1]) / len(kv[1]), kv[0]))[0][0]
 
+def knn_rowwise(model, features):
+    # the per-row predict that the block predict replaced, kept as its oracle
+    out = []
+    for x in np.asarray(features, dtype=float):
+        diff = model.features - x
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        nearest = np.argsort(dist, kind="stable")[: model.k]
+        votes: dict = {}
+        for idx in nearest:
+            votes.setdefault(model.labels[idx], []).append(dist[idx])
+        ranked = sorted(votes.items(), key=lambda kv: (
+            -len(kv[1]), float(np.mean(kv[1])), kv[0]))
+        out.append(ranked[0][0])
+    return np.asarray(out)
+
+def assert_knn_matches_oracles(train, queries, ks):
+    for k in ks:
+        model = knn_fit(train, k)
+        got = model.predict(queries)
+        rowwise = knn_rowwise(model, queries)
+        assert got.dtype == rowwise.dtype
+        assert got.tobytes() == rowwise.tobytes(), k
+        assert got.tolist() == [knn_oracle(train.features, train.labels, q, k)
+                                for q in queries], k
+
 def test_knn_self_match():
     data = blob_dataset()
     model = knn_fit(data, k=1)
@@ -154,6 +181,38 @@ def test_knn_matches_exhaustive_oracle():
         for q in queries:
             assert model.predict(q[None, :])[0] == knn_oracle(
                 data.features, data.labels, q, k)
+
+def test_knn_ties_keep_the_vote_rule():
+    # around the origin: index 0 (label 9) and index 1 (label 2) at distance
+    # 1, label 4 at distances 1 and 3, label 6 twice at distance 2
+    train = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -3.0],
+                              [2.0, 0.0], [0.0, 2.0]]),
+                    np.array([9, 2, 4, 4, 6, 6]))
+    origin = np.zeros((1, 2))
+    # equal distances: the lower index is nearer, then the lower label wins
+    assert knn_fit(train, 1).predict(origin)[0] == 9
+    assert knn_fit(train, 2).predict(origin)[0] == 2
+    assert knn_fit(train, 3).predict(origin)[0] == 2
+    # two votes each for 4 (mean 2) and 6 (mean 2): equal means, lower label
+    assert knn_fit(train, 6).predict(origin)[0] == 4
+    queries = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, -1.0]])
+    assert_knn_matches_oracles(train, queries, range(1, 7))
+
+def test_knn_blocks_match_rowwise_oracle(monkeypatch):
+    data = blob_dataset(n_per=25, centers=((0, 0), (3, 3), (0, 3)), spread=1.5)
+    queries = np.random.default_rng(12).uniform(-2, 5, size=(37, 2))
+    # one query per block, a remainder block, and one block for all
+    for block_bytes in (1, 8 * 75 * 2 * 5, ml.KNN_BLOCK_BYTES):
+        monkeypatch.setattr(ml, "KNN_BLOCK_BYTES", block_bytes)
+        assert_knn_matches_oracles(data, queries, (1, 2, 3, 4, 7))
+
+def test_knn_blocks_match_oracles_on_fault_lab():
+    train = faultlab.rows_to_dataset(
+        faultlab.build_dataset(faultlab.enumerate_train_cases()))
+    for seed, r_max in ((1, 1.0), (2, 5.0)):
+        test = faultlab.rows_to_dataset(
+            faultlab.build_dataset(faultlab.sample_test_cases(seed, r_max)))
+        assert_knn_matches_oracles(train, test.features, range(1, 5))
 
 def test_knn_scale_invariance():
     data = blob_dataset(seed=5)

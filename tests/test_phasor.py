@@ -11,7 +11,8 @@ Proves:
     superposition and reciprocity to 1e-9, complex power balance to 1e-8
   Group 3 - faults
     bolted faults merge nodes exactly, every fault code stamps the right
-    branch set, code 12 rejected, fault application leaves the input intact,
+    branch set, code 12 and negative or non-finite resistances rejected,
+    fault application leaves the input intact,
     power balances under random codes, distances and bolted/resistive mixes
 """
 
@@ -291,6 +292,14 @@ def test_random_faults_balance_power(code, distance, phase_ohms, ground_ohms):
 def test_unknown_fault_code_rejected():
     with pytest.raises(ValueError):
         FaultSpec(12, 50.0)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+def test_bad_fault_resistance_named(bad):
+    with pytest.raises(ValueError, match="phase_resistances"):
+        FaultSpec(9, 50.0, (0.0, bad, 0.0))
+    with pytest.raises(ValueError, match="ground_resistance"):
+        FaultSpec(9, 50.0, ground_resistance=bad)
 
 
 def test_fault_distance_must_split_line():
