@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import write_csv
+from .report import write_columns
 
 SQRT3 = math.sqrt(3.0)
 PF_TOL = 1e-8  # largest voltage change of a converged pass, per unit
@@ -618,8 +618,10 @@ LOAD_TABLE_HEADER = ("run", "load", "kW")
 
 def write_load_table(path, rows):
     """rows: iterable of (run_index, load_name, kw)."""
-    write_csv(path, LOAD_TABLE_HEADER,
-              ((int(run), name, float(kw)) for run, name, kw in rows))
+    runs, names, kw = list(zip(*rows)) or ((), (), ())
+    write_columns(path, LOAD_TABLE_HEADER,
+                  [np.array(runs, dtype=np.int64), names,
+                   np.array(kw, dtype=float)])
 
 
 def read_load_table(path):
@@ -802,7 +804,6 @@ def write_mc_csv(result, path):
     header = ["run"]
     for name, _ in columns:
         header += [f"{name}_kW", f"{name}_kvar"]
-    write_csv(path, header,
-              ([run, *(part for _, col in columns
-                       for part in (float(col[run].real), float(col[run].imag)))]
-               for run in range(result.source_kva.shape[0])))
+    write_columns(path, header,
+                  [np.arange(result.source_kva.shape[0]),
+                   *(part for _, col in columns for part in (col.real, col.imag))])

@@ -35,7 +35,7 @@ from .phasor import (
     solve_steady_state,
 )
 from .nodal import merge_nodes
-from .report import write_csv
+from .report import write_columns
 
 VOLTAGE_BASE_V = 400e3 / math.sqrt(3)  # 230940.1076758503
 
@@ -135,8 +135,8 @@ def enumerate_train_cases() -> list[FaultCase]:
 def sample_test_cases(seed: int, r_max_ohms: float) -> list[FaultCase]:
     """209 cases with position/type uniform on the training grids and
     resistance uniform in [0, r_max)."""
-    if r_max_ohms <= 0:
-        raise ValueError("r_max must be > 0")
+    if not 0 < r_max_ohms < math.inf:
+        raise ValueError(f"r_max must be in (0, inf), got {r_max_ohms!r}")
     rng = np.random.default_rng(seed)
     n = POSITION_COUNT * TYPE_COUNT
     positions = rng.integers(1, POSITION_COUNT + 1, size=n)
@@ -372,9 +372,13 @@ class _Template:
 
 
 def write_dataset(rows: list[DatasetRow], path) -> None:
-    write_csv(path, DATASET_HEADER,
-              ([*map(float, row.features()), float(row.distance_km),
-                row.fault_type, row.code] for row in rows))
+    features = np.array([row.features() for row in rows],
+                        dtype=float).reshape(len(rows), 9)
+    codes = np.array([row.code for row in rows], dtype=np.int64)
+    write_columns(path, DATASET_HEADER,
+                  [*features.T,
+                   np.array([row.distance_km for row in rows], dtype=float),
+                   codes % 100, codes])
 
 
 def rows_to_dataset(rows: list[DatasetRow]) -> Dataset:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .emt import (REPLAY_BATCH, BatchRows, DoubleRampSource, EmtBatch,
                   EmtNetwork, batch_rows)
-from .report import write_csv
+from .report import write_columns
 
 LIGHT_SPEED_M_S = 299_792_458.0
 
@@ -692,11 +692,11 @@ def run_study(config: StudyConfig = StudyConfig()) -> StudyResult:
 def write_events_csv(path, result: StudyResult):
     """One row per stroke: waveshape, termination, and the verdict."""
     s, im = result.sample, result.impacts
-    write_csv(path, EVENTS_HEADER, zip(
-        s.angle_deg.tolist(), s.peak_ka.tolist(), s.front_us.tolist(),
-        s.half_us.tolist(), [WIRE_LABELS[w] for w in im.wire.tolist()],
+    write_columns(path, EVENTS_HEADER, [
+        s.angle_deg, s.peak_ka, s.front_us, s.half_us,
+        [WIRE_LABELS[w] for w in im.wire.tolist()],
         [PLACE_LABELS[p] for p in im.place.tolist()],
-        result.flashover.astype(int).tolist()))
+        result.flashover])
 
 
 # kept: the learning frame of test_ml.py's lightning-flashover tests

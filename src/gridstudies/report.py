@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 
@@ -83,14 +86,59 @@ def summary_block(pairs) -> list:
     return lines
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a study CSV: every float cell as repr(float(v)), which reads
-    back bit for bit; other cells as the csv module prints them."""
+# Rows formatted and written per block: enough that the per-block calls cost
+# little, few enough that a block's floats and text (about 40 kB for 15
+# columns) fit in memory the process already holds, which whole columns do not.
+BLOCK_ROWS = 32
+
+
+def _quoted(labels, alone: bool) -> dict:
+    """Each distinct label once through csv.writer: its cell text by label.
+    A lone empty field is quoted (csv's empty-row rule), so `alone` says
+    whether the table has one column."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    cells = {}
+    for label in dict.fromkeys(labels):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([label] if alone else [label, None])
+        cells[label] = buf.getvalue()[:-2 if alone else -3]
+    return cells
+
+
+def _cell_text(column, alone: bool):
+    """A function from a slice of the column to its cells as text."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        text = float.__repr__ if column.dtype.kind == "f" else int.__repr__
+        return lambda part: map(text, part.tolist())
+    cells = _quoted(column, alone)
+    return lambda part: map(cells.__getitem__, part)
+
+
+def write_columns(path, header, columns) -> None:
+    """Write a study CSV from equal-length columns, a block of rows at a time.
+
+    A float array prints each cell as repr(float(v)), which reads back bit
+    for bit; an integer or boolean array as the int; any other sequence is
+    a label column, each cell as csv.writer prints it.  Lines end in CR LF,
+    so the bytes are those of csv.writer given the same cells."""
+    if len(columns) != len(header):
+        raise ValueError(f"header names {len(header)} columns, "
+                         f"got {len(columns)}")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    texts = [_cell_text(column, len(columns) == 1) for column in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            cells = [text(column[start:stop])
+                     for column, text in zip(columns, texts)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
 
 def write_text(path, lines) -> None:

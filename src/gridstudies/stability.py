@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import write_csv
+from .report import write_columns
 
 
 class InfeasibleOperatingPoint(ValueError):
@@ -523,13 +523,15 @@ def sweep_to_dataset(rows: list[SweepRow]):
 
 def write_trace_csv(result: SimulationResult, path) -> None:
     tr = result.trace
-    write_csv(path, ["t", "delta_deg", "speed_dev", "Pe_pu"],
-              ((float(t), math.degrees(d), float(w), float(pe))
-               for t, d, w, pe in zip(tr.times, tr.delta_rad,
-                                      tr.speed_dev_pu, tr.pe_pu)))
+    # math.degrees per value, without a whole-column list
+    delta_deg = np.fromiter(map(math.degrees, tr.delta_rad), float,
+                            tr.delta_rad.size)
+    write_columns(path, ["t", "delta_deg", "speed_dev", "Pe_pu"],
+                  [tr.times, delta_deg, tr.speed_dev_pu, tr.pe_pu])
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    write_csv(path, ["Power", "Duration", "Stability"],
-              ((float(row.power_mw), float(row.duration_ms), row.stability)
-               for row in rows))
+    write_columns(path, ["Power", "Duration", "Stability"],
+                  [np.array([row.power_mw for row in rows], dtype=float),
+                   np.array([row.duration_ms for row in rows], dtype=float),
+                   np.array([row.stability for row in rows], dtype=np.int64)])

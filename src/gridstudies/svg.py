@@ -164,6 +164,21 @@ def _close(canvas: _Canvas) -> str:
     return "\n".join(canvas.parts)
 
 
+# Points formatted per block, so no list of every point's text is held at once.
+_BLOCK_POINTS = 32
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """SVG polyline points "x,y x,y ..." at two decimals; px and py come
+    from the canvas's px and py on whole arrays, the same IEEE operations
+    per point as on scalars."""
+    point = "{:.2f},{:.2f}".format
+    return " ".join(
+        " ".join(map(point, px[k:k + _BLOCK_POINTS].tolist(),
+                     py[k:k + _BLOCK_POINTS].tolist()))
+        for k in range(0, px.size, _BLOCK_POINTS))
+
+
 def render_series(series: list, style: ChartStyle = ChartStyle()) -> str:
     """Polyline chart; one polyline per series, legend when labeled."""
     if not series:
@@ -174,8 +189,7 @@ def render_series(series: list, style: ChartStyle = ChartStyle()) -> str:
     canvas = _open_canvas(xs, ys, style)
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{canvas.px(x):.2f},{canvas.py(y):.2f}"
-                       for x, y in zip(s.x, s.y))
+        pts = _points(canvas.px(s.x), canvas.py(s.y))
         canvas.parts.append(f'<polyline points="{pts}" fill="none" '
                             f'stroke="{color}" stroke-width="1.6"/>')
     _legend(canvas, [s.label for s in series])

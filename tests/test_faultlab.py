@@ -53,9 +53,14 @@ def test_sample_test_cases_deterministic():
     assert a[0].fault_resistance != c[0].fault_resistance
 
 
-def test_sample_rejects_bad_rmax():
-    with pytest.raises(ValueError):
-        fl.sample_test_cases(1, 0.0)
+def test_sample_rejects_bad_rmax(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking r_max")
+
+    monkeypatch.setattr(fl.np.random, "default_rng", no_draw)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="r_max"):
+            fl.sample_test_cases(1, bad)
 
 
 def test_case_validation():

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gridstudies import cli, stability, svg
 from gridstudies.svg import (
     ChartStyle,
     DataSeries,
@@ -98,6 +99,53 @@ class TestHistogram:
             histogram_counts([], 10)
         with pytest.raises(ValueError):
             histogram_counts([1.0], 0)
+
+
+def render_series_oracle(series, style=ChartStyle()):
+    """render_series as it formatted one point at a time through the
+    canvas's px and py on numpy scalars: the byte oracle of the array path."""
+    series = [s if isinstance(s, DataSeries) else DataSeries(*s) for s in series]
+    xs = np.concatenate([s.x for s in series])
+    ys = np.concatenate([s.y for s in series])
+    canvas = svg._open_canvas(xs, ys, style)
+    for i, s in enumerate(series):
+        color = svg.PALETTE[i % len(svg.PALETTE)]
+        pts = " ".join(f"{canvas.px(x):.2f},{canvas.py(y):.2f}"
+                       for x, y in zip(s.x, s.y))
+        canvas.parts.append(f'<polyline points="{pts}" fill="none" '
+                            f'stroke="{color}" stroke-width="1.6"/>')
+    svg._legend(canvas, [s.label for s in series])
+    return svg._close(canvas)
+
+
+class TestSeriesMatchesPointOracle:
+
+    def test_stability_trace(self):
+        # the 1776 MW / 100 ms chart of `gridstudies stability`
+        result = stability.simulate(stability.SmibModel(),
+                                    cli._operating_point(1776.0),
+                                    stability.FaultEvent(duration=0.1))
+        series = [DataSeries(result.trace.times,
+                             np.degrees(result.trace.delta_rad), "rotor angle")]
+        style = ChartStyle("1776 MW, 100 ms fault", "t (s)", "delta (deg)")
+        assert render_series(series, style) == render_series_oracle(series, style)
+
+    def test_zeros_and_negatives(self):
+        rng = np.random.default_rng(5)
+        n = 2 * svg._BLOCK_POINTS + 1
+        x = np.linspace(-3.0, 7.0, n)
+        y = rng.normal(0.0, 50.0, n)
+        y[::7] = 0.0
+        y[1::11] = -0.0
+        series = [DataSeries(x, y, "noise"), DataSeries(x[:1], [-2.5], "one"),
+                  DataSeries(-x, -y)]
+        style = ChartStyle("mixed", include_zero_y=True)
+        assert render_series(series, style) == render_series_oracle(series, style)
+
+    @pytest.mark.parametrize("value", [0.0, -4.25, 1776.0])
+    def test_constant_series(self, value):
+        series = [DataSeries(np.arange(5.0), np.full(5, value))]
+        assert render_series(series) == render_series_oracle(series)
 
 
 class TestScatter:
