@@ -33,7 +33,10 @@ caller that knows how its rows' values differ fills many rows from one
 template without assembling each; `batch_rows` reads an assembled
 network's own row.  It keeps the line histories of all its rows in one
 time-major ring, prefilled with each line's pre-history, so one gather
-per step reads every far end's samples.
+reads every far end's samples, and it advances K steps per numpy pass,
+K being the fewest steps between a solve and the newest sample it reads.
+Nodes that a certificate (EmtBatch.resting) shows stay at rest can be
+held: they leave the solve and keep their rest voltage.
 
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -461,6 +465,56 @@ def batch_rows(sim: EmtSimulation) -> BatchRows:
         sim._fo_strength[:, None].copy())
 
 
+# Steps whose verdicts a batch judges at once; each chunk's interpolation
+# rows, weights and surge values come together.
+CHUNK_STEPS = 32
+
+
+def _interpolation(m, delay):
+    """For solves m and line delays in steps (broadcast against each
+    other): the step m0 of the older far-end sample each solve reads and
+    the weight frac of the newer one, m0 + 1, in
+    EmtSimulation._update_line_histories' arithmetic."""
+    q = m - delay
+    m0 = np.floor(q).astype(np.intp)
+    return m0, q - m0
+
+
+def _delay_kinds(delay):
+    """The distinct line delays, sorted, and each delay's index among
+    them."""
+    kinds = np.array(sorted(set(delay.tolist())))
+    return kinds, np.searchsorted(kinds, delay)
+
+
+def _histories(flat, at, weight, zc):
+    """-h of every end for each of len(at) solves: the far-end state one
+    delay back, interpolated between the ring samples in rows `at` of
+    `flat` with weights `weight`, both (solves, 4E): each solve's older
+    [v; i] samples, then its newer.  vf/zc + iw is bitwise the negation
+    of the scalar -vf/zc - iw."""
+    solves, width = at.shape
+    part = flat.take(at.ravel(), axis=0)
+    # the weights are spelled out to full rows: against a (rows, 1)
+    # column numpy runs one short inner loop per row
+    part *= weight.repeat(flat.shape[1]).reshape(part.shape)
+    part = part.reshape(solves, 2, width // 2, flat.shape[1])
+    w = part[:, 0] + part[:, 1]
+    ends = width // 4
+    return w[:, :ends] / zc + w[:, ends:]
+
+
+def _solve(inject, neg_h, bins, ginv_diag, v):
+    """Node voltages of each solve into v[:, 1:nodes]: the injections
+    (solves, nodes, b) plus every end's -h summed at its node, times the
+    G⁻¹ diagonal.  `bins` puts each end's -h at its node and solve; a
+    node sums its ends in end order, as the scalar bincount does."""
+    rhs = np.bincount(bins, weights=neg_h.ravel(),
+                      minlength=inject.size).reshape(inject.shape)
+    np.add(inject, rhs, out=rhs)
+    np.multiply(ginv_diag, rhs[:, 1:], out=v[:, 1:inject.shape[1]])
+
+
 class EmtBatch:
     """Rows of one network structure, stepped in lock step.
 
@@ -480,34 +534,83 @@ class EmtBatch:
 
     `like`, an assembled network, gives the structure; `extend` takes rows
     as BatchRows columns and `add` one assembled network's row.  `run`
-    stacks the rows and changes nothing, so a second call returns the same
+    reads the rows and changes nothing, so a second call returns the same
     arrays.
 
-    Per-step arrays are node-major, shape (nodes, b) for b rows, so a
-    node's values over all rows are one contiguous row, and the line-end
-    voltages go into the ring with one row gather.
+    `held` names nodes that leave the solve.  Every line at a held node
+    joins two held nodes, and each row must hold them at rest: `resting`
+    certifies that one step of this batch's arithmetic, started from the
+    lines' pre-history, gives it back bit for bit under every
+    interpolation weight the run uses, so by induction the nodes keep
+    their pre-history voltage on every step.  `run` refuses rows it cannot
+    certify.  The lines at held nodes leave the ring; each held node keeps
+    a row of the voltages, filled once, so a switch across it reads the
+    bits the full network's solve would write.
 
-    The line histories of all rows live in one time-major ring of shape
-    (D, 2E, b): D is the deepest line end's buffer depth, E the number of
-    line ends, and column n % D holds every end's [v; i] at step n.  Each
-    column starts as the pre-history (the end's v0, current 0) and column
-    0 then takes the declared t=0 samples.  A read of a step before 0 lands
-    on a column no step has written yet (no read reaches back more than
-    D - 3 steps), so it returns the pre-history, as
-    EmtSimulation._read_far does.
+    Per-step arrays are node-major, shape (nodes, b) for b rows, so a
+    node's values over all rows are one contiguous row.  The line
+    histories live in one flat ring of time-major regions: a region of
+    depth D over E ends has shape (D, 2E, b), and its column (m - 1) % D
+    holds its ends' [v; i] at step m.  An end needs as many columns as
+    its solves reach back, by the interpolation's floor over the run's
+    steps, rounded up to a multiple of K.  The first region, as deep as
+    the shallowest need, takes every end's samples; the second, as deep
+    as the deepest need, keeps the ends that read further back, copied
+    from the first on each pass.  So short lines hold no more columns
+    than they read (in a strike network 4 for the tower lines, 54 for
+    the spans).  Each column starts as the pre-history (the end's v0,
+    current 0) and column D - 1 then takes the declared t=0 samples.  A
+    pass reads before it writes and reaches back at most D steps, so a
+    read of a step before 0 lands on a column no step has written yet
+    and returns the pre-history, as EmtSimulation._read_far does.
+
+    No solve reads a ring sample newer than K steps before its own step
+    (K from the interpolation's floor over the run's steps: 2 in a strike
+    network, whose shortest line is 2.06 steps), so one numpy pass
+    advances K steps: one gather of the far-end samples, one bincount over
+    K x nodes, one product by the G⁻¹ diagonal and one K-column write per
+    region.  D is a multiple of K, so a pass never wraps.  The voltages a
+    verdict needs are judged once per chunk of CHUNK_STEPS steps (rounded
+    up to a multiple of K): a row ends on its first step with a switch at
+    its strength or a voltage that is not finite.  A region at least a
+    chunk deep still holds the chunk's voltages of its ends' nodes for
+    the finiteness check; the switch nodes and the nodes it misses are
+    kept per step.  Rows are independent, so stepping a row past its end
+    changes no other row.
     """
 
-    def __init__(self, like: EmtSimulation):
+    def __init__(self, like: EmtSimulation, held=()):
         self.dt = like.dt
         self._structure = _batch_structure(like)
-        self._hist_idx = like._hist_idx
         self._ln_ends, self._ln_zc = like._ln_ends, like._ln_zc
         self._ln_delay, self._ln_far = like._ln_delay, like._ln_far
-        self._depth = int(like._ln_depth.max(initial=1))
         self._fo_a, self._fo_b = like._fo_a, like._fo_b
         nodes, ends = like._base_inj.size, like._ln_ends.size
         self._heights = (nodes - 1, nodes, ends, 2 * ends, like._fo_a.size)
         self._blocks: list[BatchRows] = []
+
+        is_held = np.zeros(nodes, dtype=bool)
+        is_held[list(held)] = True
+        dropped = is_held[self._ln_ends]
+        if is_held[0] or (dropped != dropped[self._ln_far]).any():
+            raise ValueError("held nodes are non-ground nodes whose lines "
+                             "join only held nodes")
+        self._held = np.flatnonzero(is_held)
+        # a held node keeps the pre-history of its first line end
+        first = dict(zip(self._ln_ends[::-1].tolist(), range(ends - 1, -1, -1)))
+        if not set(self._held.tolist()) <= first.keys():
+            raise ValueError("a held node needs a line end")
+        self._held_end = np.array([first[k] for k in self._held.tolist()],
+                                  dtype=np.intp)
+        # the run's numbering: voltage rows of the solved nodes (ground
+        # first), then of the held ones; the ends left, in end order
+        self._order = np.concatenate([np.flatnonzero(~is_held), self._held])
+        self._node_row = np.empty_like(self._order)
+        self._node_row[self._order] = np.arange(nodes)
+        self._kept = np.flatnonzero(~dropped)
+        self._end_node = self._node_row[self._ln_ends[self._kept]]
+        self._end_far = (np.cumsum(~dropped) - 1)[self._ln_far[self._kept]]
+        self._solved = nodes - self._held.size
 
     def extend(self, rows: BatchRows):
         """Keep k more rows, given as column arrays."""
@@ -523,98 +626,239 @@ class EmtBatch:
             raise ValueError("network does not match the batch's structure")
         self.extend(batch_rows(sim))
 
+    def _steps(self, t_end: float) -> int:
+        if not 0 < t_end < math.inf:
+            raise ValueError("t_end must be finite and positive")
+        return int(math.ceil(t_end / self.dt - 1e-12))
+
+    def _plan(self, t_end: float) -> SimpleNamespace:
+        """How `run` steps to t_end: `steps`; `passes`, K; `chunk`, the
+        steps judged at once, a multiple of K; `regions`, (depth, [v; i]
+        rows of its ends, first ring row) each, and `ring_rows` in all;
+        `kinds`, the distinct delays of the ends left, and `kind`, each
+        end's index among them; `watch`, the voltage rows each step keeps
+        for the verdicts; `across`, the switches' a then b nodes as watch
+        entries; `loose`, the watch entries of nodes no deep region
+        holds."""
+        steps = self._steps(t_end)
+        kinds, kind = _delay_kinds(self._ln_delay[self._kept])
+        m = np.arange(1, steps + 1)[:, None]
+        m0, _frac = _interpolation(m, kinds)
+        # solve m reads samples m0 and m0 + 1
+        passes = min(max(int((m - m0 - 1).min(initial=CHUNK_STEPS)), 1),
+                     CHUNK_STEPS)
+        chunk = -(-CHUNK_STEPS // passes) * passes
+        # each delay's depth: the most steps a solve reaches back, rounded
+        # up to a multiple of K.  The shallowest holds every end's newest
+        # samples; the ends that need more also keep the deepest
+        need = -(-(m - m0).max(axis=0, initial=1) // passes) * passes
+        ends = self._kept.size
+        staged = np.arange(2 * ends)
+        short = int(need.min()) if need.size else passes
+        regions = [(short, staged, 0)]
+        far = need[kind] > short
+        if far.any():
+            regions.append((int(need.max()), np.concatenate(
+                [staged[:ends][far], staged[ends:][far]]), short * 2 * ends))
+        ring_rows = sum(d * rows.size for d, rows, _first in regions)
+        deep = np.zeros(ends, dtype=bool)
+        for d, rows, _first in regions:
+            deep[rows[:rows.size // 2]] |= d >= chunk
+        # the voltages kept per step: the switch nodes, then the solved
+        # nodes with no end in a region that holds a whole chunk
+        pairs = self._node_row[np.concatenate([self._fo_a, self._fo_b])].tolist()
+        loose = np.ones(self._solved, dtype=bool)
+        loose[[0, *self._end_node[deep].tolist()]] = False
+        watch = [*dict.fromkeys(pairs), *np.flatnonzero(loose).tolist()]
+        where = {k: i for i, k in enumerate(watch)}
+        return SimpleNamespace(
+            steps=steps, passes=passes, chunk=chunk, regions=regions,
+            ring_rows=ring_rows, kinds=kinds, kind=kind,
+            watch=np.array(watch, dtype=np.intp),
+            across=np.array([where[k] for k in pairs], dtype=np.intp),
+            loose=np.arange(len(watch) - loose.sum(), len(watch)))
+
+    def row_bytes(self, t_end: float) -> int:
+        """Bytes `run` holds per row while it steps to t_end: the ring,
+        the row's own arrays and buffers, and the largest temporaries of
+        a pass, a chunk's verdicts or its surge."""
+        plan = self._plan(t_end)
+        k, ends, solved = plan.passes, self._kept.size, self._solved
+        kept = (4 + sum(self._heights) + solved + ends  # rows, G⁻¹, Zc
+                + k * (3 * ends + 2 * solved + self._order.size)
+                + plan.chunk * (plan.watch.size + 1) + plan.ring_rows)
+        # the gathered samples and their weights; the switch pairs; the
+        # surge waveform's intermediates
+        passing = max(8 * ends * k, 2 * self._fo_a.size * plan.chunk,
+                      8 * plan.chunk)
+        return 8 * (kept + passing)
+
+    def resting(self, rows: BatchRows, t_end: float) -> np.ndarray:
+        """The rest certificate of k rows (full BatchRows of this
+        structure): a (nodes, k) mask of the nodes each row holds at rest
+        on every step up to t_end.
+
+        A node rests when it has a line end, no surge drives it, each of
+        its ends starts at the pre-history (voltage v0, current 0), and
+        one step of this batch's arithmetic from every end's pre-history
+        returns the node's voltage as v0 and each of its ends' currents as
+        +0.0, bit for bit, under every (1 - frac, frac) weight row the
+        steps to t_end use.  A non-finite v0 never returns a zero current.
+        Resting nodes joined by lines only to each other then stay at rest
+        on every step."""
+        steps = self._steps(t_end)
+        ends, count, b = self._ln_ends, self._ln_ends.size, rows.node.size
+        cols = np.arange(b)
+        zc = np.repeat(self._ln_zc, b).reshape(count, b)
+        v0 = rows.line_v0
+        rest = np.concatenate([v0, np.zeros_like(v0)])  # [v; i] per end
+        # both interpolation samples of every end read the rest state
+        at = np.tile(np.concatenate([self._ln_far, self._ln_far + count]),
+                     2)[None]
+        bins = (ends[:, None] * b + cols).ravel()
+        same = rows.line_t0.view(np.int64) == rest.view(np.int64)
+        ok = same[:count] & same[count:]
+        v = np.zeros((1, *rows.inject.shape))
+        kinds, kind = _delay_kinds(self._ln_delay)
+        _m0, frac = _interpolation(np.arange(1, steps + 1)[:, None], kinds)
+        for used in set(map(tuple, frac.tolist())):
+            f = np.tile(np.array(used)[kind], 2)
+            neg_h = _histories(rest, at, np.concatenate([1.0 - f, f])[None], zc)
+            _solve(rows.inject[None], neg_h, bins, rows.ginv_diag, v)
+            ve = v[0].take(ends, axis=0)
+            ok &= ve.view(np.int64) == v0.view(np.int64)
+            ok &= (ve / zc - neg_h[0]).view(np.int64) == 0
+        out = np.zeros(rows.inject.shape, dtype=bool)
+        out[ends] = True
+        end, row = np.nonzero(~ok)
+        out[ends[end], row] = False
+        out[rows.node, cols] = False  # the surge drives its node
+        return out
+
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
         step on which one of its switches reaches its strength or one of
         its node voltages is not finite.  Returns each row's end step (0
         where it reaches t_end) and whether its voltages stayed finite.  A
-        row that has ended keeps stepping, masked, until every row has."""
-        if not 0 < t_end < math.inf:
-            raise ValueError("t_end must be finite and positive")
-        steps = int(math.ceil(t_end / self.dt - 1e-12))
-        node, ramp, gdiag, base, ln_v0, ln_t0, strength = (
-            np.concatenate(col, axis=-1) for col in zip(*self._blocks))
-        b, nodes = node.size, base.shape[0]
-        ends, depth = self._ln_ends.size, self._depth
-        rows = np.arange(b)
-        surge = DoubleRampSource(*ramp[:, None])(
-            (np.arange(1, steps + 1) * self.dt)[:, None])
-        # the constant injections; each step sets the surge node's entry to
+        row that has ended keeps stepping, unjudged, until every row has
+        ended by the end of a chunk.  Raises ValueError when a row's held
+        nodes are not certified at rest."""
+        plan = self._plan(t_end)
+        steps, passes, chunk = plan.steps, plan.passes, plan.chunk
+        rows = BatchRows(*(col[0] if len(col) == 1 else
+                           np.concatenate(col, axis=-1)
+                           for col in zip(*self._blocks)))
+        if self._held.size and not self.resting(rows, t_end)[self._held].all():
+            raise ValueError("a row does not hold its held nodes at rest")
+        b, solved, order = rows.node.size, self._solved, self._order
+        cols = np.arange(b)
+        ends, line_ends = self._kept.size, self._end_node
+        ginv_diag = rows.ginv_diag[order[1:solved] - 1]
+        zc = np.repeat(self._ln_zc[self._kept], b).reshape(ends, b)
+        step = np.arange(passes)[:, None]
+        bins = ((step[:, None] * solved + line_ends[:, None]) * b + cols).ravel()
+        # each pass's injections: the constant ones, and at the surge node
         # base + surge(t), as the scalar rhs[node] += fn(t) does
-        inject = node * b + rows  # into base.ravel()
-        surged = base.ravel()[inject] + surge
-        hist = (self._hist_idx[:, None] * b + rows).ravel()
-        # per-end factors are spelled out to full (ends, b) arrays: against
-        # an (ends, 1) column numpy runs one short inner loop per end
-        zc = np.repeat(self._ln_zc, b).reshape(ends, b)
+        inject = np.repeat(rows.inject[order[:solved]][None], passes, axis=0)
+        surged = (step * solved + self._node_row[rows.node]) * b + cols
+        surge_base = inject.ravel()[surged[0]]
+        surge = DoubleRampSource(*rows.ramp[:, None])
 
-        ring = np.empty((depth, 2 * ends, b))
-        ring[:, :ends] = ln_v0
-        ring[:, ends:] = 0.0
-        ring[0] = ln_t0
-        flat = ring.reshape(depth * 2 * ends, b)
-        # per [v; i] row of an end: its delay and the ring row of its far end
-        delay = np.tile(self._ln_delay, 2)
-        far = np.concatenate([self._ln_far, self._ln_far + ends])
+        # the regions, filled with the pre-history, then column D - 1
+        # with the t=0 samples; a pass writes the first region, then
+        # copies the ends of the second into it
+        flat = np.empty((plan.ring_rows, b))
+        regions = []
+        pre = np.concatenate([rows.line_v0[self._kept], np.zeros((ends, b))])
+        t0 = rows.line_t0[np.concatenate([self._kept,
+                                          self._kept + self._ln_ends.size])]
+        place = np.empty(2 * ends, dtype=np.intp)  # staged row in its region
+        base = np.empty(plan.kinds.size, dtype=np.intp)
+        width = np.empty(plan.kinds.size, dtype=np.intp)
+        depth = np.empty(plan.kinds.size, dtype=np.intp)
+        for d, staged, first in plan.regions:
+            region = flat[first:first + d * staged.size].reshape(d, staged.size, b)
+            region[:] = pre[staged]
+            region[d - 1] = t0[staged]
+            regions.append((d, staged, region))
+            place[staged] = np.arange(staged.size)
+            kinds = plan.kind[staged[:staged.size // 2]]
+            base[kinds], width[kinds], depth[kinds] = first, staged.size, d
+        (shallow, _all, newest), *deeper = regions
+        # per gathered row, older samples then newer: the kind of its far
+        # end's line and the far end's [v; i] row in its region
+        far = np.concatenate([self._end_far, self._end_far + ends])
+        kind = np.tile(plan.kind, 2)
+        kind = np.concatenate([kind, kind + plan.kinds.size])
+        far = np.tile(place[far], 2)
 
-        chunk = 32  # steps whose interpolation rows and weights come at once
-
-        def interpolation(n0):
-            """For the solves after steps n0 .. n0 + chunk - 1: the ring rows
-            of every end's far-end samples one delay back, at steps m0 and
-            m0 + 1, and their weights 1 - frac and frac."""
-            q = np.arange(n0 + 1, n0 + chunk + 1)[:, None] - delay
-            m0 = np.floor(q).astype(np.intp)
-            frac = q - m0
-            at = np.concatenate([m0, m0 + 1], axis=1) % depth * (2 * ends)
-            return at + np.tile(far, 2), np.concatenate([1.0 - frac, frac], axis=1)
-
-        def histories(at, weight):
-            """-h of every end for the next solve: far-end state one delay
-            back, interpolated between the ring samples at rows `at`.
-            vf/zc + iw is bitwise the negation of the scalar -vf/zc - iw."""
-            part = weight.repeat(b).reshape(4 * ends, b) * flat.take(at, axis=0)
-            w = part[:2 * ends] + part[2 * ends:]
-            return w[:ends] / zc + w[ends:]
-
-        at, weight = interpolation(0)
-        neg_h = histories(at[0], weight[0])
+        v = np.zeros((passes, order.size, b))
+        v[:, solved:] = rows.line_v0[self._held_end]
+        kept_v = np.empty((chunk, plan.watch.size, b))
+        switches = self._fo_a.size
         end = np.zeros(b, dtype=np.intp)
         finite = np.ones(b, dtype=bool)
         live = np.ones(b, dtype=bool)
-        v_ok = np.empty((nodes - 1, b), dtype=bool)
-        rhs = np.empty((nodes, b))
-        v = np.zeros((nodes, b))
-        for n in range(1, steps + 1):
-            base.ravel()[inject] = surged[n - 1]
-            np.add(base, np.bincount(hist, weights=neg_h.ravel(),
-                                     minlength=nodes * b).reshape(nodes, b),
-                   out=rhs)
-            np.multiply(gdiag, rhs[1:], out=v[1:])
-            np.isfinite(v[1:], out=v_ok)
-            ve, ie = ring[n % depth].reshape(2, ends, b)
-            v.take(self._ln_ends, axis=0, out=ve)
-            np.divide(ve, zc, out=ie)
-            ie -= neg_h  # i = v/zc + h
-            if n % chunk == 0:
-                at, weight = interpolation(n)
-            neg_h = histories(at[n % chunk], weight[n % chunk])
-            over = np.abs(v[self._fo_a] - v[self._fo_b]) >= strength
-            if over.any() or not v_ok.all():
-                failed = live & ~v_ok.all(axis=0)
-                finite[failed] = False
-                hit = failed | live & over.any(axis=0)
-                end[hit] = n
+        for n0 in range(0, steps, chunk):
+            m = np.arange(n0 + 1, n0 + chunk + 1)
+            m0, frac = _interpolation(m[:, None], plan.kinds)
+            # step m0 is column (m0 - 1) % D of its region
+            at = (np.concatenate([(m0 - 1) % depth, m0 % depth], axis=1)
+                  * np.tile(width, 2) + np.tile(base, 2))[:, kind] + far
+            weight = np.concatenate([1.0 - frac, frac], axis=1)[:, kind]
+            injected = surge_base + surge((m * self.dt)[:, None])
+            judged = min(chunk, steps - n0)
+            for j in range(0, judged, passes):
+                now = slice(j, j + passes)
+                neg_h = _histories(flat, at[now], weight[now], zc)
+                inject.ravel()[surged] = injected[now]
+                _solve(inject, neg_h, bins, ginv_diag, v)
+                col = (n0 + j) % shallow
+                staging = newest[col:col + passes]
+                ve, ie = staging[:, :ends], staging[:, ends:]
+                # in-range indices: mode "clip" spares the buffered copy
+                # numpy makes of `out` in its default "raise" mode
+                v.take(line_ends, axis=1, out=ve, mode="clip")
+                np.divide(ve, zc, out=ie)
+                ie -= neg_h  # i = v/zc + h
+                for d, staged, region in deeper:
+                    col = (n0 + j) % d
+                    staging.take(staged, axis=1, out=region[col:col + passes],
+                                 mode="clip")
+                v.take(plan.watch, axis=1, out=kept_v[now], mode="clip")
+            # the chunk's verdicts: switch stresses from the kept voltages;
+            # finiteness from the deep regions' columns and the kept rest
+            pair = kept_v[:judged].take(plan.across, axis=1)
+            stress = pair[:, :switches]
+            np.subtract(stress, pair[:, switches:], out=stress)
+            over = (np.abs(stress, out=stress) >= rows.strength).any(axis=1)
+            ok = np.True_
+            for d, staged, region in regions:
+                if d >= chunk:  # the chunk's columns, wrapping at most once
+                    col, half = n0 % d, staged.size // 2
+                    parts = (region[col:col + judged, :half],
+                             region[:max(col + judged - d, 0), :half])
+                    if not all(np.isfinite(part).all() for part in parts):
+                        ok = ok & np.concatenate([np.isfinite(part).all(axis=1)
+                                                  for part in parts])
+            if plan.loose.size:
+                ok = ok & np.isfinite(kept_v[:judged, plan.loose]).all(axis=1)
+            stop = (over | ~ok) & live
+            if stop.any():
+                hit = stop.any(axis=0)
+                first = stop.argmax(axis=0)[hit]
+                end[hit] = n0 + 1 + first
+                finite[hit] = np.broadcast_to(ok, stop.shape)[first, cols[hit]]
                 live &= ~hit
-                # NaN compares false, which keeps ended rows from flashing
-                strength[:, hit] = np.nan
                 if not live.any():
                     break
         return end, finite
 
 
-# Rows per lock-step batch.  Memory, not speed, sets it: while its batch
-# runs, each row holds its columns of the line-history ring (about 75 kB in
-# a strike network).  Larger batches raise peak memory for little further
-# gain.
+# Full strike-network rows per lock-step batch.  Memory, not speed, sets
+# it: while its batch runs, each row holds its columns of the line-history
+# ring and its pass and chunk buffers (about 61 and 89 kB in a strike
+# network).  Larger batches raise peak memory for little further gain.  A
+# batch with held nodes is smaller per row and takes as many rows as fit
+# the same memory (EmtBatch.row_bytes).
 REPLAY_BATCH = 32

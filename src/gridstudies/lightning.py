@@ -59,6 +59,9 @@ class LineGeometry:
     strip_half_width_m: float = 500.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} = {getattr(self, f.name)} is not finite")
         if self.tower_count < 2:
             raise ValueError("need at least two towers")
         if self.span_m <= 0 or self.strip_half_width_m <= 0:
@@ -334,10 +337,23 @@ class StudyConfig:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("need a positive number of strokes")
-        if self.dt_s <= 0 or self.t_end_s <= self.dt_s:
+        for name in ("system_kv", "shield_surge_ohms", "phase_surge_ohms",
+                     "tower_base_radius_m", "tower_speed_factor", "dt_s",
+                     "t_end_s", "ground_flash_density", "strip_length_km"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} = {value} is not in (0, inf)")
+        if self.tower_speed_factor > 1:
+            raise ValueError(f"tower_speed_factor = {self.tower_speed_factor}"
+                             " exceeds 1: no surge outruns light")
+        if self.t_end_s <= self.dt_s:
             raise ValueError("need 0 < dt < simulation window")
         if self.extension_towers < 1:
             raise ValueError("need at least one extension tower per side")
+        if not self.tower_surge_ohms > 0:
+            raise ValueError(
+                f"tower_base_radius_m = {self.tower_base_radius_m} leaves the "
+                f"tower surge impedance at {self.tower_surge_ohms:g} ohm")
         tau_tower = self.geometry.shield_height_m / (self.tower_speed_factor
                                                      * LIGHT_SPEED_M_S)
         if tau_tower < self.dt_s:
@@ -465,16 +481,16 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
 def _replay_batches(sample: StrokeSample, impacts: Impacts,
                     config: StudyConfig):
     """The lock-step batches of `replay_strokes`: yields (stroke indices,
-    template, BatchRows) per batch, with template and rows None for the
-    strokes of a structure whose network is singular.
+    template, held nodes, BatchRows) per batch, with template and rows
+    None for the strokes of a structure whose network is singular.
 
     Every tower stroke shares one structure, where only the struck node
-    differs; a span stroke's follows its wire and span.  Each structure's
-    network is built and assembled once, from its first stroke, and its
-    strokes run in stroke order, REPLAY_BATCH at a time.  A stroke changes
-    only values in the network, so its row is filled from the template and
-    the stroke's columns, each value formed as build_strike_network and
-    EmtSimulation form it:
+    differs; a span stroke's follows its wire and span.  Structures run
+    from the most strokes to the fewest, and each structure's network is
+    built and assembled once, from its first stroke.  A stroke
+    changes only values in the network, so its row is filled from the
+    template and the stroke's columns, each value formed as
+    build_strike_network and EmtSimulation form it:
       - G⁻¹ diagonal: the template's, and at each tower foot 1 / G with G
         stamped as 1 / footing, then 1 / Zc of the tower line;
       - constant injections: the phase sources' Norton currents, the
@@ -483,6 +499,14 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
         conductor ends (with the split node of a struck phase span), 0 on
         shield and tower ends; t=0 currents 0;
       - switch strengths, ramp, and the struck node.
+    Until an insulator flashes, the open switches cut the phase conductors
+    off from the shield, so an unstruck conductor sits at its power-
+    frequency rest state unless the step's own rounding moves it.  A
+    shield stroke whose three phase conductors pass the rest certificate
+    (EmtBatch.resting) holds every phase node and steps only the shield
+    and towers; such batches take as many rows as fit the memory of
+    REPLAY_BATCH full rows.  Every other stroke steps the full network,
+    REPLAY_BATCH at a time.  Each kind runs in stroke order.
     Every input check of build_strike_network runs first, over all
     strokes: the first stroke that fails one is built alone, which raises
     that check's ValueError before any batch steps."""
@@ -512,28 +536,32 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
     ext = config.extension_towers
     towers = config.geometry.tower_count + 2 * ext
 
-    for key, strokes in structures.items():
+    # the structures with the most strokes first: their batches are the
+    # largest, and the later, smaller ones reuse the memory they free
+    for key, strokes in sorted(structures.items(),
+                               key=lambda item: -len(item[1])):
+        strokes = np.array(strokes)
         first = strokes[0]
         try:
             template = build_strike_network(sample[first], impacts[first],
                                             config).assemble(config.dt_s)
         except np.linalg.LinAlgError:
-            yield np.array(strokes), None, None
+            yield strokes, None, (), None
             continue
         own, net = batch_rows(template), template.net
+        names = [net.node_name(node) for node in range(own.inject.shape[0])]
         # per node: the column of `volts` it rests at
         mid = {PHASE_A: 1, PHASE_C: 3}.get(int(impacts.wire[first]), 0)
         rest = np.array([mid if name == "mid" else
                          " abc".index(name[1]) if name[0] == "p" else 0
-                         for name in map(net.node_name,
-                                         range(own.inject.shape[0]))])
+                         for name in names])
         ends = rest[[end for line in net.lines
                      for end in (line.node_a, line.node_b)]]
         sources = [node for node, wave in net.current_sources
                    if not callable(wave)]
         feet = [net.require_node(f"g{k}") - 1 for k in range(towers)]
-        for start in range(0, len(strokes), REPLAY_BATCH):
-            rows = np.array(strokes[start:start + REPLAY_BATCH])
+
+        def fill(rows):
             v = volts[rows]
             if key == TOWER:
                 node = np.array([net.require_node(_tower_node(w, ext + k))
@@ -546,10 +574,28 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
             inject = np.zeros((own.inject.shape[0], rows.size))
             inject[sources] = v[:, rest[sources]].T / config.phase_surge_ohms
             line_v0 = v[:, ends].T
-            yield rows, template, BatchRows(
+            return BatchRows(
                 node, ramp[:, rows], ginv, inject, line_v0,
                 np.concatenate([line_v0, np.zeros_like(line_v0)]),
                 np.repeat(strength[None, rows], own.strength.shape[0], axis=0))
+
+        full = EmtBatch(template)
+        phases = [node for node, name in enumerate(names) if name[0] == "p"]
+        calm = np.zeros(strokes.size, dtype=bool)
+        shield = np.flatnonzero(impacts.wire[strokes] == SHIELD)
+        for start in range(0, shield.size, REPLAY_BATCH):
+            at = shield[start:start + REPLAY_BATCH]
+            calm[at] = full.resting(fill(strokes[at]),
+                                    config.t_end_s)[phases].all(axis=0)
+        kinds = [(strokes[~calm], (), REPLAY_BATCH)]
+        if calm.any():
+            rows_fit = (REPLAY_BATCH * full.row_bytes(config.t_end_s)
+                        // EmtBatch(template, phases).row_bytes(config.t_end_s))
+            kinds.append((strokes[calm], phases, rows_fit))
+        for group, held, size in kinds:
+            for start in range(0, group.size, size):
+                rows = group[start:start + size]
+                yield rows, template, held, fill(rows)
 
 
 def replay_strokes(sample: StrokeSample, impacts: Impacts,
@@ -564,10 +610,11 @@ def replay_strokes(sample: StrokeSample, impacts: Impacts,
     on some step is failed alone; every stroke of a structure whose
     template is singular is failed."""
     results = [EventResult(failed=True)] * len(sample)
-    for rows, template, columns in _replay_batches(sample, impacts, config):
+    for rows, template, held, columns in _replay_batches(sample, impacts,
+                                                         config):
         if template is None:
             continue
-        batch = EmtBatch(template)
+        batch = EmtBatch(template, held)
         batch.extend(columns)
         for i, step, ok in zip(rows.tolist(),
                                *(a.tolist() for a in batch.run(config.t_end_s))):

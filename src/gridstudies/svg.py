@@ -207,7 +207,9 @@ def histogram_counts(values, bins: int) -> tuple:
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
+    # a bin count and range take numpy's equal-width path, which places
+    # each value against these same edges without sorting the values
+    counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
     return edges, counts
 
 

@@ -309,6 +309,89 @@ def test_determinism():
         assert np.array_equal(first.node_traces[name], second.node_traces[name])
 
 
+def run_oracle(batch, t_end):
+    """EmtBatch.run as it stepped one step per numpy pass and judged every
+    step: the oracle of the K-step passes and of held nodes.  It steps the
+    batch's full network, held nodes or not, with its ring column n % D
+    holding step n."""
+    steps = int(math.ceil(t_end / batch.dt - 1e-12))
+    node, ramp, gdiag, base, ln_v0, ln_t0, strength = (
+        np.concatenate(col, axis=-1) for col in zip(*batch._blocks))
+    b, nodes = node.size, base.shape[0]
+    ends = batch._ln_ends.size
+    depth = int((np.ceil(batch._ln_delay).astype(np.intp) + 2).max(initial=1))
+    rows = np.arange(b)
+    surge = DoubleRampSource(*ramp[:, None])(
+        (np.arange(1, steps + 1) * batch.dt)[:, None])
+    inject = node * b + rows  # into base.ravel()
+    surged = base.ravel()[inject] + surge
+    hist = (batch._ln_ends[:, None] * b + rows).ravel()
+    zc = np.repeat(batch._ln_zc, b).reshape(ends, b)
+
+    ring = np.empty((depth, 2 * ends, b))
+    ring[:, :ends] = ln_v0
+    ring[:, ends:] = 0.0
+    ring[0] = ln_t0
+    flat = ring.reshape(depth * 2 * ends, b)
+    delay = np.tile(batch._ln_delay, 2)
+    far = np.concatenate([batch._ln_far, batch._ln_far + ends])
+    chunk = 32
+
+    def interpolation(n0):
+        q = np.arange(n0 + 1, n0 + chunk + 1)[:, None] - delay
+        m0 = np.floor(q).astype(np.intp)
+        frac = q - m0
+        at = np.concatenate([m0, m0 + 1], axis=1) % depth * (2 * ends)
+        return at + np.tile(far, 2), np.concatenate([1.0 - frac, frac], axis=1)
+
+    def histories(at, weight):
+        part = weight.repeat(b).reshape(4 * ends, b) * flat.take(at, axis=0)
+        w = part[:2 * ends] + part[2 * ends:]
+        return w[:ends] / zc + w[ends:]
+
+    at, weight = interpolation(0)
+    neg_h = histories(at[0], weight[0])
+    end = np.zeros(b, dtype=np.intp)
+    finite = np.ones(b, dtype=bool)
+    live = np.ones(b, dtype=bool)
+    v_ok = np.empty((nodes - 1, b), dtype=bool)
+    rhs = np.empty((nodes, b))
+    v = np.zeros((nodes, b))
+    for n in range(1, steps + 1):
+        base.ravel()[inject] = surged[n - 1]
+        np.add(base, np.bincount(hist, weights=neg_h.ravel(),
+                                 minlength=nodes * b).reshape(nodes, b),
+               out=rhs)
+        np.multiply(gdiag, rhs[1:], out=v[1:])
+        np.isfinite(v[1:], out=v_ok)
+        ve, ie = ring[n % depth].reshape(2, ends, b)
+        v.take(batch._ln_ends, axis=0, out=ve)
+        np.divide(ve, zc, out=ie)
+        ie -= neg_h
+        if n % chunk == 0:
+            at, weight = interpolation(n)
+        neg_h = histories(at[n % chunk], weight[n % chunk])
+        over = np.abs(v[batch._fo_a] - v[batch._fo_b]) >= strength
+        if over.any() or not v_ok.all():
+            failed = live & ~v_ok.all(axis=0)
+            finite[failed] = False
+            hit = failed | live & over.any(axis=0)
+            end[hit] = n
+            live &= ~hit
+            strength[:, hit] = np.nan
+            if not live.any():
+                break
+    return end, finite
+
+
+def assert_runs_as_oracle(batch, t_end):
+    """The batch's (end, finite) are the per-step oracle's; returns them."""
+    got = batch.run(t_end)
+    want = run_oracle(batch, t_end)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    return got
+
+
 def surge_network(footing, peak=-1e3, tower=None):
     # a surge into one end of a line; the far end grounds through `footing`
     net = EmtNetwork()
@@ -330,7 +413,7 @@ def test_batch_rows_end_as_their_scalar_runs():
     batch = EmtBatch(nets[0].assemble(DT))
     for net in nets:
         batch.add(net.assemble(DT))
-    flash, finite = batch.run(60 * DT)
+    flash, finite = assert_runs_as_oracle(batch, 60 * DT)
     for net, step, ok in zip(nets, flash.tolist(), finite.tolist()):
         try:
             res = net.assemble(DT).run(60 * DT)
@@ -368,7 +451,7 @@ def test_batch_reads_the_pre_history_before_t0():
     batch = EmtBatch(nets[0].assemble(DT))
     for net in nets:
         batch.add(net.assemble(DT))
-    flash, finite = batch.run(60 * DT)
+    flash, finite = assert_runs_as_oracle(batch, 60 * DT)
     steps = []
     for net in nets:
         res = net.assemble(DT).run(60 * DT)
@@ -484,7 +567,7 @@ def test_batch_and_scalar_fail_a_row_on_its_first_non_finite_step(x_strength):
     for net in nets:
         batch.add(net.assemble(DT))
     with np.errstate(invalid="ignore"):
-        end, finite = batch.run(40 * DT)
+        end, finite = assert_runs_as_oracle(batch, 40 * DT)
     for net, step, ok in zip(nets, end.tolist(), finite.tolist()):
         sim = net.assemble(DT)
         try:
@@ -496,3 +579,105 @@ def test_batch_and_scalar_fail_a_row_on_its_first_non_finite_step(x_strength):
         assert ok and step == round(res.flashovers[0][1] / DT)
     assert finite.tolist() == [True, False, False, True]
     assert end[1] == end[2] == 1 and end[0] == end[3] > 4
+
+
+def held_network(peak, volts, strength=2e4):
+    # surge_network beside a pre-energised line p-q between two matched
+    # sources: no surge reaches p or q, and a switch across b-p reads the
+    # surge against p's rest voltage
+    net = surge_network(10.0, peak)
+    net.add_line("p", "q", 110.0, 2.7 * DT, v0_a=volts, v0_b=volts)
+    for node in "pq":
+        net.set_initial_voltage(node, volts)
+        net.add_voltage_source(node, volts, 110.0)
+    net.add_flashover_switch("b", "p", strength)
+    return net
+
+
+def test_held_nodes_run_as_the_full_network():
+    # rows whose p and q pass the rest certificate step without them, to
+    # the verdicts of the per-step oracle on the full network and of the
+    # scalar runs; a row whose p would drift off its rest voltage, by
+    # rounding alone, is refused
+    nets = [held_network(p, v) for p, v in
+            ((-1e3, 1e4), (-3e3, 7e3), (-1e3, 5e4), (math.nan, 1e4),
+             (-2e3, 0.1), (-0.5e3, 0.1))]
+    sim = nets[0].assemble(DT)
+    held = [sim.net.require_node(name) for name in "pq"]
+    batch = EmtBatch(sim, held)
+    for net in nets:
+        batch.add(net.assemble(DT))
+    with np.errstate(invalid="ignore"):
+        end, finite = assert_runs_as_oracle(batch, 60 * DT)
+    switches = []
+    for net, step, ok in zip(nets, end.tolist(), finite.tolist()):
+        try:
+            with np.errstate(invalid="ignore"):
+                res = net.assemble(DT).run(60 * DT)
+        except np.linalg.LinAlgError:
+            assert not ok
+            continue
+        assert ok and step == (round(res.flashovers[0][1] / DT)
+                               if res.flashovers else 0)
+        switches += [k for k, _t, _stress in res.flashovers]
+    assert finite.tolist() == [True, True, True, False, True, True]
+    assert 1 in switches and end[5] == 0  # b-p flashes; one row holds
+
+    # the first drifts on its first step; the second keeps p and q at
+    # their voltage on the first step, but not the p-q line current, and
+    # drifts later; the third starts p off the line's pre-history
+    # (switches too strong to end the runs early)
+    late = held_network(-1e3, -257832.0732773623, 1e12)
+    late_start = held_network(-1e3, 5e4, 1e12)
+    late_start.set_initial_voltage("p", 5e4 + 1.0)
+    for volts, net in ((120509.78608255874,
+                        held_network(-1e3, 120509.78608255874, 1e12)),
+                       (-257832.0732773623, late), (5e4, late_start)):
+        drifting = net.assemble(DT)
+        assert not batch.resting(batch_rows(drifting), 60 * DT)[held].all()
+        traces = drifting.run(60 * DT, record=("p", "q")).node_traces
+        assert (traces["p"] != volts).any() or (traces["q"] != volts).any()
+        again = EmtBatch(sim, held)
+        again.add(net.assemble(DT))
+        with pytest.raises(ValueError, match="rest"):
+            again.run(60 * DT)
+
+
+def test_held_nodes_are_joined_only_to_held_nodes():
+    sim = held_network(-1e3, 1e3).assemble(DT)
+    a, b, p = (sim.net.require_node(name) for name in "abp")
+    with pytest.raises(ValueError, match="held"):
+        EmtBatch(sim, [p])  # line p-q joins it to a solved node
+    with pytest.raises(ValueError, match="held"):
+        EmtBatch(sim, [0, p, sim.net.require_node("q")])
+    washout = washout_network(-1e3, None).assemble(DT)
+    with pytest.raises(ValueError, match="line end"):
+        EmtBatch(washout, [washout.net.require_node("x")])
+    # the surge drives a, so a and b never pass the certificate
+    batch = EmtBatch(sim, [a, b])
+    batch.add(sim)
+    with pytest.raises(ValueError, match="rest"):
+        batch.run(60 * DT)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_passes_run_as_the_per_step_oracle_on_study_batches(seed):
+    # every batch of a lightning study, full or holding its phase nodes,
+    # ends each row where the per-step loop on the full network does; a
+    # strike network advances two steps per pass
+    from gridstudies import lightning
+
+    config = lightning.StudyConfig(n=2000, seed=seed)
+    sample = lightning.sample_strokes(config.n, config.seed, config.geometry)
+    impacts = lightning.classify_impact(sample.x_m, sample.y_m,
+                                        sample.peak_ka, config.geometry)
+    line = impacts.on_line
+    kinds = []
+    for _rows, template, held, columns in lightning._replay_batches(
+            sample[line], impacts[line], config):
+        batch = EmtBatch(template, held)
+        batch.extend(columns)
+        assert batch._plan(config.t_end_s).passes == 2
+        assert_runs_as_oracle(batch, config.t_end_s)
+        kinds.append(bool(held))
+    assert True in kinds and False in kinds

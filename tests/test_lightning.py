@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -485,6 +485,32 @@ class TestSurgeReplay:
         with pytest.raises(ValueError, match="positive"):
             StudyConfig(n=0)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("system_kv", math.nan), ("system_kv", -230.0),
+        ("shield_surge_ohms", math.inf), ("shield_surge_ohms", 0.0),
+        ("phase_surge_ohms", math.nan), ("phase_surge_ohms", -1.0),
+        ("tower_base_radius_m", -1.0), ("tower_base_radius_m", math.nan),
+        ("tower_base_radius_m", 20.0),  # tower surge impedance below 0
+        ("tower_speed_factor", math.nan), ("tower_speed_factor", 1.5),
+        ("dt_s", math.nan), ("dt_s", -20e-9),
+        ("t_end_s", math.nan), ("t_end_s", math.inf),
+        ("ground_flash_density", math.nan), ("ground_flash_density", 0.0),
+        ("strip_length_km", math.inf), ("strip_length_km", -1.0)])
+    def test_config_names_a_bad_field_before_any_sampling(self, name, bad,
+                                                           monkeypatch):
+        def sampled(*args):
+            raise AssertionError("strokes were sampled")
+
+        monkeypatch.setattr(lightning, "sample_strokes", sampled)
+        with pytest.raises(ValueError, match=name):
+            lightning.run_study(StudyConfig(n=300, **{name: bad}))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(LineGeometry)
+                                      if f.type == "float"])
+    def test_geometry_names_a_non_finite_field(self, name):
+        with pytest.raises(ValueError, match=name):
+            LineGeometry(**{name: math.nan})
+
     def test_tower_surge_impedance_from_base_radius(self):
         config = StudyConfig(n=1, tower_base_radius_m=8.0)
         h = config.geometry.shield_height_m
@@ -615,8 +641,10 @@ def test_every_strike_network_batches_with_a_diagonal_g(wire, place):
 
 def test_a_structure_over_replay_batch_runs_as_simulate_event(monkeypatch):
     # 39 tower strokes (one structure) between span strokes of two
-    # structures and a NaN peak: one network is built per structure, and
-    # the tower rows run as a full batch and the remainder
+    # structures and a NaN peak: one network is built per structure.  With
+    # batches of 4 full rows, each structure's full-network strokes run 4
+    # at a time, and its shield strokes whose phase conductors rest run
+    # as many at a time as fit the same memory
     strokes = []
     for k in range(52):
         fields_ = dict(x_m=0.0, y_m=0.0, angle_deg=7.0 * k,
@@ -629,7 +657,7 @@ def test_a_structure_over_replay_batch_runs_as_simulate_event(monkeypatch):
                  if k % 4 == 3 else ((SHIELD, PHASE_C)[k % 2], TOWER, k % 5))
         strokes.append((fields_, codes))
     sample, impacts = _rows(strokes)
-    assert (impacts.place == TOWER).sum() == 39 > emt.REPLAY_BATCH
+    assert (impacts.place == TOWER).sum() == 39
 
     built, runs = [], []
     build, run = lightning.build_strike_network, emt.EmtBatch.run
@@ -640,18 +668,22 @@ def test_a_structure_over_replay_batch_runs_as_simulate_event(monkeypatch):
 
     def counted_run(self, t_end):
         end, finite = run(self, t_end)
-        runs.append(len(end))
+        runs.append((len(end), self._held.size))
         return end, finite
 
+    monkeypatch.setattr(lightning, "REPLAY_BATCH", 4)
     monkeypatch.setattr(lightning, "build_strike_network", counted_build)
     monkeypatch.setattr(emt.EmtBatch, "run", counted_run)
     with np.errstate(invalid="ignore"):
         got = lightning.replay_strokes(sample, impacts, _SHORT)
     monkeypatch.undo()
-    # structures in order of their first stroke: tower, phase A span 3,
-    # shield span 3
+    # structures from the most strokes to the fewest: tower (13 phase C
+    # and 13 shield strokes in the full network, 13 shield strokes holding
+    # the 27 phase nodes, 9 of them in the memory of 4 full rows), phase A
+    # span 3 (7 strokes), shield span 3 (2 and 4)
     assert len(built) == 3
-    assert runs == [emt.REPLAY_BATCH, 39 - emt.REPLAY_BATCH, 7, 6]
+    assert runs == [(4, 0)] * 6 + [(2, 0), (9, 27), (4, 27), (4, 0), (3, 0),
+                                   (2, 0), (4, 27)]
     with np.errstate(invalid="ignore"):
         want = [simulate_event(sample[i], impacts[i], _SHORT)
                 for i in range(len(sample))]
@@ -686,12 +718,14 @@ def _study_line_strokes():
                          ids=["every-code", "study"])
 def test_template_rows_match_each_assembled_network(strokes):
     # every array a template fills for a row is the one EmtBatch.add takes
-    # from that stroke's own assembled network, bit for bit
+    # from that stroke's own assembled network, bit for bit; a batch that
+    # holds nodes holds every phase node, and only shield strokes whose
+    # phase nodes the certificate passes run in one
     config = StudyConfig(n=1)
     sample, impacts = strokes()
-    seen = []
-    for rows, template, got in lightning._replay_batches(sample, impacts,
-                                                         config):
+    seen, held_rows = [], 0
+    batches = list(lightning._replay_batches(sample, impacts, config))
+    for rows, template, held, got in batches:
         assert template is not None
         for col, i in enumerate(rows.tolist()):
             seen.append(i)
@@ -701,13 +735,84 @@ def test_template_rows_match_each_assembled_network(strokes):
             for name, g, w in zip(want._fields, got, want):
                 assert g[..., col].dtype == w[..., 0].dtype, name
                 assert g[..., col].tobytes() == w[..., 0].tobytes(), (name, i)
+        phases = [k for k in range(got.inject.shape[0])
+                  if template.net.node_name(k)[0] == "p"]
+        rest = emt.EmtBatch(template).resting(got, config.t_end_s)[phases]
+        if held:
+            assert list(held) == phases and rest.all()
+            assert (impacts.wire[rows] == SHIELD).all()
+            held_rows += rows.size
+        else:
+            assert not (rest.all(axis=0) & (impacts.wire[rows] == SHIELD)).any()
     assert sorted(seen) == list(range(len(sample)))
+    assert 0 < held_rows < len(sample)
     # one template per structure: the tower one, one per wire and span
     codes = zip(impacts.wire.tolist(), impacts.place.tolist(),
                 impacts.index.tolist())
-    assert len({template for _rows, template, _cols in
-                lightning._replay_batches(sample, impacts, config)}) == len(
+    assert len({template for _rows, template, _held, _cols in batches}) == len(
         {TOWER if place == TOWER else (w, place, i) for w, place, i in codes})
+
+
+def _conductor_traces(stroke, impact, config):
+    """For each phase conductor a stroke leaves unstruck: whether the rest
+    certificate passes it, its rest voltage, and the traces of its nodes
+    over the whole window (the insulators made too strong to flash)."""
+    net = build_strike_network(replace(stroke, strength_kv=1e12), impact,
+                               config)
+    sim = net.assemble(config.dt_s)
+    rest = emt.EmtBatch(sim).resting(emt.batch_rows(sim), config.t_end_s)
+    names = [net.node_name(k) for k in range(rest.shape[0])]
+    volts = dict(zip("abc", lightning._phase_volts(stroke.angle_deg, config)))
+    struck = lightning._PHASE_NAMES.get(int(impact.wire))
+    conductors = {p: [k for k, name in enumerate(names) if name[:2] == "p" + p]
+                  for p in "abc" if p != struck}
+    res = sim.run(config.t_end_s, record=tuple(
+        names[k] for nodes in conductors.values() for k in nodes))
+    assert not res.flashovers
+    return [(bool(rest[nodes, 0].all()), volts[p],
+             [res.node_traces[names[k]] for k in nodes])
+            for p, nodes in conductors.items()]
+
+
+def test_certified_conductors_never_leave_rest():
+    # every conductor the certificate passes holds its rest voltage bit
+    # for bit on every step of the scalar run; some it refuses do not
+    cases = [(_rows([(f, codes)]), _SHORT) for f, codes, _near in _EVERY_CODE]
+    config = StudyConfig(n=2000, seed=1)
+    sample, impacts = _study_line_strokes()
+    cases += [((sample[i:i + 1], impacts[i:i + 1]), config)
+              for i in range(0, len(sample), 12)]
+    passed = refused = left = 0
+    for (strokes, codes), case_config in cases:
+        for ok, volts, traces in _conductor_traces(strokes[0], codes[0],
+                                                   case_config):
+            rests = [tr.tobytes() == np.full(tr.size, volts).tobytes()
+                     for tr in traces]
+            if ok:
+                passed += 1
+                assert all(rests)
+            else:
+                refused += 1
+                left += not all(rests)
+    assert passed > refused > 0 and left > 0
+
+
+def test_a_nan_phase_angle_is_refused_and_fails_as_simulate_event():
+    # NaN phase voltages never pass the rest certificate: the stroke steps
+    # the full network and fails on its first step, as the scalar run does
+    config = StudyConfig(n=1)
+    base = dict(x_m=0.0, y_m=0.0, peak_ka=30.0, front_us=2.0, half_us=50.0,
+                footing_ohm=20.0, strength_kv=900.0)
+    sample, impacts = _rows([(dict(base, angle_deg=angle), (SHIELD, TOWER, 2))
+                             for angle in (30.0, math.nan, 45.0)])
+    held = [rows.tolist() for rows, _template, held, _columns in
+            lightning._replay_batches(sample, impacts, config) if held]
+    assert held == [[0, 2]]
+    with np.errstate(invalid="ignore"):
+        got = lightning.replay_strokes(sample, impacts, config)
+        want = [simulate_event(sample[i], impacts[i], config) for i in range(3)]
+    assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
+    assert [r.failed for r in got] == [False, True, False]
 
 
 @pytest.mark.parametrize("bad", [

@@ -417,16 +417,16 @@ def smo_oracle(x, y, C, sigma, tol, max_sweeps):
         f"(tolerance {tol}) after {max_sweeps} sweeps")
 
 
-def smo_outcome(solver, x, y, C, sigma):
+def smo_outcome(solver, x, y, C, sigma, max_sweeps=200):
     """(alpha, b, residual) bytes, or the ConvergenceError message."""
     try:
-        alpha, b, res = solver(x, y, C, sigma, 1e-3, 200)
+        alpha, b, res = solver(x, y, C, sigma, 1e-3, max_sweeps)
     except ConvergenceError as exc:
         return str(exc)
     return alpha.tobytes(), np.float64(b).tobytes(), np.float64(res).tobytes()
 
 
-def assert_smo_matches_oracle(data, C, sigma="auto"):
+def assert_smo_matches_oracle(data, C, sigma="auto", max_sweeps=200):
     """Every class pair svm_train would solve, scan against oracle."""
     if sigma == "auto":
         sigma = median_pairwise_distance(data.features)
@@ -437,8 +437,9 @@ def assert_smo_matches_oracle(data, C, sigma="auto"):
             mask = (data.labels == neg) | (data.labels == pos)
             x = data.features[mask]
             y = np.where(data.labels[mask] == pos, 1.0, -1.0)
-            outcome = smo_outcome(_smo, x, y, C, sigma)
-            assert outcome == smo_outcome(smo_oracle, x, y, C, sigma), (neg, pos)
+            outcome = smo_outcome(_smo, x, y, C, sigma, max_sweeps)
+            assert outcome == smo_outcome(smo_oracle, x, y, C, sigma,
+                                          max_sweeps), (neg, pos)
             outcomes.append(outcome)
     return outcomes
 
@@ -456,10 +457,13 @@ def test_smo_scan_matches_pairwise_oracle_on_stability_grid(stability_grid, seed
 
     train = scaled_split(sweep_to_dataset(stability_grid), seed)
     for C in (1.0, 10.0, 100.0):
-        (outcome,) = assert_smo_matches_oracle(train, C)
-        if (seed, C) == (1, 100.0):
-            # the optimizer gives up here; the scan must say so alike
-            assert outcome.startswith("pair optimizer stopped")
+        assert_smo_matches_oracle(train, C)
+    if seed == 1:
+        # ten sweeps leave a KKT residual of 0.2-0.4 at every SIMD level,
+        # far above the 1e-3 tolerance: the optimizer gives up, and the
+        # scan must say so alike
+        (outcome,) = assert_smo_matches_oracle(train, 100.0, max_sweeps=10)
+        assert outcome.startswith("pair optimizer stopped")
 
 
 def test_smo_scan_matches_pairwise_oracle_on_small_sets():

@@ -94,6 +94,28 @@ class TestHistogram:
         svg = render_histogram([5.0, 5.0, 5.0], bins=4)
         assert _parse(svg) is not None
 
+    def test_counts_match_the_array_bins_oracle(self):
+        # the equal-width path bins each value as the array-of-edges call
+        # does: random sets of several shapes and sizes, plus every edge
+        # and the doubles one ulp either side of it
+        rng = np.random.default_rng(24)
+        for trial in range(3000):
+            size = int(rng.integers(1, 60))
+            values = [rng.normal(0, 10, size), rng.lognormal(3.5, 0.7, size),
+                      rng.integers(-5, 6, size).astype(float),
+                      rng.uniform(1e-3, 2e-3, size)][trial % 4]
+            bins = int(rng.integers(1, 50))
+            lo, hi = values.min(), values.max()
+            edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
+            near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf)])
+            near = near[(near >= lo) & (near <= hi)]
+            values = np.concatenate([values, rng.choice(near, size)])
+            got_edges, got = histogram_counts(values, bins)
+            want, want_edges = np.histogram(values, bins=edges)
+            assert got_edges.tobytes() == want_edges.tobytes() == edges.tobytes()
+            assert np.array_equal(got, want), trial
+
     def test_empty_or_bad_bins_rejected(self):
         with pytest.raises(ValueError):
             histogram_counts([], 10)
