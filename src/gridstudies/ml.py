@@ -2,17 +2,16 @@
 
 Everything here is deterministic. kNN breaks voting ties by the smaller mean
 distance and then the lower label; the SVM trains with a sequential pair
-optimizer whose working-pair choice is a fixed heuristic (no random draws);
-the network trains full-batch from a seeded initialization.
+optimizer whose working pair is the maximal violating pair, the second index
+by second-order gain (no random draws), and which stops on the duality-gap
+rule, so it converges for every positive C; the network trains full-batch
+from a seeded initialization.
 
-The pair optimizer judges all partners of a violating multiplier in one array
-pass and steps with the first, in its fixed order, that can move; the network
-trains in a workspace allocated once per call (a flat parameter vector with
-per-layer views, a gradient vector laid out alike, per-layer activation,
-delta and scratch buffers) that every operation writes in place.  kNN takes
-the distances of a block of queries in one pass and one sort.  All three
-give the bits of the pair-by-pair loop, per-array network and per-query
-scan they replaced.
+The network trains in a workspace allocated once per call (a flat parameter
+vector with per-layer views, a gradient vector laid out alike, per-layer
+activation, delta and scratch buffers) that every operation writes in place.
+kNN takes the distances of a block of queries in one pass and one sort.  Both
+give the bits of the per-array network and per-query scan they replaced.
 
 Models serialize to JSON so a trained predictor can be reloaded bit-exactly.
 """
@@ -225,85 +224,47 @@ class BinarySvm:
 
 
 def _smo(x, y, C, sigma, tol, max_sweeps):
-    """Pairwise dual ascent; deterministic partner choice by largest |E_i-E_j|
-    with an in-order fallback, judged for all partners at once. Returns
-    (alpha, b, kkt_residual)."""
+    """Pairwise dual descent with maximal-violating-pair working sets
+    (Keerthi et al. 2001), the second index by second-order gain (Fan, Chen
+    & Lin 2005).  Stops once the gap m - M of -y*grad between the up- and
+    low-sets is at most tol, or gives up after max_sweeps * n pair steps.
+    Returns (alpha, b, kkt_residual)."""
     n = len(y)
     K = rbf_kernel(x, x, sigma)
-    k_diag = K.diagonal().copy()
     alpha = np.zeros(n)
-    b = 0.0
-    E = -y.astype(float)  # decision minus target, all-zero model
-
-    def step(i, order):
-        """Pair i with the first partner in order that passes the four tests
-        (j != i, a box of width >= 1e-12, curvature eta > 1e-12, a clipped
-        move >= 1e-12), all judged in one array pass with the scalar
-        expressions in the scalar order; False when no partner passes."""
-        nonlocal b, E
-        same = y == y[i]
-        plus = alpha[i] + alpha
-        L = np.where(same, np.maximum(0.0, plus - C),
-                     np.maximum(0.0, alpha - alpha[i]))
-        H = np.where(same, np.minimum(C, plus),
-                     np.minimum(C, C + alpha - alpha[i]))
-        eta = K[i, i] + k_diag - 2.0 * K[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # eta <= 1e-12 (j = i included) fails the test below anyway
-            aj = alpha + y * (E[i] - E) / eta
-        aj = np.minimum(H, np.maximum(L, aj))
-        dj = aj - alpha
-        ok = (H - L >= 1e-12) & (eta > 1e-12) & (np.abs(dj) >= 1e-12)
-        ok[i] = False
-        ok = ok[order]
-        first = int(np.argmax(ok))
-        if not ok[first]:
-            return False
-        j = int(order[first])
-        aj, dj = aj[j], dj[j]
-        ai = alpha[i] - y[i] * y[j] * dj
-        di = ai - alpha[i]
-        b1 = b - E[i] - y[i] * di * K[i, i] - y[j] * dj * K[i, j]
-        b2 = b - E[j] - y[i] * di * K[i, j] - y[j] * dj * K[j, j]
-        if 0.0 < ai < C:
-            nb = b1
-        elif 0.0 < aj < C:
-            nb = b2
-        else:
-            nb = 0.5 * (b1 + b2)
-        E += y[i] * di * K[i] + y[j] * dj * K[j] + (nb - b)
-        alpha[i], alpha[j] = ai, aj
-        b = nb
-        return True
-
-    def residual():
-        r = y * E
-        lower = np.where(alpha < C - 1e-9, np.maximum(0.0, -r), 0.0)
-        upper = np.where(alpha > 1e-9, np.maximum(0.0, r), 0.0)
-        return float(np.max(np.maximum(lower, upper))) if n else 0.0
-
-    for _sweep in range(max_sweeps):
-        violations = 0
-        progressed = 0
-        for i in range(n):
-            r = y[i] * E[i]
-            # Bound slack must match residual(): an alpha pinned within 1e-9
-            # of a box edge cannot be moved by any pair step.
-            if (r < -tol and alpha[i] < C - 1e-9) or (r > tol and alpha[i] > 1e-9):
-                violations += 1
-                order = np.argsort(-np.abs(E - E[i]), kind="stable")
-                if step(i, order):
-                    progressed += 1
-        if violations == 0:
-            return alpha, b, residual()
-        if progressed == 0:
-            break  # violating but unimprovable by pair steps: degenerate data
-    res = residual()
-    if res <= tol:
-        return alpha, b, res
-    raise ConvergenceError(
-        f"pair optimizer stopped with KKT residual {res:.3e} "
-        f"(tolerance {tol}) after {max_sweeps} sweeps")
+    grad = -np.ones(n)  # gradient of the dual objective 0.5 a'Qa - sum(a)
+    # an up-step moves alpha_i by +y_i, a low-step alpha_j by -y_j; each
+    # multiplier may take one while it is off the bound that step heads to
+    up_end = np.where(y > 0, C, 0.0)
+    low_end = C - up_end
+    k_diag = K.diagonal()
+    cap = max(max_sweeps, 0) * n
+    for steps in range(cap + 1):
+        f = -y * grad
+        i = int(np.argmax(np.where(alpha != up_end, f, -np.inf)))
+        low = alpha != low_end
+        m, M = f[i], np.min(f[low])
+        if not m - M > tol or steps == cap:  # a NaN gap stops too
+            break
+        gain = np.where(low & (f < m), m - f, 0.0)
+        curv = np.maximum(K[i, i] + k_diag - 2.0 * K[i], 1e-12)
+        j = int(np.argmax(gain * gain / curv))
+        room_i, room_j = abs(up_end[i] - alpha[i]), abs(low_end[j] - alpha[j])
+        t = min(gain[j] / curv[j], room_i, room_j)
+        alpha[i] = up_end[i] if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = low_end[j] if t == room_j else alpha[j] - y[j] * t
+        grad += t * y * (K[i] - K[j])
+    free = (alpha > 0.0) & (alpha < C)
+    b = float(np.mean(f[free]) if free.any() else 0.5 * (m + M))
+    r = y * b + grad  # y * (decision - y), as y * y = 1
+    lower = np.where(alpha < C - 1e-9, np.maximum(0.0, -r), 0.0)
+    upper = np.where(alpha > 1e-9, np.maximum(0.0, r), 0.0)
+    res = float(np.max(np.maximum(lower, upper)))
+    if not m - M <= tol:
+        raise ConvergenceError(
+            f"pair optimizer stopped with KKT residual {res:.3e} "
+            f"(tolerance {tol}) after {steps} pair steps")
+    return alpha, b, res
 
 
 @dataclass
@@ -333,16 +294,16 @@ class SvmModel:
 
 
 def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
-              tol: float = 1e-3, max_sweeps: int = 200) -> SvmModel:
-    if C <= 0:
-        raise ValueError("C must be positive")
+              tol: float = 1e-4, max_sweeps: int = 200) -> SvmModel:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
     classes = sorted(set(train.labels.tolist()))
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     if sigma == "auto":
         sigma = median_pairwise_distance(train.features)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     model = SvmModel(classes, C, float(sigma))
     for a_i in range(len(classes)):
         for b_i in range(a_i + 1, len(classes)):
@@ -477,8 +438,10 @@ def mlp_init(layout, classes, seed: int) -> MlpModel:
 def mlp_train(train: Dataset, layout, seed: int, epochs: int,
               lr: float) -> MlpModel:
     """Full-batch gradient descent on the summed squared error."""
-    if epochs < 0 or lr <= 0:
-        raise ValueError("need epochs >= 0 and lr > 0")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     classes = sorted(set(train.labels.tolist()))
     if len(classes) != 2:
         raise ValueError(f"need exactly two classes, got {len(classes)}")

@@ -80,6 +80,16 @@ def test_ml_study_outputs(tmp_path):
     json.loads((out / "svm.json").read_text())
 
 
+def test_ml_converges_at_svm_c_100(tmp_path):
+    # the split at seed 1 where the former partner-scan optimizer gave up
+    out = tmp_path / "ml"
+    assert run("ml", "--seed", 1, "--svm-c", 100, "--out", out) == 0
+    for name in ("dataset.csv", "svm.json", "mlp.json", "mlp_small.json",
+                 "summary.txt", "predictions.svg"):
+        assert (out / name).exists(), name
+    assert read_manifest(out)["error"] is None
+
+
 def test_dist_daily_series(tmp_path):
     out = tmp_path / "d"
     assert run("dist", "--case", "A2", "--hours", 48, "--out", out) == 0
