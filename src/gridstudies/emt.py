@@ -35,8 +35,8 @@ network's own row.  It keeps the line histories of all its rows in one
 time-major ring, prefilled with each line's pre-history, so one gather
 reads every far end's samples, and it advances K steps per numpy pass,
 K being the fewest steps between a solve and the newest sample it reads.
-Nodes that a certificate (EmtBatch.resting) shows stay at rest can be
-held: they leave the solve and keep their rest voltage.
+Nodes that no surge current reaches can be held: they leave the solve and
+keep their pre-history voltage.
 
 State 0 is the declared initial condition (rest unless initial voltages,
 storage currents, or line voltages say otherwise); the solver produces states
@@ -480,13 +480,6 @@ def _interpolation(m, delay):
     return m0, q - m0
 
 
-def _delay_kinds(delay):
-    """The distinct line delays, sorted, and each delay's index among
-    them."""
-    kinds = np.array(sorted(set(delay.tolist())))
-    return kinds, np.searchsorted(kinds, delay)
-
-
 def _histories(flat, at, weight, zc):
     """-h of every end for each of len(at) solves: the far-end state one
     delay back, interpolated between the ring samples in rows `at` of
@@ -537,15 +530,18 @@ class EmtBatch:
     reads the rows and changes nothing, so a second call returns the same
     arrays.
 
-    `held` names nodes that leave the solve.  Every line at a held node
-    joins two held nodes, and each row must hold them at rest: `resting`
-    certifies that one step of this batch's arithmetic, started from the
-    lines' pre-history, gives it back bit for bit under every
-    interpolation weight the run uses, so by induction the nodes keep
-    their pre-history voltage on every step.  `run` refuses rows it cannot
-    certify.  The lines at held nodes leave the ring; each held node keeps
-    a row of the voltages, filled once, so a switch across it reads the
-    bits the full network's solve would write.
+    `held` names nodes that leave the solve and keep the pre-history
+    voltage of their first line end on every step.  Every line at a held
+    node joins two held nodes, no row's surge drives one, and each row's
+    held line ends start at their pre-history (voltage v0, current 0), so
+    while G is diagonal no surge current reaches a held node: in exact
+    arithmetic it stays at rest.  Holding it is the caller's claim that
+    the full network's rounding never moves it far enough to change a
+    verdict.  The lines at held nodes leave the ring; each held node keeps
+    a row of the voltages, filled once, which the switches across it
+    read.  A row whose held voltages are not finite ends at step 1 as not
+    finite: where each held line's two ends share their pre-history, the
+    full network's voltages are not finite from step 1 on as well.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row.  The line
@@ -595,7 +591,7 @@ class EmtBatch:
         if is_held[0] or (dropped != dropped[self._ln_far]).any():
             raise ValueError("held nodes are non-ground nodes whose lines "
                              "join only held nodes")
-        self._held = np.flatnonzero(is_held)
+        self._is_held, self._held = is_held, np.flatnonzero(is_held)
         # a held node keeps the pre-history of its first line end
         first = dict(zip(self._ln_ends[::-1].tolist(), range(ends - 1, -1, -1)))
         if not set(self._held.tolist()) <= first.keys():
@@ -607,7 +603,7 @@ class EmtBatch:
         self._order = np.concatenate([np.flatnonzero(~is_held), self._held])
         self._node_row = np.empty_like(self._order)
         self._node_row[self._order] = np.arange(nodes)
-        self._kept = np.flatnonzero(~dropped)
+        self._kept, self._dropped = np.flatnonzero(~dropped), np.flatnonzero(dropped)
         self._end_node = self._node_row[self._ln_ends[self._kept]]
         self._end_far = (np.cumsum(~dropped) - 1)[self._ln_far[self._kept]]
         self._solved = nodes - self._held.size
@@ -618,6 +614,8 @@ class EmtBatch:
         if [c.shape for c in rows] != [(k,), (3, k),
                                        *((h, k) for h in self._heights)]:
             raise ValueError("rows do not match the batch's structure")
+        if self._is_held[rows.node].any():
+            raise ValueError("a row's surge drives a held node")
         self._blocks.append(rows)
 
     def add(self, sim: EmtSimulation):
@@ -625,11 +623,6 @@ class EmtBatch:
         if _batch_structure(sim) != self._structure:
             raise ValueError("network does not match the batch's structure")
         self.extend(batch_rows(sim))
-
-    def _steps(self, t_end: float) -> int:
-        if not 0 < t_end < math.inf:
-            raise ValueError("t_end must be finite and positive")
-        return int(math.ceil(t_end / self.dt - 1e-12))
 
     def _plan(self, t_end: float) -> SimpleNamespace:
         """How `run` steps to t_end: `steps`; `passes`, K; `chunk`, the
@@ -640,8 +633,12 @@ class EmtBatch:
         for the verdicts; `across`, the switches' a then b nodes as watch
         entries; `loose`, the watch entries of nodes no deep region
         holds."""
-        steps = self._steps(t_end)
-        kinds, kind = _delay_kinds(self._ln_delay[self._kept])
+        if not 0 < t_end < math.inf:
+            raise ValueError("t_end must be finite and positive")
+        steps = int(math.ceil(t_end / self.dt - 1e-12))
+        delay = self._ln_delay[self._kept]
+        kinds = np.array(sorted(set(delay.tolist())))
+        kind = np.searchsorted(kinds, delay)
         m = np.arange(1, steps + 1)[:, None]
         m0, _frac = _interpolation(m, kinds)
         # solve m reads samples m0 and m0 + 1
@@ -678,63 +675,6 @@ class EmtBatch:
             across=np.array([where[k] for k in pairs], dtype=np.intp),
             loose=np.arange(len(watch) - loose.sum(), len(watch)))
 
-    def row_bytes(self, t_end: float) -> int:
-        """Bytes `run` holds per row while it steps to t_end: the ring,
-        the row's own arrays and buffers, and the largest temporaries of
-        a pass, a chunk's verdicts or its surge."""
-        plan = self._plan(t_end)
-        k, ends, solved = plan.passes, self._kept.size, self._solved
-        kept = (4 + sum(self._heights) + solved + ends  # rows, G⁻¹, Zc
-                + k * (3 * ends + 2 * solved + self._order.size)
-                + plan.chunk * (plan.watch.size + 1) + plan.ring_rows)
-        # the gathered samples and their weights; the switch pairs; the
-        # surge waveform's intermediates
-        passing = max(8 * ends * k, 2 * self._fo_a.size * plan.chunk,
-                      8 * plan.chunk)
-        return 8 * (kept + passing)
-
-    def resting(self, rows: BatchRows, t_end: float) -> np.ndarray:
-        """The rest certificate of k rows (full BatchRows of this
-        structure): a (nodes, k) mask of the nodes each row holds at rest
-        on every step up to t_end.
-
-        A node rests when it has a line end, no surge drives it, each of
-        its ends starts at the pre-history (voltage v0, current 0), and
-        one step of this batch's arithmetic from every end's pre-history
-        returns the node's voltage as v0 and each of its ends' currents as
-        +0.0, bit for bit, under every (1 - frac, frac) weight row the
-        steps to t_end use.  A non-finite v0 never returns a zero current.
-        Resting nodes joined by lines only to each other then stay at rest
-        on every step."""
-        steps = self._steps(t_end)
-        ends, count, b = self._ln_ends, self._ln_ends.size, rows.node.size
-        cols = np.arange(b)
-        zc = np.repeat(self._ln_zc, b).reshape(count, b)
-        v0 = rows.line_v0
-        rest = np.concatenate([v0, np.zeros_like(v0)])  # [v; i] per end
-        # both interpolation samples of every end read the rest state
-        at = np.tile(np.concatenate([self._ln_far, self._ln_far + count]),
-                     2)[None]
-        bins = (ends[:, None] * b + cols).ravel()
-        same = rows.line_t0.view(np.int64) == rest.view(np.int64)
-        ok = same[:count] & same[count:]
-        v = np.zeros((1, *rows.inject.shape))
-        kinds, kind = _delay_kinds(self._ln_delay)
-        _m0, frac = _interpolation(np.arange(1, steps + 1)[:, None], kinds)
-        for used in set(map(tuple, frac.tolist())):
-            f = np.tile(np.array(used)[kind], 2)
-            neg_h = _histories(rest, at, np.concatenate([1.0 - f, f])[None], zc)
-            _solve(rows.inject[None], neg_h, bins, rows.ginv_diag, v)
-            ve = v[0].take(ends, axis=0)
-            ok &= ve.view(np.int64) == v0.view(np.int64)
-            ok &= (ve / zc - neg_h[0]).view(np.int64) == 0
-        out = np.zeros(rows.inject.shape, dtype=bool)
-        out[ends] = True
-        end, row = np.nonzero(~ok)
-        out[ends[end], row] = False
-        out[rows.node, cols] = False  # the surge drives its node
-        return out
-
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
         step on which one of its switches reaches its strength or one of
@@ -742,14 +682,18 @@ class EmtBatch:
         where it reaches t_end) and whether its voltages stayed finite.  A
         row that has ended keeps stepping, unjudged, until every row has
         ended by the end of a chunk.  Raises ValueError when a row's held
-        nodes are not certified at rest."""
+        line ends do not start at their pre-history."""
         plan = self._plan(t_end)
         steps, passes, chunk = plan.steps, plan.passes, plan.chunk
         rows = BatchRows(*(col[0] if len(col) == 1 else
                            np.concatenate(col, axis=-1)
                            for col in zip(*self._blocks)))
-        if self._held.size and not self.resting(rows, t_end)[self._held].all():
-            raise ValueError("a row does not hold its held nodes at rest")
+        held, count = self._dropped, self._ln_ends.size
+        moved = (rows.line_t0[held].view(np.int64)
+                 != rows.line_v0[held].view(np.int64))
+        if moved.any() or rows.line_t0[held + count].any():
+            raise ValueError("a row's held line ends do not start at their "
+                             "pre-history")
         b, solved, order = rows.node.size, self._solved, self._order
         cols = np.arange(b)
         ends, line_ends = self._kept.size, self._end_node
@@ -770,8 +714,7 @@ class EmtBatch:
         flat = np.empty((plan.ring_rows, b))
         regions = []
         pre = np.concatenate([rows.line_v0[self._kept], np.zeros((ends, b))])
-        t0 = rows.line_t0[np.concatenate([self._kept,
-                                          self._kept + self._ln_ends.size])]
+        t0 = rows.line_t0[np.concatenate([self._kept, self._kept + count])]
         place = np.empty(2 * ends, dtype=np.intp)  # staged row in its region
         base = np.empty(plan.kinds.size, dtype=np.intp)
         width = np.empty(plan.kinds.size, dtype=np.intp)
@@ -794,12 +737,13 @@ class EmtBatch:
 
         v = np.zeros((passes, order.size, b))
         v[:, solved:] = rows.line_v0[self._held_end]
+        # held voltages that are not finite fail their row on step 1
+        finite = np.isfinite(v[0, solved:]).all(axis=0)
+        end = np.where(finite, 0, 1)
+        live = finite.copy()
         kept_v = np.empty((chunk, plan.watch.size, b))
         switches = self._fo_a.size
-        end = np.zeros(b, dtype=np.intp)
-        finite = np.ones(b, dtype=bool)
-        live = np.ones(b, dtype=bool)
-        for n0 in range(0, steps, chunk):
+        for n0 in range(0, steps if live.any() else 0, chunk):
             m = np.arange(n0 + 1, n0 + chunk + 1)
             m0, frac = _interpolation(m[:, None], plan.kinds)
             # step m0 is column (m0 - 1) % D of its region
@@ -854,11 +798,3 @@ class EmtBatch:
                     break
         return end, finite
 
-
-# Full strike-network rows per lock-step batch.  Memory, not speed, sets
-# it: while its batch runs, each row holds its columns of the line-history
-# ring and its pass and chunk buffers (about 61 and 89 kB in a strike
-# network).  Larger batches raise peak memory for little further gain.  A
-# batch with held nodes is smaller per row and takes as many rows as fit
-# the same memory (EmtBatch.row_bytes).
-REPLAY_BATCH = 32

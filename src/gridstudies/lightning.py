@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .emt import (REPLAY_BATCH, BatchRows, DoubleRampSource, EmtBatch,
-                  EmtNetwork, batch_rows)
+from .emt import BatchRows, DoubleRampSource, EmtBatch, EmtNetwork, batch_rows
 from .report import write_columns
 
 LIGHT_SPEED_M_S = 299_792_458.0
@@ -478,6 +477,14 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
     return EventResult()
 
 
+# Line strokes per lock-step batch.  Memory, not speed, sets it: while its
+# batch runs, each row holds its columns of the line-history ring and its
+# pass and chunk buffers, 37.6-39.7 kB in a strike network whose unstruck
+# conductors are held (89-91 kB with every node stepped).  Larger batches
+# raise peak memory for little further gain.
+REPLAY_BATCH = 64
+
+
 def _replay_batches(sample: StrokeSample, impacts: Impacts,
                     config: StudyConfig):
     """The lock-step batches of `replay_strokes`: yields (stroke indices,
@@ -499,14 +506,13 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
         conductor ends (with the split node of a struck phase span), 0 on
         shield and tower ends; t=0 currents 0;
       - switch strengths, ramp, and the struck node.
-    Until an insulator flashes, the open switches cut the phase conductors
-    off from the shield, so an unstruck conductor sits at its power-
-    frequency rest state unless the step's own rounding moves it.  A
-    shield stroke whose three phase conductors pass the rest certificate
-    (EmtBatch.resting) holds every phase node and steps only the shield
-    and towers; such batches take as many rows as fit the memory of
-    REPLAY_BATCH full rows.  Every other stroke steps the full network,
-    REPLAY_BATCH at a time.  Each kind runs in stroke order.
+    Until an insulator flashes, G is diagonal and every line joins two
+    nodes of one conductor (the shield with its towers, or one phase), so
+    the surge reaches only the conductor it strikes and every other
+    conductor rests at its power-frequency voltage.  A batch steps the
+    struck conductor (with the split node of a struck span) and holds every
+    other non-ground node (EmtBatch's `held`); so a structure's strokes
+    batch by struck wire, REPLAY_BATCH at a time, in stroke order.
     Every input check of build_strike_network runs first, over all
     strokes: the first stroke that fails one is built alone, which raises
     that check's ValueError before any batch steps."""
@@ -550,8 +556,10 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
             continue
         own, net = batch_rows(template), template.net
         names = [net.node_name(node) for node in range(own.inject.shape[0])]
-        # per node: the column of `volts` it rests at
-        mid = {PHASE_A: 1, PHASE_C: 3}.get(int(impacts.wire[first]), 0)
+        # per node: the column of `volts` it rests at, which names its
+        # conductor; a struck wire's conductor rests at column[wire]
+        column = {PHASE_A: 1, PHASE_C: 3}
+        mid = column.get(int(impacts.wire[first]), 0)
         rest = np.array([mid if name == "mid" else
                          " abc".index(name[1]) if name[0] == "p" else 0
                          for name in names])
@@ -579,22 +587,12 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
                 np.concatenate([line_v0, np.zeros_like(line_v0)]),
                 np.repeat(strength[None, rows], own.strength.shape[0], axis=0))
 
-        full = EmtBatch(template)
-        phases = [node for node, name in enumerate(names) if name[0] == "p"]
-        calm = np.zeros(strokes.size, dtype=bool)
-        shield = np.flatnonzero(impacts.wire[strokes] == SHIELD)
-        for start in range(0, shield.size, REPLAY_BATCH):
-            at = shield[start:start + REPLAY_BATCH]
-            calm[at] = full.resting(fill(strokes[at]),
-                                    config.t_end_s)[phases].all(axis=0)
-        kinds = [(strokes[~calm], (), REPLAY_BATCH)]
-        if calm.any():
-            rows_fit = (REPLAY_BATCH * full.row_bytes(config.t_end_s)
-                        // EmtBatch(template, phases).row_bytes(config.t_end_s))
-            kinds.append((strokes[calm], phases, rows_fit))
-        for group, held, size in kinds:
-            for start in range(0, group.size, size):
-                rows = group[start:start + size]
+        wires = impacts.wire[strokes]
+        for wire in sorted(set(wires.tolist())):
+            group = strokes[wires == wire]
+            held = (np.flatnonzero(rest[1:] != column.get(wire, 0)) + 1).tolist()
+            for start in range(0, group.size, REPLAY_BATCH):
+                rows = group[start:start + REPLAY_BATCH]
                 yield rows, template, held, fill(rows)
 
 

@@ -302,8 +302,11 @@ def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
         raise ValueError("need at least two classes")
     if sigma == "auto":
         sigma = median_pairwise_distance(train.features)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    # the kernel divides by 2 sigma^2, which must neither underflow to 0
+    # nor overflow
+    if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be finite and positive, and 2*sigma**2 "
+                         f"a positive finite number, got {sigma}")
     model = SvmModel(classes, C, float(sigma))
     for a_i in range(len(classes)):
         for b_i in range(a_i + 1, len(classes)):

@@ -642,9 +642,8 @@ def test_every_strike_network_batches_with_a_diagonal_g(wire, place):
 def test_a_structure_over_replay_batch_runs_as_simulate_event(monkeypatch):
     # 39 tower strokes (one structure) between span strokes of two
     # structures and a NaN peak: one network is built per structure.  With
-    # batches of 4 full rows, each structure's full-network strokes run 4
-    # at a time, and its shield strokes whose phase conductors rest run
-    # as many at a time as fit the same memory
+    # batches of 4 rows, each structure's strokes run 4 at a time per
+    # struck wire, holding every node off the struck conductor
     strokes = []
     for k in range(52):
         fields_ = dict(x_m=0.0, y_m=0.0, angle_deg=7.0 * k,
@@ -677,13 +676,13 @@ def test_a_structure_over_replay_batch_runs_as_simulate_event(monkeypatch):
     with np.errstate(invalid="ignore"):
         got = lightning.replay_strokes(sample, impacts, _SHORT)
     monkeypatch.undo()
-    # structures from the most strokes to the fewest: tower (13 phase C
-    # and 13 shield strokes in the full network, 13 shield strokes holding
-    # the 27 phase nodes, 9 of them in the memory of 4 full rows), phase A
-    # span 3 (7 strokes), shield span 3 (2 and 4)
+    # structures from the most strokes to the fewest: tower (26 shield
+    # strokes holding the 27 phase nodes, 13 phase C strokes holding the
+    # other 36 non-ground nodes), phase A span 3 (7 strokes), shield span 3
+    # (6 strokes)
     assert len(built) == 3
-    assert runs == [(4, 0)] * 6 + [(2, 0), (9, 27), (4, 27), (4, 0), (3, 0),
-                                   (2, 0), (4, 27)]
+    assert runs == ([(4, 27)] * 6 + [(2, 27)] + [(4, 36)] * 3
+                    + [(1, 36), (4, 36), (3, 36), (4, 27), (2, 27)])
     with np.errstate(invalid="ignore"):
         want = [simulate_event(sample[i], impacts[i], _SHORT)
                 for i in range(len(sample))]
@@ -718,12 +717,13 @@ def _study_line_strokes():
                          ids=["every-code", "study"])
 def test_template_rows_match_each_assembled_network(strokes):
     # every array a template fills for a row is the one EmtBatch.add takes
-    # from that stroke's own assembled network, bit for bit; a batch that
-    # holds nodes holds every phase node, and only shield strokes whose
-    # phase nodes the certificate passes run in one
+    # from that stroke's own assembled network, bit for bit; a batch's
+    # strokes strike one wire, and it holds every non-ground node off that
+    # wire's conductor (the shield with its towers, or one phase, with the
+    # split node of a struck span)
     config = StudyConfig(n=1)
     sample, impacts = strokes()
-    seen, held_rows = [], 0
+    seen = []
     batches = list(lightning._replay_batches(sample, impacts, config))
     for rows, template, held, got in batches:
         assert template is not None
@@ -735,17 +735,13 @@ def test_template_rows_match_each_assembled_network(strokes):
             for name, g, w in zip(want._fields, got, want):
                 assert g[..., col].dtype == w[..., 0].dtype, name
                 assert g[..., col].tobytes() == w[..., 0].tobytes(), (name, i)
-        phases = [k for k in range(got.inject.shape[0])
-                  if template.net.node_name(k)[0] == "p"]
-        rest = emt.EmtBatch(template).resting(got, config.t_end_s)[phases]
-        if held:
-            assert list(held) == phases and rest.all()
-            assert (impacts.wire[rows] == SHIELD).all()
-            held_rows += rows.size
-        else:
-            assert not (rest.all(axis=0) & (impacts.wire[rows] == SHIELD)).any()
+        [wire] = set(impacts.wire[rows].tolist())
+        struck = (("s", "g") if wire == SHIELD
+                  else ("p" + lightning._PHASE_NAMES[wire],))
+        names = [template.net.node_name(k) for k in range(got.inject.shape[0])]
+        assert list(held) == [k for k, name in enumerate(names) if k and
+                              name != "mid" and not name.startswith(struck)]
     assert sorted(seen) == list(range(len(sample)))
-    assert 0 < held_rows < len(sample)
     # one template per structure: the tower one, one per wire and span
     codes = zip(impacts.wire.tolist(), impacts.place.tolist(),
                 impacts.index.tolist())
@@ -753,66 +749,63 @@ def test_template_rows_match_each_assembled_network(strokes):
         {TOWER if place == TOWER else (w, place, i) for w, place, i in codes})
 
 
-def _conductor_traces(stroke, impact, config):
-    """For each phase conductor a stroke leaves unstruck: whether the rest
-    certificate passes it, its rest voltage, and the traces of its nodes
-    over the whole window (the insulators made too strong to flash)."""
-    net = build_strike_network(replace(stroke, strength_kv=1e12), impact,
-                               config)
-    sim = net.assemble(config.dt_s)
-    rest = emt.EmtBatch(sim).resting(emt.batch_rows(sim), config.t_end_s)
-    names = [net.node_name(k) for k in range(rest.shape[0])]
-    volts = dict(zip("abc", lightning._phase_volts(stroke.angle_deg, config)))
-    struck = lightning._PHASE_NAMES.get(int(impact.wire))
-    conductors = {p: [k for k, name in enumerate(names) if name[:2] == "p" + p]
-                  for p in "abc" if p != struck}
-    res = sim.run(config.t_end_s, record=tuple(
-        names[k] for nodes in conductors.values() for k in nodes))
-    assert not res.flashovers
-    return [(bool(rest[nodes, 0].all()), volts[p],
-             [res.node_traces[names[k]] for k in nodes])
-            for p, nodes in conductors.items()]
-
-
-def test_certified_conductors_never_leave_rest():
-    # every conductor the certificate passes holds its rest voltage bit
-    # for bit on every step of the scalar run; some it refuses do not
+def test_unstruck_conductors_stay_within_rounding_of_rest():
+    # the premise of holding them: in the scalar run of the full network
+    # (insulators too strong to flash), every conductor a stroke leaves
+    # unstruck stays within 1e-9 of its rest voltage V, relative to |V|, a
+    # band far below any insulator's margin; shield and towers rest at 0 V
+    # exactly.  Some phase conductors do move by rounding
     cases = [(_rows([(f, codes)]), _SHORT) for f, codes, _near in _EVERY_CODE]
-    config = StudyConfig(n=2000, seed=1)
     sample, impacts = _study_line_strokes()
-    cases += [((sample[i:i + 1], impacts[i:i + 1]), config)
-              for i in range(0, len(sample), 12)]
-    passed = refused = left = 0
-    for (strokes, codes), case_config in cases:
-        for ok, volts, traces in _conductor_traces(strokes[0], codes[0],
-                                                   case_config):
-            rests = [tr.tobytes() == np.full(tr.size, volts).tobytes()
-                     for tr in traces]
-            if ok:
-                passed += 1
-                assert all(rests)
-            else:
-                refused += 1
-                left += not all(rests)
-    assert passed > refused > 0 and left > 0
+    cases += [((sample[i:i + 1], impacts[i:i + 1]), StudyConfig(n=2000, seed=1))
+              for i in range(0, len(sample), 24)]
+
+    def conductor(name):  # "s" for the shield and towers, else the phase
+        return "s" if name[0] in "sg" else name[1]
+
+    moved = 0
+    for (strokes, codes), config in cases:
+        stroke, wire = strokes[0], int(codes.wire[0])
+        net = build_strike_network(replace(stroke, strength_kv=1e12), codes[0],
+                                   config)
+        volts = dict(zip("sabc", (0.0, *lightning._phase_volts(
+            stroke.angle_deg, config))))
+        struck = "s" if wire == SHIELD else lightning._PHASE_NAMES[wire]
+        unstruck = [name for name in net._ids[1:]
+                    if name != "mid" and conductor(name) != struck]
+        res = net.assemble(config.dt_s).run(config.t_end_s, record=unstruck)
+        assert not res.flashovers
+        for name in unstruck:
+            rest = volts[conductor(name)]
+            drift = np.abs(res.node_traces[name] - rest).max()
+            assert drift <= 1e-9 * abs(rest), (name, drift)
+            moved += drift > 0
+    assert moved > 0
 
 
-def test_a_nan_phase_angle_is_refused_and_fails_as_simulate_event():
-    # NaN phase voltages never pass the rest certificate: the stroke steps
-    # the full network and fails on its first step, as the scalar run does
+def test_a_nan_phase_angle_fails_on_step_1_as_simulate_event():
+    # NaN phase voltages: a shield stroke holds all three phases and a
+    # phase stroke two of them.  Either row ends on step 1 as not finite,
+    # where the scalar run fails, and the other rows replay as alone
     config = StudyConfig(n=1)
     base = dict(x_m=0.0, y_m=0.0, peak_ka=30.0, front_us=2.0, half_us=50.0,
                 footing_ohm=20.0, strength_kv=900.0)
-    sample, impacts = _rows([(dict(base, angle_deg=angle), (SHIELD, TOWER, 2))
+    sample, impacts = _rows([(dict(base, angle_deg=angle), (wire, TOWER, 2))
+                             for wire in (SHIELD, PHASE_A)
                              for angle in (30.0, math.nan, 45.0)])
-    held = [rows.tolist() for rows, _template, held, _columns in
-            lightning._replay_batches(sample, impacts, config) if held]
-    assert held == [[0, 2]]
+    ended = {}
     with np.errstate(invalid="ignore"):
+        for rows, template, held, columns in lightning._replay_batches(
+                sample, impacts, config):
+            batch = emt.EmtBatch(template, held)
+            batch.extend(columns)
+            ended.update(zip(rows.tolist(), zip(*(a.tolist() for a in
+                                                  batch.run(config.t_end_s)))))
         got = lightning.replay_strokes(sample, impacts, config)
-        want = [simulate_event(sample[i], impacts[i], config) for i in range(3)]
+        want = [simulate_event(sample[i], impacts[i], config) for i in range(6)]
+    assert ended[1] == ended[4] == (1, False)
     assert [_verdict(r) for r in got] == [_verdict(r) for r in want]
-    assert [r.failed for r in got] == [False, True, False]
+    assert [r.failed for r in got] == [False, True, False] * 2
 
 
 @pytest.mark.parametrize("bad", [
@@ -905,6 +898,8 @@ class TestStudy:
             run_study(config)
 
     def test_singular_template_fails_only_its_structure(self, monkeypatch):
+        # its 46 tower strokes fill more than one batch of 32
+        monkeypatch.setattr(lightning, "REPLAY_BATCH", 32)
         config = StudyConfig(n=1000, seed=8)
         clean = run_study(config)
         build = lightning.build_strike_network
@@ -920,7 +915,7 @@ class TestStudy:
         monkeypatch.setattr(lightning, "build_strike_network", floating_towers)
         res = run_study(config)
         bad = res.impacts.place == TOWER
-        assert bad.sum() > emt.REPLAY_BATCH  # more than one batch fails
+        assert bad.sum() > lightning.REPLAY_BATCH  # more than one batch fails
         assert res.failed[bad].all() and not res.flashover[bad].any()
         assert not res.failed[~bad].any()
         assert np.array_equal(res.flashover[~bad], clean.flashover[~bad])

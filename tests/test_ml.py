@@ -268,10 +268,15 @@ def test_svm_reports_non_convergence():
 
 @pytest.mark.parametrize("C,sigma,name", [
     (float("nan"), "auto", "C"), (float("inf"), "auto", "C"),
-    (1.0, float("nan"), "sigma"), (1.0, float("inf"), "sigma")])
+    (1.0, float("nan"), "sigma"), (1.0, float("inf"), "sigma"),
+    # 2*sigma**2 underflows to 0 or overflows to inf
+    (1.0, 1e-300, "sigma"), (1.0, 1e300, "sigma"), (1.0, "tiny", "sigma")])
 def test_svm_rejects_non_finite_parameters_before_training(monkeypatch, C,
                                                           sigma, name):
     monkeypatch.setattr(ml, "_smo", None)  # any training call would fail
+    if sigma == "tiny":  # an "auto" sigma whose 2*sigma**2 underflows
+        monkeypatch.setattr(ml, "median_pairwise_distance", lambda x: 1e-300)
+        sigma = "auto"
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         svm_train(blob_dataset(), C=C, sigma=sigma)
 
