@@ -545,34 +545,28 @@ class EmtBatch:
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row.  The line
-    histories live in one flat ring of time-major regions: a region of
-    depth D over E ends has shape (D, 2E, b), and its column (m - 1) % D
-    holds its ends' [v; i] at step m.  An end needs as many columns as
-    its solves reach back, by the interpolation's floor over the run's
-    steps, rounded up to a multiple of K.  The first region, as deep as
-    the shallowest need, takes every end's samples; the second, as deep
-    as the deepest need, keeps the ends that read further back, copied
-    from the first on each pass.  So short lines hold no more columns
-    than they read (in a strike network 4 for the tower lines, 54 for
-    the spans).  Each column starts as the pre-history (the end's v0,
-    current 0) and column D - 1 then takes the declared t=0 samples.  A
-    pass reads before it writes and reaches back at most D steps, so a
-    read of a step before 0 lands on a column no step has written yet
-    and returns the pre-history, as EmtSimulation._read_far does.
+    histories of the ends left live in one time-major ring of shape
+    (D, 2E, b) for E ends, whose column (m - 1) % D holds the ends'
+    [v; i] at step m.  D is the most steps any solve reaches back, by the
+    interpolation's floor over the run's steps, rounded up to a multiple
+    of K (54 in a shield batch, whose spans are 53.68 steps).  Each
+    column starts as the pre-history (the end's v0, current 0) and column
+    D - 1 then takes the declared t=0 samples.  A pass reads before it
+    writes and reaches back at most D steps, so a read of a step before 0
+    lands on a column no step has written yet and returns the
+    pre-history, as EmtSimulation._read_far does.
 
     No solve reads a ring sample newer than K steps before its own step
     (K from the interpolation's floor over the run's steps: 2 in a strike
     network, whose shortest line is 2.06 steps), so one numpy pass
     advances K steps: one gather of the far-end samples, one bincount over
-    K x nodes, one product by the G⁻¹ diagonal and one K-column write per
-    region.  D is a multiple of K, so a pass never wraps.  The voltages a
-    verdict needs are judged once per chunk of CHUNK_STEPS steps (rounded
-    up to a multiple of K): a row ends on its first step with a switch at
-    its strength or a voltage that is not finite.  A region at least a
-    chunk deep still holds the chunk's voltages of its ends' nodes for
-    the finiteness check; the switch nodes and the nodes it misses are
-    kept per step.  Rows are independent, so stepping a row past its end
-    changes no other row.
+    K x nodes, one product by the G⁻¹ diagonal into K steps of the
+    voltages and one K-column ring write.  D is a multiple of K, so a
+    pass never wraps.  The voltages of a chunk of CHUNK_STEPS steps
+    (rounded up to a multiple of K) are kept, (chunk, nodes, b), and
+    judged at once: a row ends on its first step with a switch at its
+    strength or a node voltage that is not finite, the scalar rule.  Rows
+    are independent, so stepping a row past its end changes no other row.
     """
 
     def __init__(self, like: EmtSimulation, held=()):
@@ -626,54 +620,20 @@ class EmtBatch:
 
     def _plan(self, t_end: float) -> SimpleNamespace:
         """How `run` steps to t_end: `steps`; `passes`, K; `chunk`, the
-        steps judged at once, a multiple of K; `regions`, (depth, [v; i]
-        rows of its ends, first ring row) each, and `ring_rows` in all;
-        `kinds`, the distinct delays of the ends left, and `kind`, each
-        end's index among them; `watch`, the voltage rows each step keeps
-        for the verdicts; `across`, the switches' a then b nodes as watch
-        entries; `loose`, the watch entries of nodes no deep region
-        holds."""
+        steps judged at once, and `depth`, D, both multiples of K."""
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be finite and positive")
         steps = int(math.ceil(t_end / self.dt - 1e-12))
-        delay = self._ln_delay[self._kept]
-        kinds = np.array(sorted(set(delay.tolist())))
-        kind = np.searchsorted(kinds, delay)
         m = np.arange(1, steps + 1)[:, None]
-        m0, _frac = _interpolation(m, kinds)
+        delays = sorted(set(self._ln_delay[self._kept].tolist()))
+        m0, _frac = _interpolation(m, np.array(delays))
         # solve m reads samples m0 and m0 + 1
         passes = min(max(int((m - m0 - 1).min(initial=CHUNK_STEPS)), 1),
                      CHUNK_STEPS)
-        chunk = -(-CHUNK_STEPS // passes) * passes
-        # each delay's depth: the most steps a solve reaches back, rounded
-        # up to a multiple of K.  The shallowest holds every end's newest
-        # samples; the ends that need more also keep the deepest
-        need = -(-(m - m0).max(axis=0, initial=1) // passes) * passes
-        ends = self._kept.size
-        staged = np.arange(2 * ends)
-        short = int(need.min()) if need.size else passes
-        regions = [(short, staged, 0)]
-        far = need[kind] > short
-        if far.any():
-            regions.append((int(need.max()), np.concatenate(
-                [staged[:ends][far], staged[ends:][far]]), short * 2 * ends))
-        ring_rows = sum(d * rows.size for d, rows, _first in regions)
-        deep = np.zeros(ends, dtype=bool)
-        for d, rows, _first in regions:
-            deep[rows[:rows.size // 2]] |= d >= chunk
-        # the voltages kept per step: the switch nodes, then the solved
-        # nodes with no end in a region that holds a whole chunk
-        pairs = self._node_row[np.concatenate([self._fo_a, self._fo_b])].tolist()
-        loose = np.ones(self._solved, dtype=bool)
-        loose[[0, *self._end_node[deep].tolist()]] = False
-        watch = [*dict.fromkeys(pairs), *np.flatnonzero(loose).tolist()]
-        where = {k: i for i, k in enumerate(watch)}
         return SimpleNamespace(
-            steps=steps, passes=passes, chunk=chunk, regions=regions,
-            ring_rows=ring_rows, kinds=kinds, kind=kind,
-            watch=np.array(watch, dtype=np.intp),
-            across=np.array([where[k] for k in pairs], dtype=np.intp),
-            loose=np.arange(len(watch) - loose.sum(), len(watch)))
+            steps=steps, passes=passes,
+            chunk=-(-CHUNK_STEPS // passes) * passes,
+            depth=-(-int((m - m0).max(initial=1)) // passes) * passes)
 
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
@@ -684,7 +644,8 @@ class EmtBatch:
         ended by the end of a chunk.  Raises ValueError when a row's held
         line ends do not start at their pre-history."""
         plan = self._plan(t_end)
-        steps, passes, chunk = plan.steps, plan.passes, plan.chunk
+        steps, passes, chunk, depth = (plan.steps, plan.passes, plan.chunk,
+                                       plan.depth)
         rows = BatchRows(*(col[0] if len(col) == 1 else
                            np.concatenate(col, axis=-1)
                            for col in zip(*self._blocks)))
@@ -696,9 +657,9 @@ class EmtBatch:
                              "pre-history")
         b, solved, order = rows.node.size, self._solved, self._order
         cols = np.arange(b)
-        ends, line_ends = self._kept.size, self._end_node
+        kept, ends, line_ends = self._kept, self._kept.size, self._end_node
         ginv_diag = rows.ginv_diag[order[1:solved] - 1]
-        zc = np.repeat(self._ln_zc[self._kept], b).reshape(ends, b)
+        zc = np.repeat(self._ln_zc[kept], b).reshape(ends, b)
         step = np.arange(passes)[:, None]
         bins = ((step[:, None] * solved + line_ends[:, None]) * b + cols).ravel()
         # each pass's injections: the constant ones, and at the surge node
@@ -708,93 +669,58 @@ class EmtBatch:
         surge_base = inject.ravel()[surged[0]]
         surge = DoubleRampSource(*rows.ramp[:, None])
 
-        # the regions, filled with the pre-history, then column D - 1
-        # with the t=0 samples; a pass writes the first region, then
-        # copies the ends of the second into it
-        flat = np.empty((plan.ring_rows, b))
-        regions = []
-        pre = np.concatenate([rows.line_v0[self._kept], np.zeros((ends, b))])
-        t0 = rows.line_t0[np.concatenate([self._kept, self._kept + count])]
-        place = np.empty(2 * ends, dtype=np.intp)  # staged row in its region
-        base = np.empty(plan.kinds.size, dtype=np.intp)
-        width = np.empty(plan.kinds.size, dtype=np.intp)
-        depth = np.empty(plan.kinds.size, dtype=np.intp)
-        for d, staged, first in plan.regions:
-            region = flat[first:first + d * staged.size].reshape(d, staged.size, b)
-            region[:] = pre[staged]
-            region[d - 1] = t0[staged]
-            regions.append((d, staged, region))
-            place[staged] = np.arange(staged.size)
-            kinds = plan.kind[staged[:staged.size // 2]]
-            base[kinds], width[kinds], depth[kinds] = first, staged.size, d
-        (shallow, _all, newest), *deeper = regions
-        # per gathered row, older samples then newer: the kind of its far
-        # end's line and the far end's [v; i] row in its region
-        far = np.concatenate([self._end_far, self._end_far + ends])
-        kind = np.tile(plan.kind, 2)
-        kind = np.concatenate([kind, kind + plan.kinds.size])
-        far = np.tile(place[far], 2)
+        # the ring, filled with the pre-history, then column D - 1 with
+        # the t=0 samples
+        ring = np.empty((depth, 2 * ends, b))
+        ring[:, :ends] = rows.line_v0[kept]
+        ring[:, ends:] = 0.0
+        ring[depth - 1] = rows.line_t0[np.concatenate([kept, kept + count])]
+        flat = ring.reshape(-1, b)
+        # per gathered row, older samples then newer: the far end's [v; i]
+        # row in a ring column, read one line delay back
+        delay = self._ln_delay[kept]
+        far = np.tile(np.concatenate([self._end_far, self._end_far + ends]), 2)
 
-        v = np.zeros((passes, order.size, b))
+        v = np.zeros((chunk, order.size, b))
         v[:, solved:] = rows.line_v0[self._held_end]
-        # held voltages that are not finite fail their row on step 1
-        finite = np.isfinite(v[0, solved:]).all(axis=0)
-        end = np.where(finite, 0, 1)
+        end = np.zeros(b, dtype=np.intp)
+        finite = np.ones(b, dtype=bool)
         live = finite.copy()
-        kept_v = np.empty((chunk, plan.watch.size, b))
-        switches = self._fo_a.size
-        for n0 in range(0, steps if live.any() else 0, chunk):
+        fo_a, fo_b = self._node_row[self._fo_a], self._node_row[self._fo_b]
+        for n0 in range(0, steps, chunk):
             m = np.arange(n0 + 1, n0 + chunk + 1)
-            m0, frac = _interpolation(m[:, None], plan.kinds)
-            # step m0 is column (m0 - 1) % D of its region
-            at = (np.concatenate([(m0 - 1) % depth, m0 % depth], axis=1)
-                  * np.tile(width, 2) + np.tile(base, 2))[:, kind] + far
-            weight = np.concatenate([1.0 - frac, frac], axis=1)[:, kind]
+            m0, frac = _interpolation(m[:, None], delay)
+            # step m0 is column (m0 - 1) % D
+            older, newer = (m0 - 1) % depth, m0 % depth
+            at = np.concatenate([older, older, newer, newer], axis=1)
+            at = at * (2 * ends) + far
+            weight = np.concatenate([1.0 - frac] * 2 + [frac] * 2, axis=1)
             injected = surge_base + surge((m * self.dt)[:, None])
             judged = min(chunk, steps - n0)
             for j in range(0, judged, passes):
                 now = slice(j, j + passes)
                 neg_h = _histories(flat, at[now], weight[now], zc)
                 inject.ravel()[surged] = injected[now]
-                _solve(inject, neg_h, bins, ginv_diag, v)
-                col = (n0 + j) % shallow
-                staging = newest[col:col + passes]
-                ve, ie = staging[:, :ends], staging[:, ends:]
+                _solve(inject, neg_h, bins, ginv_diag, v[now])
+                col = (n0 + j) % depth
+                written = ring[col:col + passes]
+                ve, ie = written[:, :ends], written[:, ends:]
                 # in-range indices: mode "clip" spares the buffered copy
                 # numpy makes of `out` in its default "raise" mode
-                v.take(line_ends, axis=1, out=ve, mode="clip")
+                v[now].take(line_ends, axis=1, out=ve, mode="clip")
                 np.divide(ve, zc, out=ie)
                 ie -= neg_h  # i = v/zc + h
-                for d, staged, region in deeper:
-                    col = (n0 + j) % d
-                    staging.take(staged, axis=1, out=region[col:col + passes],
-                                 mode="clip")
-                v.take(plan.watch, axis=1, out=kept_v[now], mode="clip")
-            # the chunk's verdicts: switch stresses from the kept voltages;
-            # finiteness from the deep regions' columns and the kept rest
-            pair = kept_v[:judged].take(plan.across, axis=1)
-            stress = pair[:, :switches]
-            np.subtract(stress, pair[:, switches:], out=stress)
-            over = (np.abs(stress, out=stress) >= rows.strength).any(axis=1)
-            ok = np.True_
-            for d, staged, region in regions:
-                if d >= chunk:  # the chunk's columns, wrapping at most once
-                    col, half = n0 % d, staged.size // 2
-                    parts = (region[col:col + judged, :half],
-                             region[:max(col + judged - d, 0), :half])
-                    if not all(np.isfinite(part).all() for part in parts):
-                        ok = ok & np.concatenate([np.isfinite(part).all(axis=1)
-                                                  for part in parts])
-            if plan.loose.size:
-                ok = ok & np.isfinite(kept_v[:judged, plan.loose]).all(axis=1)
+            # the chunk's verdicts, read from its voltages
+            over = (np.abs(v[:judged, fo_a] - v[:judged, fo_b])
+                    >= rows.strength).any(axis=1)
+            ok = np.isfinite(v[:judged]).all(axis=1)
             stop = (over | ~ok) & live
             if stop.any():
                 hit = stop.any(axis=0)
                 first = stop.argmax(axis=0)[hit]
                 end[hit] = n0 + 1 + first
-                finite[hit] = np.broadcast_to(ok, stop.shape)[first, cols[hit]]
+                finite[hit] = ok[first, cols[hit]]
                 live &= ~hit
                 if not live.any():
                     break
         return end, finite
-

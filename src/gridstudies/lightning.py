@@ -478,11 +478,12 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
 
 
 # Line strokes per lock-step batch.  Memory, not speed, sets it: while its
-# batch runs, each row holds its columns of the line-history ring and its
-# pass and chunk buffers, 37.6-39.7 kB in a strike network whose unstruck
-# conductors are held (89-91 kB with every node stepped).  Larger batches
-# raise peak memory for little further gain.
-REPLAY_BATCH = 64
+# batch runs, each row holds its line-history ring, a chunk of its node
+# voltages and its pass buffers, 57.5-60.2 kB in a shield stroke's batch
+# (tracemalloc over every shield batch at n=4000, seed 2), so a batch
+# peaks near 2.9 MB.  Larger batches raise peak memory for little further
+# gain.
+REPLAY_BATCH = 48
 
 
 def _replay_batches(sample: StrokeSample, impacts: Impacts,

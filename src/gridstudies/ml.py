@@ -192,12 +192,18 @@ def rbf_kernel(a, b, sigma: float) -> np.ndarray:
 
 
 def median_pairwise_distance(features) -> float:
+    """Median distance between distinct rows; 1.0 when it is not positive.
+    The rows are scaled by the power of two that brings the largest |x|
+    into [0.5, 1), and the median is scaled back: exact, so the squared
+    distances neither underflow nor overflow at any scale."""
     x = np.asarray(features, dtype=float)
+    _mantissa, e = np.frexp(np.abs(x).max(initial=0.0))
+    x = np.ldexp(x, -e)
     d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(x * x, axis=1)[None, :]
           - 2.0 * x @ x.T)
     iu = np.triu_indices(len(x), k=1)
     med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0)))) if len(iu[0]) else 0.0
-    return med if med > 0 else 1.0
+    return float(np.ldexp(med, e)) if med > 0 else 1.0
 
 
 @dataclass

@@ -679,8 +679,15 @@ def test_passes_run_as_the_per_step_oracle_on_study_batches(seed):
         batch = EmtBatch(template, held)
         batch.extend(columns)
         [wire] = set(line[1].wire[rows].tolist())
-        passes = batch._plan(config.t_end_s).passes
+        plan = batch._plan(config.t_end_s)
+        passes = plan.passes
         assert passes == 2 if wire == lightning.SHIELD else passes > 2
+        # a pass never wraps the ring, and no solve reads a sample older
+        # than the ring holds: solve m reads steps floor(m - delay) on
+        assert plan.depth % passes == 0
+        m = np.arange(1, plan.steps + 1)[:, None]
+        oldest = np.floor(m - batch._ln_delay[batch._kept])
+        assert (m - oldest).max() <= plan.depth
         assert_runs_as_oracle(batch, config.t_end_s)
         wires.add(wire)
     assert lightning.SHIELD in wires and (len(wires) > 1) == (seed == 2)

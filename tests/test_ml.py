@@ -15,6 +15,9 @@ Oracles in play:
      replaced, bit for bit
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,17 @@ def test_svm_auto_sigma_is_median_distance():
     data = blob_dataset(n_per=5, seed=2)
     model = svm_train(data, C=1.0)
     assert model.sigma == median_pairwise_distance(data.features)
+
+def test_median_distance_scales_exactly_at_any_magnitude():
+    # a power of two scales the median exactly, far below and above where
+    # |x|^2 underflows or overflows
+    x = np.random.default_rng(3).normal(size=(20, 2))
+    med = median_pairwise_distance(x)
+    assert 1.0 < med < 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-560, 0, 530):
+            assert median_pairwise_distance(np.ldexp(x, k)) == math.ldexp(med, k)
 
 def test_svm_reports_non_convergence():
     with pytest.raises(ConvergenceError, match="residual"):
