@@ -394,7 +394,7 @@ def _run_ml(cfg, out, man):
     rows = stability.sweep()
     dataset = stability.sweep_to_dataset(rows)
     train, test = ml.split(dataset, cfg["split"], cfg["seed"])
-    if len(np.unique(train.labels)) < 2:
+    if len(set(train.labels.tolist())) < 2:
         raise ConfigError(f"split must leave both verdicts in the {train.n}-row "
                           f"training side, got {cfg['split']!r}")
     scaler = ml.MinMaxScaler().fit(train.features)

@@ -8,9 +8,12 @@ position/type code.  Rows feed the nearest-neighbour classifier from the ml
 module.
 
 `build_dataset` solves the cases in lock step: the cases of one fault type,
-bolted or resistive, share one template network and one stacked solve, and
-give the bits of `build_row`, which solves one case with `apply_fault` and
-`solve_steady_state` and stays the oracle.
+bolted or resistive, share one merged node structure, so one call of
+`phasor.nodal_system` stamps all their nodal matrices from per-case values
+and one stacked solve solves them.  `solve_steady_state` stamps one case
+with the same function, so each row has the bits of `build_row`, which
+solves one case with `apply_fault` and `solve_steady_state` and stays the
+oracle.
 
 Training cases are bolted (zero resistance) and enumerated in (position,
 type) order; test cases draw position and type uniformly from the same grids
@@ -32,6 +35,7 @@ from .phasor import (
     LineSectionModel,
     PhasorNetwork,
     apply_fault,
+    nodal_system,
     solve_steady_state,
 )
 from .nodal import merge_nodes
@@ -178,13 +182,15 @@ def build_dataset(cases: list[FaultCase],
     """Every case's row, in case order, with `build_row`'s bits.
 
     Cases of one fault type that are all bolted, or all resistive, share
-    the merged node structure.  Each such group is stamped from one
-    template network and solved in one stacked call.  A case the stacked
-    solve cannot vouch for goes through `build_row`, in case order, so the
-    first bad case raises the oracle's error.  Such a case has a distance
-    that does not split the line, or sits in a group whose stacked solve
-    raises, or has a zero diagonal, a non-finite solution or a KCL residual
-    over 1e-9.
+    the merged node structure of the network `apply_fault` builds for them.
+    Each such group is stamped once by `phasor.nodal_system` with per-case
+    values (the two sections' inverted series and shunt matrices, each
+    fault branch's admittance) and solved in one stacked call.  A case the
+    stacked solve cannot vouch for goes through `build_row`, in case order,
+    so the first bad case raises the oracle's error.  Such a case has a
+    distance that does not split the line, or sits in a group whose stacked
+    solve raises, or has a zero diagonal, a non-finite solution or a KCL
+    residual over 1e-9.
     """
     config = config or CaseOneConfig()
     line = config.line
@@ -207,11 +213,31 @@ def build_dataset(cases: list[FaultCase],
         shunt = np.stack([line.shunt_matrix_per_end(x) for x in lengths])
         at = {x: k for k, x in enumerate(lengths)}
     for (fault_type, bolted), idx in groups.items():
-        template = _Template(fault_type, bolted, cases[idx[0]].distance_km, config)
+        # the group's network, bolted or at 1 ohm: a fault branch's impedance
+        # there is the `ohms` that multiplies each case's resistance (1, or 2
+        # for apply_fault's `r + r`, which is `2 * r` exactly)
+        r = 0.0 if bolted else 1.0
+        base = base_network(config)
+        net = apply_fault(base, FaultSpec(fault_type, cases[idx[0]].distance_km,
+                                          (r, r, r), r), line)
+        row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
+                                                 for br in net.branches if br.is_short])
+        resistances = [cases[i].fault_resistance for i in idx]
+        admittances = [
+            None if br.is_short
+            else 1.0 / br.series_impedance if k < len(base.branches)
+            else np.array([1.0 / complex(x * br.series_impedance.real) for x in resistances])
+            for k, br in enumerate(net.branches)]
+        # (section, 3, 3, rows), contiguous so each entry is one (rows,) run
         pick = [[at[x] for x in sections[i]] for i in idx]
-        volts = template.solve([cases[i].fault_resistance for i in idx],
-                               series[pick], shunt[pick])
-        for i, pu in zip(idx, volts):
+        blocks = [np.ascontiguousarray(a[pick].transpose(1, 2, 3, 0)) for a in (series, shunt)]
+        y, rhs = nodal_system(net, row, len(roots), admittances, list(zip(*blocks)),
+                              rows=(len(idx),))
+        # the nine output nodes' rows (bus, load, fault); -1 (merged with
+        # ground) reads the zero row appended after the solved ones
+        outputs = [row[node] for group in ("bus", "load", "fault")
+                   for node in net.phase_nodes(group)]
+        for i, pu in zip(idx, _solve_group(y, rhs, outputs)):
             if pu is not None:
                 rows[i] = DatasetRow(tuple(pu[0:3]), tuple(pu[3:6]), tuple(pu[6:9]),
                                      cases[i].distance_km, cases[i].code)
@@ -219,156 +245,32 @@ def build_dataset(cases: list[FaultCase],
             for row, case in zip(rows, cases)]
 
 
-class _Template:
-    """`solve_steady_state`'s stamps for one fault structure, over many rows.
-
-    The network that `apply_fault(base_network(config), ...)` builds for a
-    fault type, bolted or at 1 ohm, fixes the merged nodes and every stamp.
-    A row changes only values: the two sections' inverted series and shunt
-    matrices, and each fault branch's admittance `1.0 / complex(r * ohms)`,
-    where `ohms` is the branch's impedance here (1, or 2 for apply_fault's
-    `r + r`, which is `2 * r` exactly).
-
-    Each row's augmented matrix [Y | rhs] sums every entry's terms in
-    `solve_steady_state`'s order: branches, then the sections entry by
-    entry in (r, c) order, then sources.  So every entry has the oracle's
-    bits.  The oracle skips a zero shunt term; adding it changes no bit,
-    because an entry that starts at +0 and only adds is never -0.
-    base_network adds no current injections, so none are stamped.
+def _solve_group(y: np.ndarray, rhs: np.ndarray,
+                 outputs: list[int]) -> list[list[float] | None]:
+    """Per case of the stacked system (y (n, n, m), rhs (n, m)), the per-unit
+    RMS voltages at the `outputs` rows, or None where the case must be solved
+    alone: the stacked solve raises, or the case has a zero diagonal, a
+    non-finite solution or a KCL residual over 1e-9, as `solve_steady_state`
+    checks them.
     """
+    n, m = rhs.shape
+    y = np.moveaxis(y, -1, 0)
+    rhs = rhs.T
+    good = np.all(y[:, range(n), range(n)] != 0, axis=1)
+    try:
+        v = np.linalg.solve(y, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return [None] * m
+    good &= np.all(np.isfinite(v), axis=1)
+    scale = np.maximum(np.max(np.abs(rhs[good]), axis=1), 1e-30)
+    residual = np.max(np.abs(np.matmul(y[good], v[good, :, None])[:, :, 0]
+                             - rhs[good]), axis=1) / scale
+    good[good] = residual <= 1e-9
 
-    # term columns: 18 series then 18 shunt entries in (section, r, c)
-    # order, the fault branch admittances, then the constant terms
-    SHUNT, FAULT = 18, 36
-
-    def __init__(self, fault_type: int, bolted: bool, distance_km: float,
-                 config: CaseOneConfig):
-        r = 0.0 if bolted else 1.0
-        base = base_network(config)
-        net = apply_fault(base, FaultSpec(fault_type, distance_km, (r, r, r), r),
-                          config.line)
-        row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
-                                                 for br in net.branches if br.is_short])
-        n = self.n = len(roots)
-        faults = [br for br in net.branches[len(base.branches):] if not br.is_short]
-        self.fault_ohms = [br.series_impedance.real for br in faults]
-        fault_terms = iter(range(self.FAULT, self.FAULT + len(faults)))
-        self.constants: list[complex] = []
-        ops: list[tuple[int, int, int, int]] = []  # (row, column, term, sign)
-
-        def const(value: complex) -> int:
-            self.constants.append(value)
-            return self.FAULT + len(faults) + len(self.constants) - 1
-
-        def add(i: int, j: int, term: int, sign: int = 1):
-            ops.append((i, j, term, sign))
-
-        def stamp(ia: int, ib: int, term: int):  # nodal.stamp
-            if ia == ib:
-                return
-            if ia >= 0:
-                add(ia, ia, term)
-            if ib >= 0:
-                add(ib, ib, term)
-            if ia >= 0 and ib >= 0:
-                add(ia, ib, term, -1)
-                add(ib, ia, term, -1)
-
-        for k, br in enumerate(net.branches):
-            if br.is_short:
-                continue
-            ia, ib = row[br.from_node], row[br.to_node]
-            stamp(ia, ib, const(1.0 / br.series_impedance)
-                  if k < len(base.branches) else next(fault_terms))
-            if br.shunt_admittance_per_end != 0:
-                term = const(br.shunt_admittance_per_end)
-                stamp(ia, -1, term)
-                stamp(ib, -1, term)
-
-        for s, cb in enumerate(net.coupled):
-            for r in range(3):
-                for c in range(3):
-                    g = 9 * s + 3 * r + c
-                    ys = self.SHUNT + g
-                    ir, ic = row[cb.from_nodes[r]], row[cb.from_nodes[c]]
-                    jr, jc = row[cb.to_nodes[r]], row[cb.to_nodes[c]]
-                    if ir >= 0 and ic >= 0:
-                        add(ir, ic, g)
-                    if jr >= 0 and jc >= 0:
-                        add(jr, jc, g)
-                    if ir >= 0 and jc >= 0:
-                        add(ir, jc, g, -1)
-                    if jr >= 0 and ic >= 0:
-                        add(jr, ic, g, -1)
-                    if ir >= 0 and ic >= 0:
-                        add(ir, ic, ys)
-                    if jr >= 0 and jc >= 0:
-                        add(jr, jc, ys)
-
-        for src in net.sources:
-            i = row[src.node]
-            g = 1.0 / src.internal_impedance
-            if i >= 0:
-                add(i, i, const(g))
-                add(i, n, const(src.emf * g))
-
-        # Each step adds one term to each of a set of distinct entries; an
-        # entry's k-th term is added in step k, so its sum keeps its order.
-        # A subtracted term is a column of the negated copy of the terms.
-        self.width = self.FAULT + len(faults) + len(self.constants)
-        depth: dict[int, int] = {}
-        steps: list[tuple[list[int], list[int]]] = []
-        for i, j, term, sign in ops:
-            entry = i * (n + 1) + j
-            d = depth[entry] = depth.get(entry, -1) + 1
-            if d == len(steps):
-                steps.append(([], []))
-            steps[d][0].append(entry)
-            steps[d][1].append(term if sign > 0 else term + self.width)
-        self.steps = [(np.array(e), np.array(c)) for e, c in steps]
-        # the nine output nodes' rows; -1 (merged with ground) reads the
-        # zero column appended after the n solved ones
-        self.outputs = [row[node] for group in ("bus", "load", "fault")
-                        for node in net.phase_nodes(group)]
-
-    def solve(self, fault_resistances: list[float], series: np.ndarray,
-              shunt: np.ndarray) -> list[list[float] | None]:
-        """Per row, the nine per-unit RMS voltages (bus, load, fault), or
-        None where the row must be solved alone.
-
-        `series` holds each row's two inverted section series matrices and
-        `shunt` their per-end shunt matrices, both (rows, 2, 3, 3).
-        """
-        m, n = len(fault_resistances), self.n
-        terms = np.empty((m, self.width), dtype=complex)
-        terms[:, :self.SHUNT] = series.reshape(m, 18)
-        terms[:, self.SHUNT:self.FAULT] = shunt.reshape(m, 18)
-        terms[:, self.FAULT:self.FAULT + len(self.fault_ohms)] = [
-            [1.0 / complex(r * ohms) for ohms in self.fault_ohms]
-            for r in fault_resistances]
-        terms[:, self.FAULT + len(self.fault_ohms):] = self.constants
-        signed = np.concatenate([terms, -terms], axis=1)
-        aug = np.zeros((m, n * (n + 1)), dtype=complex)
-        for entries, cols in self.steps:
-            aug[:, entries] += signed[:, cols]
-        aug = aug.reshape(m, n, n + 1)
-        y, rhs = aug[:, :, :n], aug[:, :, n]
-
-        good = np.all(y[:, range(n), range(n)] != 0, axis=1)
-        try:
-            v = np.linalg.solve(y, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return [None] * m
-        good &= np.all(np.isfinite(v), axis=1)
-        scale = np.maximum(np.max(np.abs(rhs[good]), axis=1), 1e-30)
-        residual = np.max(np.abs(np.matmul(y[good], v[good, :, None])[:, :, 0]
-                                 - rhs[good]), axis=1) / scale
-        good[good] = residual <= 1e-9
-
-        v = np.concatenate([v, np.zeros((m, 1))], axis=1)[:, self.outputs]
-        # np.hypot, not np.abs: it has the scalar abs's bits at every SIMD level
-        pu = np.hypot(v.real, v.imag) / VOLTAGE_BASE_V
-        return [p if ok else None for p, ok in zip(pu.tolist(), good)]
+    v = np.concatenate([v, np.zeros((m, 1))], axis=1)[:, outputs]
+    # np.hypot, not np.abs: it has the scalar abs's bits at every SIMD level
+    pu = np.hypot(v.real, v.imag) / VOLTAGE_BASE_V
+    return [p if ok else None for p, ok in zip(pu.tolist(), good)]
 
 
 def write_dataset(rows: list[DatasetRow], path) -> None:

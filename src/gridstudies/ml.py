@@ -192,17 +192,24 @@ def rbf_kernel(a, b, sigma: float) -> np.ndarray:
 
 
 def median_pairwise_distance(features) -> float:
-    """Median distance between distinct rows; 1.0 when it is not positive.
-    The rows are scaled by the power of two that brings the largest |x|
-    into [0.5, 1), and the median is scaled back: exact, so the squared
-    distances neither underflow nor overflow at any scale."""
+    """Median distance between distinct finite rows; 1.0 when it is not
+    positive.  The rows are scaled by the power of two that brings the
+    largest |x| into [0.5, 1), and the median is scaled back: exact, so the
+    squared distances neither underflow nor overflow at any scale.  The
+    median is np.median's arithmetic without its import of numpy.ma: the
+    middle distance, or (a + b) / 2.0 of the two middle ones."""
     x = np.asarray(features, dtype=float)
     _mantissa, e = np.frexp(np.abs(x).max(initial=0.0))
     x = np.ldexp(x, -e)
     d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(x * x, axis=1)[None, :]
           - 2.0 * x @ x.T)
-    iu = np.triu_indices(len(x), k=1)
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0)))) if len(iu[0]) else 0.0
+    d = np.sqrt(np.maximum(d2[np.triu_indices(len(x), k=1)], 0.0))
+    med = 0.0
+    if len(d):
+        # for an odd count a is b, and (a + a) / 2.0 is a exactly
+        lo, hi = (len(d) - 1) // 2, len(d) // 2
+        a, b = np.partition(d, [lo, hi])[[lo, hi]]
+        med = float((a + b) / 2.0)
     return float(np.ldexp(med, e)) if med > 0 else 1.0
 
 
@@ -332,10 +339,11 @@ def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
 
 def _sigmoid(z):
     """Logistic function of z, computed in place in z (an array the caller
-    owns) and returned: clip, negate, exp, add 1 and reciprocal round exactly
-    as 1 / (1 + exp(-clip(z, -500, 500))) does."""
+    owns) and returned: clip below, negate, exp, add 1 and reciprocal round
+    exactly as 1 / (1 + exp(-clip(z, -500, 500))) does.  No upper clip is
+    needed: above 500, exp(-z) < 2**-53, so 1 + exp(-z) rounds to 1 either
+    way."""
     np.maximum(z, -500.0, out=z)
-    np.minimum(z, 500.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0

@@ -9,6 +9,8 @@ The solver assembles a complex nodal admittance matrix and solves it with
 numpy's dense solver.  Zero-impedance branches (bolted connections) are not
 stamped as admittances; their end nodes are merged before assembly so bolted
 faults produce exact node voltages instead of ill-conditioned near-shorts.
+`nodal_system` does the assembly, for one case or for a stack of cases that
+share the merged node structure (the fault lab's lock-step solve).
 """
 
 from __future__ import annotations
@@ -251,33 +253,35 @@ class PhasorSolution:
         return delivered, absorbed
 
 
-def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
-    """Solve nodal equations; KCL residual is checked to 1e-9 (relative)."""
-    if not net.sources and not net.injections:
-        raise SingularNetworkError("network has no sources")
+def nodal_system(net: PhasorNetwork, row: list[int], n: int, admittances, sections,
+                 rows: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal matrix y and current vector rhs of `net` on its merged rows.
 
-    row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
-                                             for br in net.branches if br.is_short])
-    n = len(roots)
-    if n == 0:
-        raise SingularNetworkError("all nodes are bolted to ground")
-
-    y = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
-    for br in net.branches:
+    `row` and `n` come from `merge_nodes`.  admittances[k] is branch k's
+    series admittance (unused for a bolted branch); sections[k] is coupled
+    branch k's (inverted series matrix, per-end shunt matrix).  A value is a
+    scalar, or an array over a stack of `rows` cases (a section block then
+    has shape (3, 3, *rows)).  y is laid out (n, n, *rows) and rhs
+    (n, *rows), so one += adds a term to an entry of every case, and each
+    entry sums its terms in one order: branches, coupled branches entry by
+    entry in (r, c) order, sources, injections.  Zero shunt terms are added
+    too: every entry starts at +0 and no sum or difference turns +0 into
+    -0, so a zero term changes no bit.
+    """
+    y = np.zeros((n, n, *rows), dtype=complex)
+    rhs = np.zeros((n, *rows), dtype=complex)
+    for br, g in zip(net.branches, admittances):
         if br.is_short:
             continue
         ia, ib = row[br.from_node], row[br.to_node]
-        stamp(y, ia, ib, 1.0 / br.series_impedance)
-        if br.shunt_admittance_per_end != 0:
-            stamp(y, ia, -1, br.shunt_admittance_per_end)
-            stamp(y, ib, -1, br.shunt_admittance_per_end)
+        stamp(y, ia, ib, g)
+        stamp(y, ia, -1, br.shunt_admittance_per_end)
+        stamp(y, ib, -1, br.shunt_admittance_per_end)
 
-    for cb in net.coupled:
-        yblk = np.linalg.inv(cb.series_impedance)
+    for cb, (yblk, yshunt) in zip(net.coupled, sections):
         for r in range(3):
             for c in range(3):
-                g = yblk[r, c]
+                g, ys = yblk[r, c], yshunt[r, c]
                 ir, ic = row[cb.from_nodes[r]], row[cb.from_nodes[c]]
                 jr, jc = row[cb.to_nodes[r]], row[cb.to_nodes[c]]
                 if ir >= 0 and ic >= 0:
@@ -288,12 +292,10 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
                     y[ir, jc] -= g
                 if jr >= 0 and ic >= 0:
                     y[jr, ic] -= g
-                ys = cb.shunt_admittance_per_end[r, c]
-                if ys != 0:
-                    if ir >= 0 and ic >= 0:
-                        y[ir, ic] += ys
-                    if jr >= 0 and jc >= 0:
-                        y[jr, jc] += ys
+                if ir >= 0 and ic >= 0:
+                    y[ir, ic] += ys
+                if jr >= 0 and jc >= 0:
+                    y[jr, jc] += ys
 
     for src in net.sources:
         i = row[src.node]
@@ -305,6 +307,25 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
         i = row[node]
         if i >= 0:
             rhs[i] += amps
+    return y, rhs
+
+
+def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
+    """Solve nodal equations; KCL residual is checked to 1e-9 (relative)."""
+    if not net.sources and not net.injections:
+        raise SingularNetworkError("network has no sources")
+
+    row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
+                                             for br in net.branches if br.is_short])
+    n = len(roots)
+    if n == 0:
+        raise SingularNetworkError("all nodes are bolted to ground")
+
+    y, rhs = nodal_system(
+        net, row, n,
+        [None if br.is_short else 1.0 / br.series_impedance for br in net.branches],
+        [(np.linalg.inv(cb.series_impedance), cb.shunt_admittance_per_end)
+         for cb in net.coupled])
 
     for r, root in enumerate(roots):
         if y[r, r] == 0:

@@ -406,3 +406,16 @@ def test_cli_import_loads_no_scipy():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_ml_study_loads_no_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma on first use; the ml study
+    # needs neither, and the import costs a run about 10 ms and 1 MB
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys; from gridstudies import cli; "
+            f"rc = cli.main(['ml', '--seed', '7', '--out', {str(tmp_path / 'ml')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -13,6 +13,8 @@ Oracles in play:
      save/load preserving predictions exactly
   5. the MLP training workspace against the per-array network it
      replaced, bit for bit
+  6. the partition median against np.median, and the sigmoid against the
+     clipped formula, bit for bit
 """
 
 import math
@@ -276,6 +278,31 @@ def test_median_distance_scales_exactly_at_any_magnitude():
         for k in (-560, 0, 530):
             assert median_pairwise_distance(np.ldexp(x, k)) == math.ldexp(med, k)
 
+def _np_median_distance(features):
+    """median_pairwise_distance as it was written with np.median."""
+    x = np.asarray(features, dtype=float)
+    _mantissa, e = np.frexp(np.abs(x).max(initial=0.0))
+    x = np.ldexp(x, -e)
+    d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(x * x, axis=1)[None, :]
+          - 2.0 * x @ x.T)
+    iu = np.triu_indices(len(x), k=1)
+    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0)))) if len(iu[0]) else 0.0
+    return float(np.ldexp(med, e)) if med > 0 else 1.0
+
+def test_median_distance_matches_np_median_bit_for_bit():
+    # n rows give n(n-1)/2 distances: odd for n = 2, 3, 6, 7, ..., even
+    # for n = 4, 5, 8, 9, ...; repeated rows give ties and zero distances
+    rng = np.random.default_rng(11)
+    for n in range(1, 60):
+        x = rng.normal(size=(n, 3))
+        if n > 4:
+            x[n // 2] = x[0]
+        for k in (-560, 0, 530):
+            got = median_pairwise_distance(np.ldexp(x, k))
+            assert np.float64(got).tobytes() == \
+                np.float64(_np_median_distance(np.ldexp(x, k))).tobytes(), (n, k)
+    assert median_pairwise_distance(np.zeros((4, 2))) == 1.0
+
 def test_svm_reports_non_convergence():
     with pytest.raises(ConvergenceError, match="residual"):
         svm_train(blob_dataset(), C=1.0, max_sweeps=0)
@@ -301,6 +328,16 @@ def test_svm_single_class_rejected():
 
 
 # -- MLP ------------------------------------------------------------------------
+
+def test_sigmoid_matches_the_clipped_formula_bit_for_bit():
+    edges = [-math.inf, math.inf, math.nan, 0.0, -0.0, 36.7, 37.0, 38.5, 40.0,
+             1e3, -1e3, 1e308, -1e308]
+    for x in (500.0, -500.0):
+        edges += [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)]
+    z = np.array(edges + [-e for e in edges])
+    want = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    got = ml._sigmoid(z.copy())
+    assert got.tobytes() == want.tobytes()
 
 def test_mlp_learns_xor():
     model = mlp_train(XOR, layout=(2, 2, 1), seed=4, epochs=20000, lr=0.5)

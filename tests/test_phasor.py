@@ -5,7 +5,9 @@ Proves:
     the shared two-terminal stamp matches the hand-stamped single-branch
     case and stays exactly symmetric, node merging is order-independent,
     random networks with coupled branches are reciprocal, isolated node
-    named in the error
+    named in the error, the nodal assembly gives the bits of the loops that
+    skipped zero shunt terms, and one stacked assembly the bits of one
+    assembly per case
   Group 2 - solving against independent oracles
     voltage divider, two-mesh ladder vs a loop-current oracle,
     superposition and reciprocity to 1e-9, complex power balance to 1e-8
@@ -31,6 +33,7 @@ from gridstudies.phasor import (
     PhasorNetwork,
     SingularNetworkError,
     apply_fault,
+    nodal_system,
     solve_steady_state,
 )
 
@@ -136,6 +139,123 @@ def test_empty_network_rejected():
     bolted.add_branch("a", "ground", 0j)
     with pytest.raises(SingularNetworkError, match="bolted to ground"):
         solve_steady_state(bolted)
+
+
+def skipping_oracle_voltages(net):
+    """Node voltages from a separate copy of the assembly loops that skip
+    every zero shunt term, solved as solve_steady_state solves."""
+    row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
+                                             for br in net.branches if br.is_short])
+    n = len(roots)
+    y = np.zeros((n, n), dtype=complex)
+    rhs = np.zeros(n, dtype=complex)
+    for br in net.branches:
+        if br.is_short:
+            continue
+        ia, ib = row[br.from_node], row[br.to_node]
+        stamp(y, ia, ib, 1.0 / br.series_impedance)
+        if br.shunt_admittance_per_end != 0:
+            stamp(y, ia, -1, br.shunt_admittance_per_end)
+            stamp(y, ib, -1, br.shunt_admittance_per_end)
+    for cb in net.coupled:
+        yblk = np.linalg.inv(cb.series_impedance)
+        for r in range(3):
+            for c in range(3):
+                g = yblk[r, c]
+                ir, ic = row[cb.from_nodes[r]], row[cb.from_nodes[c]]
+                jr, jc = row[cb.to_nodes[r]], row[cb.to_nodes[c]]
+                if ir >= 0 and ic >= 0:
+                    y[ir, ic] += g
+                if jr >= 0 and jc >= 0:
+                    y[jr, jc] += g
+                if ir >= 0 and jc >= 0:
+                    y[ir, jc] -= g
+                if jr >= 0 and ic >= 0:
+                    y[jr, ic] -= g
+                ys = cb.shunt_admittance_per_end[r, c]
+                if ys != 0:
+                    if ir >= 0 and ic >= 0:
+                        y[ir, ic] += ys
+                    if jr >= 0 and jc >= 0:
+                        y[jr, jc] += ys
+    for src in net.sources:
+        i = row[src.node]
+        g = 1.0 / src.internal_impedance
+        if i >= 0:
+            y[i, i] += g
+            rhs[i] += src.emf * g
+    for (node, amps) in net.injections:
+        i = row[node]
+        if i >= 0:
+            rhs[i] += amps
+    v = np.linalg.solve(y, rhs)
+    return np.array([v[i] if i >= 0 else 0j for i in row])
+
+
+def assembly_network(rng):
+    """Random branches (some bolted, some with zero end shunts), a source,
+    an injection, a coupled branch whose shunt matrix is zero off the
+    diagonal and one with no shunt at all."""
+    net = PhasorNetwork()
+    names = ["n0", "n1", "n2", "n3", "p.A", "q.B", "ground"]
+    net.add_source("n0", complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)),
+                   complex(rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)))
+    net.add_injection("n2", complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    for _ in range(10):
+        a, b = rng.choice(len(names), size=2, replace=False)
+        z = 0j if rng.uniform() < 0.2 else complex(rng.uniform(0.1, 5.0),
+                                                    rng.uniform(-3.0, 3.0))
+        y_end = 0j if rng.uniform() < 0.5 else complex(0, rng.uniform(1e-4, 1e-3))
+        net.add_branch(names[a], names[b], z, y_end)
+    line = LineSectionModel(0.02 + 0.3j, 0.2 + 1.0j, 1e-3j, 5e-4j,
+                            length_km=rng.uniform(5.0, 50.0), mutual_skew=0.15)
+    net.add_coupled_branch("p", "q", line.series_matrix(),
+                           np.diag(np.diag(line.shunt_matrix_per_end())))
+    net.add_coupled_branch("q", "r", line.series_matrix(20.0))
+    net.add_branch("n1", "p.B", 1.0 + 1.0j)
+    net.add_branch("n3", "p.C", 0j)  # bolted onto the coupled branch
+    for phase in "ABC":
+        net.add_branch(f"r.{phase}", "ground", 2.0 + 0.5j)
+    return net
+
+
+def test_assembly_adds_zero_shunts_without_changing_a_bit():
+    rng = np.random.default_rng(21)
+    solved = 0
+    for _ in range(60):
+        net = assembly_network(rng)
+        try:
+            want = skipping_oracle_voltages(net)
+            got = solve_steady_state(net).node_voltages
+        except (np.linalg.LinAlgError, SingularNetworkError):
+            continue
+        assert got.tobytes() == want.tobytes()
+        solved += 1
+    assert solved >= 30
+
+
+def test_stacked_assembly_matches_one_assembly_per_case():
+    rng = np.random.default_rng(22)
+    net = assembly_network(rng)
+    row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
+                                             for br in net.branches if br.is_short])
+    m = 5
+
+    def draw(shape=()):
+        return rng.uniform(0.1, 2.0, size=shape) + 1j * rng.uniform(-2.0, 2.0, size=shape)
+
+    admittances = [None if br.is_short else draw((m,)) for br in net.branches]
+    sections = [(draw((3, 3, m)), draw((3, 3, m)) * (rng.uniform(size=(3, 3, m)) < 0.5))
+                for _ in net.coupled]
+    y, rhs = nodal_system(net, row, len(roots), admittances, sections, rows=(m,))
+    assert y.shape == (len(roots), len(roots), m) and rhs.shape == (len(roots), m)
+    for k in range(m):
+        yk, rhsk = nodal_system(
+            net, row, len(roots),
+            [None if g is None else complex(g[k]) for g in admittances],
+            [(a[:, :, k], b[:, :, k]) for a, b in sections])
+        assert np.ascontiguousarray(y[:, :, k]).tobytes() == yk.tobytes()
+        assert np.ascontiguousarray(rhs[:, k]).tobytes() == rhsk.tobytes()
 
 
 # -- Group 2: solving ----------------------------------------------------------
