@@ -17,9 +17,14 @@ Companion models (step dt):
 with branch current i(t) = G v(t) + h(t).
 
 A travelling-wave line of surge impedance Zc and travel time tau >= dt sees,
-at each end, Zc in parallel with a history source assembled from the far-end
-voltage and current recorded tau seconds earlier (linear interpolation covers
-non-integer tau/dt).
+at each end, Zc in parallel with a history source (Dommel 1969, lossless
+Bergeron line).  Each end keeps one outgoing wave per step, w = v/Zc + i
+(written as v (2/Zc) + h), and the next solve's -h at an end is the far
+end's w one travel time earlier: h_a(t) = -(2/Zc) v_b(t - tau) - h_b(t -
+tau).  A delay of tau/dt steps lies between the far-end samples `back` =
+ceil(tau/dt) and back - 1 steps before the solve, so both samples and the
+weight frac = back - tau/dt of the newer one are fixed when the network is
+assembled (linear interpolation covers non-integer tau/dt).
 
 EmtBatch steps many assembled networks of one structure in lock step, each
 row in the scalar stepper's arithmetic, so a row ends exactly where
@@ -31,7 +36,7 @@ batch.  A batch is made from one assembled network of the structure and
 takes its rows as column arrays (BatchRows), one column per row, so a
 caller that knows how its rows' values differ fills many rows from one
 template without assembling each; `batch_rows` reads an assembled
-network's own row.  It keeps the line histories of all its rows in one
+network's own row.  It keeps the outgoing waves of all its rows in one
 time-major ring, prefilled with each line's pre-history, so one gather
 reads every far end's samples, and it advances K steps per numpy pass,
 K being the fewest steps between a solve and the newest sample it reads.
@@ -230,29 +235,23 @@ class EmtSimulation:
         vb0 = v_init[self._lc_a] - v_init[self._lc_b]
         self._lc_h = self._lc_sign * (i0 + self._lc_g * vb0)
 
-        nl = len(net.lines)
-        self._ln_ends = np.empty(2 * nl, dtype=np.intp)
-        self._ln_zc = np.empty(2 * nl)
-        self._ln_delay = np.empty(2 * nl)     # travel time in steps (>= 1)
-        self._ln_v0 = np.empty(2 * nl)
-        self._ln_i0 = np.empty(2 * nl)
-        for k, line in enumerate(net.lines):
-            self._ln_ends[2 * k] = line.node_a
-            self._ln_ends[2 * k + 1] = line.node_b
-            self._ln_zc[2 * k] = self._ln_zc[2 * k + 1] = line.surge_impedance
-            self._ln_delay[2 * k] = self._ln_delay[2 * k + 1] = line.travel_time / dt
-            self._ln_v0[2 * k] = line.v0_a
-            self._ln_v0[2 * k + 1] = line.v0_b
-            self._ln_i0[2 * k] = line.i0_a
-            self._ln_i0[2 * k + 1] = line.i0_b
-        self._ln_far = np.arange(2 * nl, dtype=np.intp) ^ 1  # other end of same line
-        self._ln_rows = np.arange(2 * nl, dtype=np.intp)
-        self._ln_depth = np.ceil(self._ln_delay).astype(np.intp) + 2
-        depth_max = int(self._ln_depth.max(initial=1))
-        # column 0 holds the t=0 end samples; m < 0 reads fall back to v0/0
-        end_v0 = v_init[self._ln_ends]
-        self._buf_v = np.tile(end_v0[:, None], (1, depth_max))
-        self._buf_i = np.tile(self._ln_i0[:, None], (1, depth_max))
+        lines = net.lines
+        self._ln_ends = np.array([e for ln in lines for e in (ln.node_a, ln.node_b)],
+                                 dtype=np.intp)
+        self._ln_zc = np.repeat([ln.surge_impedance for ln in lines], 2)
+        self._ln_v0 = np.array([v for ln in lines for v in (ln.v0_a, ln.v0_b)])
+        self._ln_i0 = np.array([i for ln in lines for i in (ln.i0_a, ln.i0_b)])
+        self._ln_far = np.arange(2 * len(lines), dtype=np.intp) ^ 1  # other end
+        # the delay in steps (>= 1) lies between the far-end samples `back`
+        # and back - 1 steps before a solve; the newer one weighs `frac`
+        delay = np.repeat([ln.travel_time / dt for ln in lines], 2)
+        self._ln_back = np.ceil(delay).astype(np.intp)
+        self._ln_frac = self._ln_back - delay
+        # row n % depth holds each end's outgoing wave w = v/zc + i at step
+        # n: row 0 the t=0 state, every other row the pre-history (v0, 0)
+        depth = int(self._ln_back.max(initial=0)) + 1
+        self._ln_w = np.tile(self._ln_v0 / self._ln_zc, (depth, 1))
+        self._ln_w[0] = v_init[self._ln_ends] / self._ln_zc + self._ln_i0
         self._update_line_histories()
 
         self._fo_a = np.array([e[0] for e in net.flashover_switches], dtype=np.intp)
@@ -296,7 +295,7 @@ class EmtSimulation:
             rhs[node] += fn(t)
         # history sources: branch model injects -h at 'from', +h at 'to';
         # each line end injects -h at its node
-        vals = np.concatenate([-self._lc_h, self._lc_h, -self._ln_h])
+        vals = np.concatenate([-self._lc_h, self._lc_h, self._ln_neg_h])
         rhs += np.bincount(self._hist_idx, weights=vals, minlength=len(rhs))
 
         # non-finite values pass through; run() checks every step's voltages
@@ -308,7 +307,7 @@ class EmtSimulation:
             vb = v[self._lc_a] - v[self._lc_b]
             self._lc_h = self._lc_sign * (self._lc_h + 2.0 * self._lc_g * vb)
 
-        if len(self._ln_h):
+        if len(self._ln_ends):
             self._record_line_ends(v)
 
         if len(self._fo_strength):
@@ -321,64 +320,20 @@ class EmtSimulation:
         return v
 
     def _record_line_ends(self, v):
-        """Buffer each line end's state at step n from that step's node
-        voltages, then form the histories for the next solve."""
-        ve = v[self._ln_ends]
-        ie = ve / self._ln_zc + self._ln_h
-        col = self.n % self._ln_depth
-        self._buf_v[self._ln_rows, col] = ve
-        self._buf_i[self._ln_rows, col] = ie
+        """Buffer each line end's outgoing wave at step n, v (2/zc) + h,
+        then form the history sources for the next solve."""
+        self._ln_w[self.n % len(self._ln_w)] = (
+            v[self._ln_ends] * (2.0 / self._ln_zc) - self._ln_neg_h)
         self._update_line_histories()
 
     def _update_line_histories(self):
-        """History sources for the next solve: far-end state one delay back,
-        linearly interpolated between buffered samples."""
-        q = (self.n + 1) - self._ln_delay
-        m0 = np.floor(q).astype(np.intp)
-        frac = q - m0
-        vf0, if0 = self._read_far(m0)
-        vf1, if1 = self._read_far(m0 + 1)
-        vf = (1.0 - frac) * vf0 + frac * vf1
-        iw = (1.0 - frac) * if0 + frac * if1
-        self._ln_h = -vf / self._ln_zc - iw
-
-    def _read_far(self, m):
-        """Far-end (v, i) samples at step m; before 0 means the initial state."""
-        far = self._ln_far
-        init = m < 0
-        mm = np.where(init, 0, m)
-        col = mm % self._ln_depth[far]
-        v = self._buf_v[far, col]
-        i = self._buf_i[far, col]
-        v = np.where(init, self._ln_v0[far], v)
-        i = np.where(init, 0.0, i)
-        return v, i
-
-    # kept: the energy ledger of test_emt.py::test_line_energy_conservation
-    def line_stored_energy(self, line_index: int) -> float:
-        """Field energy on a line, rebuilt from its travelling-wave buffers.
-
-        Each end's entering wave f = (v + Zc i)/2 over the last travel time is
-        still inside the line and carries f^2 dt / Zc per recorded step.
-        """
-        total = 0.0
-        for e in (2 * line_index, 2 * line_index + 1):
-            d = self._ln_delay[e]
-            zc = self._ln_zc[e]
-            full = int(math.floor(d))
-            frac = d - full
-            last = full + (1 if frac > 1e-12 else 0)
-            for back in range(last):
-                m = self.n - back
-                weight = 1.0 if back < full else frac
-                if m < 0:
-                    v, i = self._ln_v0[e], 0.0
-                else:
-                    col = m % self._ln_depth[e]
-                    v, i = self._buf_v[e, col], self._buf_i[e, col]
-                wave = 0.5 * (v + zc * i)
-                total += weight * wave * wave * self.dt / zc
-        return total
+        """-h of every end for the next solve: the far end's outgoing wave
+        one delay back, interpolated between its two buffered samples
+        (Dommel's h_a(t) = -(2/Z) v_b(t - tau) - h_b(t - tau))."""
+        older = self.n + 1 - self._ln_back
+        depth, far, frac = len(self._ln_w), self._ln_far, self._ln_frac
+        self._ln_neg_h = ((1.0 - frac) * self._ln_w[older % depth, far]
+                          + frac * self._ln_w[(older + 1) % depth, far])
 
     def run(self, t_end: float, record: tuple = (),
             record_storage: tuple = ()) -> SimResult:
@@ -421,8 +376,8 @@ class EmtSimulation:
 
 
 def _batch_structure(sim: EmtSimulation) -> tuple:
-    """What the rows of one EmtBatch share: step, nodes, line ends and
-    delays, switch nodes.  A network a batch cannot step raises ValueError."""
+    """What the rows of one EmtBatch share: step, nodes, line ends,
+    delays and surge impedances, switch nodes.  A network a batch cannot step raises ValueError."""
     if len(sim._lc_g) or [type(w) for _n, w in sim._varying_inj] != [DoubleRampSource]:
         raise ValueError("a batched network has no inductor or capacitor and "
                          "exactly one varying source, a DoubleRampSource")
@@ -430,7 +385,8 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
         raise ValueError("a batched network's G must be diagonal: no resistor "
                          "between two non-ground nodes")
     return (sim.dt, sim._base_inj.size, *(a.tobytes() for a in (
-        sim._hist_idx, sim._ln_delay, sim._ln_zc, sim._fo_a, sim._fo_b)))
+        sim._hist_idx, sim._ln_back, sim._ln_frac, sim._ln_zc, sim._fo_a,
+        sim._fo_b)))
 
 
 class BatchRows(NamedTuple):
@@ -450,7 +406,7 @@ class BatchRows(NamedTuple):
 
 def batch_rows(sim: EmtSimulation) -> BatchRows:
     """An assembled, not yet stepped network's values as one row; copies,
-    so the row pins no G⁻¹ or line buffer of the simulation.  Raises
+    so the row pins no G⁻¹ or wave buffer of the simulation.  Raises
     ValueError for a network a batch cannot step."""
     _batch_structure(sim)
     if sim.n != 0:
@@ -461,40 +417,12 @@ def batch_rows(sim: EmtSimulation) -> BatchRows:
         np.array([[wave.peak_amps], [wave.front_time_s], [wave.half_time_s]]),
         np.diagonal(sim._ginv)[:, None].copy(), sim._base_inj[:, None].copy(),
         sim._ln_v0[:, None].copy(),
-        np.concatenate([sim._buf_v[:, 0], sim._buf_i[:, 0]])[:, None],
+        np.concatenate([sim._v_init[sim._ln_ends], sim._ln_i0])[:, None],
         sim._fo_strength[:, None].copy())
 
 
-# Steps whose verdicts a batch judges at once; each chunk's interpolation
-# rows, weights and surge values come together.
+# Steps whose verdicts a batch judges at once, with their surge values.
 CHUNK_STEPS = 32
-
-
-def _interpolation(m, delay):
-    """For solves m and line delays in steps (broadcast against each
-    other): the step m0 of the older far-end sample each solve reads and
-    the weight frac of the newer one, m0 + 1, in
-    EmtSimulation._update_line_histories' arithmetic."""
-    q = m - delay
-    m0 = np.floor(q).astype(np.intp)
-    return m0, q - m0
-
-
-def _histories(flat, at, weight, zc):
-    """-h of every end for each of len(at) solves: the far-end state one
-    delay back, interpolated between the ring samples in rows `at` of
-    `flat` with weights `weight`, both (solves, 4E): each solve's older
-    [v; i] samples, then its newer.  vf/zc + iw is bitwise the negation
-    of the scalar -vf/zc - iw."""
-    solves, width = at.shape
-    part = flat.take(at.ravel(), axis=0)
-    # the weights are spelled out to full rows: against a (rows, 1)
-    # column numpy runs one short inner loop per row
-    part *= weight.repeat(flat.shape[1]).reshape(part.shape)
-    part = part.reshape(solves, 2, width // 2, flat.shape[1])
-    w = part[:, 0] + part[:, 1]
-    ends = width // 4
-    return w[:, :ends] / zc + w[:, ends:]
 
 
 def _solve(inject, neg_h, bins, ginv_diag, v):
@@ -544,36 +472,40 @@ class EmtBatch:
     full network's voltages are not finite from step 1 on as well.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
-    node's values over all rows are one contiguous row.  The line
-    histories of the ends left live in one time-major ring of shape
-    (D, 2E, b) for E ends, whose column (m - 1) % D holds the ends'
-    [v; i] at step m.  D is the most steps any solve reaches back, by the
-    interpolation's floor over the run's steps, rounded up to a multiple
-    of K (54 in a shield batch, whose spans are 53.68 steps).  Each
-    column starts as the pre-history (the end's v0, current 0) and column
-    D - 1 then takes the declared t=0 samples.  A pass reads before it
-    writes and reaches back at most D steps, so a read of a step before 0
-    lands on a column no step has written yet and returns the
-    pre-history, as EmtSimulation._read_far does.
+    node's values over all rows are one contiguous row.  The outgoing
+    waves w = v/zc + i of the ends left live in one time-major ring of
+    shape (D, E, b) for E ends, whose column (m - 1) % D holds the ends'
+    waves at step m.  Solve m reads the far end's waves at steps m - back
+    and m - back + 1, weighted 1 - frac and frac, both fixed per end, so
+    the gather's rows for a pass and its (K 2E, b) weight block are built
+    once per run.  D is the largest `back` rounded up to a multiple of K
+    (54 in a shield batch, whose spans are 53.68 steps).  Each column
+    starts as the pre-history wave (v0/zc, current 0) and column D - 1
+    then takes the declared t=0 waves.  A pass reads before it writes and
+    reaches back at most D steps, so a read of a step before 0 lands on a
+    column no step has written yet and returns the pre-history, as in
+    EmtSimulation's buffer.
 
-    No solve reads a ring sample newer than K steps before its own step
-    (K from the interpolation's floor over the run's steps: 2 in a strike
-    network, whose shortest line is 2.06 steps), so one numpy pass
-    advances K steps: one gather of the far-end samples, one bincount over
-    K x nodes, one product by the G⁻¹ diagonal into K steps of the
-    voltages and one K-column ring write.  D is a multiple of K, so a
-    pass never wraps.  The voltages of a chunk of CHUNK_STEPS steps
-    (rounded up to a multiple of K) are kept, (chunk, nodes, b), and
-    judged at once: a row ends on its first step with a switch at its
-    strength or a node voltage that is not finite, the scalar rule.  Rows
-    are independent, so stepping a row past its end changes no other row.
+    No solve reads a ring sample newer than K = min(back) - 1 steps before
+    its own step (at least 1, at most CHUNK_STEPS; 2 in a strike network,
+    whose shortest line is 2.06 steps), so one numpy pass advances K
+    steps: one gather of the far-end waves, one bincount over K x nodes,
+    one product by the G⁻¹ diagonal into K steps of the voltages and one
+    K-column ring write (take, multiply by 2/zc, subtract -h).  D is a
+    multiple of K, so a pass never wraps.  The voltages of a chunk of
+    CHUNK_STEPS steps (rounded up to a multiple of K) are kept, (chunk,
+    nodes, b), and judged at once: a row ends on its first step with a
+    switch at its strength or a node voltage that is not finite, the
+    scalar rule.  Rows are independent, so stepping a row past its end
+    changes no other row.
     """
 
     def __init__(self, like: EmtSimulation, held=()):
         self.dt = like.dt
         self._structure = _batch_structure(like)
         self._ln_ends, self._ln_zc = like._ln_ends, like._ln_zc
-        self._ln_delay, self._ln_far = like._ln_delay, like._ln_far
+        self._ln_back, self._ln_frac = like._ln_back, like._ln_frac
+        self._ln_far = like._ln_far
         self._fo_a, self._fo_b = like._fo_a, like._fo_b
         nodes, ends = like._base_inj.size, like._ln_ends.size
         self._heights = (nodes - 1, nodes, ends, 2 * ends, like._fo_a.size)
@@ -623,17 +555,14 @@ class EmtBatch:
         steps judged at once, and `depth`, D, both multiples of K."""
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be finite and positive")
-        steps = int(math.ceil(t_end / self.dt - 1e-12))
-        m = np.arange(1, steps + 1)[:, None]
-        delays = sorted(set(self._ln_delay[self._kept].tolist()))
-        m0, _frac = _interpolation(m, np.array(delays))
-        # solve m reads samples m0 and m0 + 1
-        passes = min(max(int((m - m0 - 1).min(initial=CHUNK_STEPS)), 1),
+        back = self._ln_back[self._kept]
+        # solve m reads the samples of steps m - back and m - back + 1
+        passes = min(max(int(back.min(initial=CHUNK_STEPS + 1)) - 1, 1),
                      CHUNK_STEPS)
         return SimpleNamespace(
-            steps=steps, passes=passes,
+            steps=int(math.ceil(t_end / self.dt - 1e-12)), passes=passes,
             chunk=-(-CHUNK_STEPS // passes) * passes,
-            depth=-(-int((m - m0).max(initial=1)) // passes) * passes)
+            depth=-(-int(back.max(initial=1)) // passes) * passes)
 
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
@@ -659,7 +588,7 @@ class EmtBatch:
         cols = np.arange(b)
         kept, ends, line_ends = self._kept, self._kept.size, self._end_node
         ginv_diag = rows.ginv_diag[order[1:solved] - 1]
-        zc = np.repeat(self._ln_zc[kept], b).reshape(ends, b)
+        zc = self._ln_zc[kept, None]
         step = np.arange(passes)[:, None]
         bins = ((step[:, None] * solved + line_ends[:, None]) * b + cols).ravel()
         # each pass's injections: the constant ones, and at the surge node
@@ -669,17 +598,27 @@ class EmtBatch:
         surge_base = inject.ravel()[surged[0]]
         surge = DoubleRampSource(*rows.ramp[:, None])
 
-        # the ring, filled with the pre-history, then column D - 1 with
-        # the t=0 samples
-        ring = np.empty((depth, 2 * ends, b))
-        ring[:, :ends] = rows.line_v0[kept]
-        ring[:, ends:] = 0.0
-        ring[depth - 1] = rows.line_t0[np.concatenate([kept, kept + count])]
+        # the ring of outgoing waves, filled with the pre-history, then
+        # column D - 1 with the t=0 waves
+        ring = np.empty((depth, ends, b))
+        ring[:] = rows.line_v0[kept] / zc
+        ring[depth - 1] = rows.line_t0[kept] / zc + rows.line_t0[kept + count]
         flat = ring.reshape(-1, b)
-        # per gathered row, older samples then newer: the far end's [v; i]
-        # row in a ring column, read one line delay back
-        delay = self._ln_delay[kept]
-        far = np.tile(np.concatenate([self._end_far, self._end_far + ends]), 2)
+        # the pass after step s gathers rows at[s % D: s % D + K]: per
+        # solve, each end's far-end wave `back` steps before it, then one
+        # step later, which weigh 1 - frac and frac
+        back, frac = self._ln_back[kept], self._ln_frac[kept]
+        t = np.arange(depth)[:, None]
+        at = np.concatenate([(t - back) % depth, (t + 1 - back) % depth], axis=1)
+        at = at * ends + np.tile(self._end_far, 2)
+        weight = np.tile(np.concatenate([1.0 - frac, frac]), passes)
+        # spelled out to full rows: against a (rows, 1) column numpy runs
+        # one short inner loop per row
+        weight = weight.repeat(b).reshape(-1, b)
+        two_g = np.repeat(2.0 / self._ln_zc[kept], b).reshape(ends, b)
+        part = np.empty_like(weight)
+        halves = part.reshape(passes, 2, ends, b)
+        neg_h = np.empty((passes, ends, b))
 
         v = np.zeros((chunk, order.size, b))
         v[:, solved:] = rows.line_v0[self._held_end]
@@ -689,27 +628,23 @@ class EmtBatch:
         fo_a, fo_b = self._node_row[self._fo_a], self._node_row[self._fo_b]
         for n0 in range(0, steps, chunk):
             m = np.arange(n0 + 1, n0 + chunk + 1)
-            m0, frac = _interpolation(m[:, None], delay)
-            # step m0 is column (m0 - 1) % D
-            older, newer = (m0 - 1) % depth, m0 % depth
-            at = np.concatenate([older, older, newer, newer], axis=1)
-            at = at * (2 * ends) + far
-            weight = np.concatenate([1.0 - frac] * 2 + [frac] * 2, axis=1)
             injected = surge_base + surge((m * self.dt)[:, None])
             judged = min(chunk, steps - n0)
             for j in range(0, judged, passes):
                 now = slice(j, j + passes)
-                neg_h = _histories(flat, at[now], weight[now], zc)
-                inject.ravel()[surged] = injected[now]
-                _solve(inject, neg_h, bins, ginv_diag, v[now])
                 col = (n0 + j) % depth
-                written = ring[col:col + passes]
-                ve, ie = written[:, :ends], written[:, ends:]
                 # in-range indices: mode "clip" spares the buffered copy
                 # numpy makes of `out` in its default "raise" mode
-                v[now].take(line_ends, axis=1, out=ve, mode="clip")
-                np.divide(ve, zc, out=ie)
-                ie -= neg_h  # i = v/zc + h
+                flat.take(at[col:col + passes].ravel(), axis=0, out=part,
+                          mode="clip")
+                part *= weight
+                np.add(halves[:, 0], halves[:, 1], out=neg_h)
+                inject.ravel()[surged] = injected[now]
+                _solve(inject, neg_h, bins, ginv_diag, v[now])
+                written = ring[col:col + passes]
+                v[now].take(line_ends, axis=1, out=written, mode="clip")
+                written *= two_g
+                written -= neg_h  # w = v (2/zc) + h
             # the chunk's verdicts, read from its voltages
             over = (np.abs(v[:judged, fo_a] - v[:judged, fo_b])
                     >= rows.strength).any(axis=1)

@@ -478,12 +478,12 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
 
 
 # Line strokes per lock-step batch.  Memory, not speed, sets it: while its
-# batch runs, each row holds its line-history ring, a chunk of its node
-# voltages and its pass buffers, 57.5-60.2 kB in a shield stroke's batch
-# (tracemalloc over every shield batch at n=4000, seed 2), so a batch
+# batch runs, each row holds its ring of outgoing waves, a chunk of its node
+# voltages and its pass buffers, 43.0-45.2 kB in a shield stroke's batch
+# (tracemalloc over every shield batch at n=4000, seed 2), so a batch of 64
 # peaks near 2.9 MB.  Larger batches raise peak memory for little further
 # gain.
-REPLAY_BATCH = 48
+REPLAY_BATCH = 64
 
 
 def _replay_batches(sample: StrokeSample, impacts: Impacts,
@@ -743,28 +743,6 @@ def write_events_csv(path, result: StudyResult):
         [WIRE_LABELS[w] for w in im.wire.tolist()],
         [PLACE_LABELS[p] for p in im.place.tolist()],
         result.flashover])
-
-
-# kept: the learning frame of test_ml.py's lightning-flashover tests
-def flashover_dataset(result: StudyResult):
-    """Learning frame for flashover prediction: strokes that reached the line,
-    waveshape columns numeric, termination columns one-hot."""
-    from . import ml
-
-    keep = result.impacts.on_line
-    if not keep.any():
-        raise ValueError("no strokes reached the line")
-    s = result.sample
-    numeric = np.column_stack([s.angle_deg[keep], s.peak_ka[keep],
-                               s.front_us[keep], s.half_us[keep]])
-    names = ["PhaseAngle", "StrokePeak", "FrontTime", "HalfPeak"]
-    line = result.impacts[keep]
-    wires, wire_cats = ml.one_hot(WIRE_LABELS[w] for w in line.wire.tolist())
-    places, place_cats = ml.one_hot(PLACE_LABELS[p] for p in line.place.tolist())
-    names += [f"Wire={c}" for c in wire_cats] + [f"Tower={c}" for c in place_cats]
-    features = np.hstack([numeric, wires, places])
-    labels = result.flashover[keep].astype(int)
-    return ml.Dataset(features, labels, tuple(names), "Flashover")
 
 
 def summary_lines(result: StudyResult) -> list:

@@ -10,6 +10,8 @@ Four kinds of evidence:
      energy rebuilt from the wave buffers
   4. switch mechanics: a run ends on the first step any flashover switch
      reaches its strength, recording every switch that does
+  5. the outgoing-wave line stepper against the v/i stepper it replaced,
+     equal to rounding in its traces and equal in its verdicts
 """
 
 import gc
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from gridstudies.emt import (BatchRows, DoubleRampSource, EmtBatch, EmtNetwork,
-                             batch_rows)
+                             EmtSimulation, batch_rows)
 
 DT = 1e-3
 
@@ -184,16 +186,43 @@ def test_fractional_delay_settles():
     res = sim.run(200 * DT, record=("b",))
     assert np.allclose(res.node_traces["b"][-100:], 0.5, rtol=0, atol=1e-9)
 
-def test_preenergized_line_holds_dc():
-    # a charged line fed through a matched resistor from a DC source is an
-    # equilibrium; the solver has to hold it without any drift
-    volts = 187794.214
+PREENERGIZED_VOLTS = 187794.214
+
+def preenergized_network():
+    # a charged line fed through a matched resistor from a DC source
+    volts = PREENERGIZED_VOLTS
     net = EmtNetwork()
     net.add_voltage_source("a", volts, ZC)
     net.add_line("a", "b", ZC, 25 * DT, v0_a=volts, v0_b=volts)
-    res = net.assemble(DT).run(300 * DT, record=("a", "b"))
+    return net
+
+def test_preenergized_line_holds_dc():
+    # the charged line is an equilibrium; the solver has to hold it
+    # without any drift
+    res = preenergized_network().assemble(DT).run(300 * DT, record=("a", "b"))
     for name in ("a", "b"):
-        assert np.allclose(res.node_traces[name], volts, rtol=1e-9, atol=0)
+        assert np.allclose(res.node_traces[name], PREENERGIZED_VOLTS,
+                           rtol=1e-9, atol=0)
+
+def line_stored_energy(sim, line_index):
+    """Field energy on a line, rebuilt from its ends' outgoing waves: the
+    wave f = zc w / 2 that entered at each end over the last travel time
+    is still inside the line and carries f^2 dt / zc per recorded step."""
+    total = 0.0
+    depth = len(sim._ln_w)
+    for e in (2 * line_index, 2 * line_index + 1):
+        zc = sim._ln_zc[e]
+        d = sim.net.lines[line_index].travel_time / sim.dt
+        full = int(math.floor(d))
+        frac = d - full
+        last = full + (1 if frac > 1e-12 else 0)
+        for back in range(last):
+            # a step before 0 reads a row no step has written: the
+            # pre-history
+            wave = 0.5 * zc * sim._ln_w[(sim.n - back) % depth, e]
+            weight = 1.0 if back < full else frac
+            total += weight * wave * wave * sim.dt / zc
+    return total
 
 def test_line_energy_conservation():
     d = 100
@@ -209,7 +238,7 @@ def test_line_energy_conservation():
         e_net += 0.5 * DT * (p_prev + p)
         p_prev = p
         if n in (150, 1000):
-            checks.append((n, e_net, sim.line_stored_energy(0)))
+            checks.append((n, e_net, line_stored_energy(sim, 0)))
     # mid-transient the square wavefronts straddle a sample, so the buffer
     # estimate carries a half-sample bias; settled state must be within 0.5%
     for n, fed, stored in checks:
@@ -312,45 +341,34 @@ def test_determinism():
 def run_oracle(batch, t_end):
     """EmtBatch.run as it stepped one step per numpy pass and judged every
     step: the oracle of the K-step passes and of held nodes.  It steps the
-    batch's full network, held nodes or not, with its ring column n % D
-    holding step n."""
+    batch's full network, held nodes or not, with its ring row n % D
+    holding every end's outgoing wave at step n."""
     steps = int(math.ceil(t_end / batch.dt - 1e-12))
     node, ramp, gdiag, base, ln_v0, ln_t0, strength = (
         np.concatenate(col, axis=-1) for col in zip(*batch._blocks))
     b, nodes = node.size, base.shape[0]
     ends = batch._ln_ends.size
-    depth = int((np.ceil(batch._ln_delay).astype(np.intp) + 2).max(initial=1))
+    back, frac, far = batch._ln_back, batch._ln_frac[:, None], batch._ln_far
+    depth = int(back.max(initial=0)) + 1
     rows = np.arange(b)
     surge = DoubleRampSource(*ramp[:, None])(
         (np.arange(1, steps + 1) * batch.dt)[:, None])
     inject = node * b + rows  # into base.ravel()
     surged = base.ravel()[inject] + surge
     hist = (batch._ln_ends[:, None] * b + rows).ravel()
-    zc = np.repeat(batch._ln_zc, b).reshape(ends, b)
+    zc = batch._ln_zc[:, None]
 
-    ring = np.empty((depth, 2 * ends, b))
-    ring[:, :ends] = ln_v0
-    ring[:, ends:] = 0.0
-    ring[0] = ln_t0
-    flat = ring.reshape(depth * 2 * ends, b)
-    delay = np.tile(batch._ln_delay, 2)
-    far = np.concatenate([batch._ln_far, batch._ln_far + ends])
-    chunk = 32
+    ring = np.empty((depth, ends, b))
+    ring[:] = ln_v0 / zc
+    ring[0] = ln_t0[:ends] / zc + ln_t0[ends:]
 
-    def interpolation(n0):
-        q = np.arange(n0 + 1, n0 + chunk + 1)[:, None] - delay
-        m0 = np.floor(q).astype(np.intp)
-        frac = q - m0
-        at = np.concatenate([m0, m0 + 1], axis=1) % depth * (2 * ends)
-        return at + np.tile(far, 2), np.concatenate([1.0 - frac, frac], axis=1)
+    def histories(n):
+        """-h of every end for solve n: far-end waves, back steps earlier
+        and one step later, weighted 1 - frac and frac."""
+        return ((1.0 - frac) * ring[(n - back) % depth, far]
+                + frac * ring[(n + 1 - back) % depth, far])
 
-    def histories(at, weight):
-        part = weight.repeat(b).reshape(4 * ends, b) * flat.take(at, axis=0)
-        w = part[:2 * ends] + part[2 * ends:]
-        return w[:ends] / zc + w[ends:]
-
-    at, weight = interpolation(0)
-    neg_h = histories(at[0], weight[0])
+    neg_h = histories(1)
     end = np.zeros(b, dtype=np.intp)
     finite = np.ones(b, dtype=bool)
     live = np.ones(b, dtype=bool)
@@ -364,13 +382,8 @@ def run_oracle(batch, t_end):
                out=rhs)
         np.multiply(gdiag, rhs[1:], out=v[1:])
         np.isfinite(v[1:], out=v_ok)
-        ve, ie = ring[n % depth].reshape(2, ends, b)
-        v.take(batch._ln_ends, axis=0, out=ve)
-        np.divide(ve, zc, out=ie)
-        ie -= neg_h
-        if n % chunk == 0:
-            at, weight = interpolation(n)
-        neg_h = histories(at[n % chunk], weight[n % chunk])
+        ring[n % depth] = v[batch._ln_ends] * (2.0 / zc) - neg_h
+        neg_h = histories(n + 1)
         over = np.abs(v[batch._fo_a] - v[batch._fo_b]) >= strength
         if over.any() or not v_ok.all():
             failed = live & ~v_ok.all(axis=0)
@@ -475,14 +488,14 @@ def test_batch_run_is_a_function_of_its_rows():
 
 def test_an_open_row_pins_no_inverse_or_line_buffer():
     # a batch keeps a row's values, not its network's arrays: once the
-    # caller drops the simulation, its G⁻¹ and line buffers are freed
+    # caller drops the simulation, its G⁻¹ and wave buffer are freed
     sim = surge_network(10.0).assemble(DT)
     batch = EmtBatch(sim)
     batch.add(sim)
-    refs = [weakref.ref(a) for a in (sim._ginv, sim._buf_v, sim._buf_i)]
+    refs = [weakref.ref(a) for a in (sim._ginv, sim._ln_w)]
     del sim
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_batch_takes_one_structure():
@@ -683,11 +696,109 @@ def test_passes_run_as_the_per_step_oracle_on_study_batches(seed):
         passes = plan.passes
         assert passes == 2 if wire == lightning.SHIELD else passes > 2
         # a pass never wraps the ring, and no solve reads a sample older
-        # than the ring holds: solve m reads steps floor(m - delay) on
+        # than the ring holds: solve m reads steps m - back on
         assert plan.depth % passes == 0
-        m = np.arange(1, plan.steps + 1)[:, None]
-        oldest = np.floor(m - batch._ln_delay[batch._kept])
-        assert (m - oldest).max() <= plan.depth
+        assert batch._ln_back[batch._kept].max() <= plan.depth
         assert_runs_as_oracle(batch, config.t_end_s)
         wires.add(wire)
     assert lightning.SHIELD in wires and (len(wires) > 1) == (seed == 2)
+
+
+class VIStepper(EmtSimulation):
+    """The line stepper the outgoing-wave form replaced, kept as its
+    rounding witness: each end buffers its voltage and current, and -h =
+    vf/zc + iw is formed from both far-end samples, interpolated with
+    weights recomputed each step from floor(m - delay)."""
+
+    def __init__(self, net, dt):
+        super().__init__(net, dt)
+        self._delay = np.repeat([ln.travel_time / dt for ln in net.lines], 2)
+        self._depth = np.ceil(self._delay).astype(np.intp) + 2
+        depth = int(self._depth.max(initial=1))
+        # column 0 holds the t=0 end samples; m < 0 reads fall back to v0/0
+        self._buf_v = np.tile(self._v_init[self._ln_ends][:, None], (1, depth))
+        self._buf_i = np.tile(self._ln_i0[:, None], (1, depth))
+        self._vi_histories()
+
+    def _record_line_ends(self, v):
+        ve = v[self._ln_ends]
+        ends = np.arange(ve.size)
+        col = self.n % self._depth
+        self._buf_v[ends, col] = ve
+        self._buf_i[ends, col] = ve / self._ln_zc - self._ln_neg_h
+        self._vi_histories()
+
+    def _vi_histories(self):
+        q = (self.n + 1) - self._delay
+        m0 = np.floor(q).astype(np.intp)
+        frac = q - m0
+        (vf0, if0), (vf1, if1) = self._read_far(m0), self._read_far(m0 + 1)
+        vf = (1.0 - frac) * vf0 + frac * vf1
+        iw = (1.0 - frac) * if0 + frac * if1
+        self._ln_neg_h = vf / self._ln_zc + iw
+
+    def _read_far(self, m):
+        far = self._ln_far
+        init = m < 0
+        col = np.where(init, 0, m) % self._depth[far]
+        return (np.where(init, self._ln_v0[far], self._buf_v[far, col]),
+                np.where(init, 0.0, self._buf_i[far, col]))
+
+
+def shield_tower_network():
+    # the first shield-wire tower stroke of lightning --n 2000 --seed 1
+    from gridstudies import lightning
+
+    config = lightning.StudyConfig(n=2000, seed=1)
+    sample = lightning.sample_strokes(config.n, config.seed, config.geometry)
+    impacts = lightning.classify_impact(sample.x_m, sample.y_m,
+                                        sample.peak_ka, config.geometry)
+    i = int(np.flatnonzero((impacts.wire == lightning.SHIELD)
+                           & (impacts.place == lightning.TOWER))[0])
+    net = lightning.build_strike_network(sample[i], impacts[i], config)
+    return net, config.dt_s, config.t_end_s
+
+
+def test_outgoing_waves_step_as_the_vi_stepper_to_rounding():
+    # every node trace of the wave form lies within 1e-12 max|v| of the
+    # v/i stepper's, max|v| over the network's traces.  Measured: the line
+    # networks agree bit for bit, the strike network to 3.9e-16 max|v|
+    cases = [(line_network(100 * DT), DT, 400 * DT),
+             (line_network(100 * DT, far="matched"), DT, 400 * DT),
+             (line_network(100 * DT, far="shorted"), DT, 400 * DT),
+             (line_network(10.5 * DT, far="matched"), DT, 200 * DT),
+             (preenergized_network(), DT, 300 * DT), shield_tower_network()]
+    worst = 0.0
+    for net, dt, t_end in cases:
+        names = tuple(net._ids[1:])
+        got = EmtSimulation(net, dt).run(t_end, record=names)
+        want = VIStepper(net, dt).run(t_end, record=names)
+        assert got.flashovers == want.flashovers
+        scale = max(np.abs(tr).max() for tr in want.node_traces.values())
+        for name in names:
+            diff = np.abs(got.node_traces[name] - want.node_traces[name]).max()
+            worst = max(worst, diff / scale)
+    assert worst <= 1e-12
+
+
+def test_outgoing_waves_reach_the_vi_stepper_verdicts_on_a_study():
+    # every line stroke of lightning --n 2000 --seed 1 through the v/i
+    # stepper: the lock-step replay (the wave form) reaches its verdict
+    # and close time, bit for bit
+    from gridstudies import lightning
+
+    config = lightning.StudyConfig(n=2000, seed=1)
+    sample = lightning.sample_strokes(config.n, config.seed, config.geometry)
+    impacts = lightning.classify_impact(sample.x_m, sample.y_m,
+                                        sample.peak_ka, config.geometry)
+    sample, impacts = sample[impacts.on_line], impacts[impacts.on_line]
+    got = lightning.replay_strokes(sample, impacts, config)
+    flashes = 0
+    for i, res in enumerate(got):
+        net = lightning.build_strike_network(sample[i], impacts[i], config)
+        want = VIStepper(net, config.dt_s).run(config.t_end_s)
+        close = want.flashovers[0][1] if want.flashovers else None
+        assert (res.flashover, res.failed, res.close_time_s) == (
+            bool(want.flashovers), False, close), i
+        flashes += res.flashover
+    assert len(got) == 261 and 0 < flashes < 261

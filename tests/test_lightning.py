@@ -786,7 +786,8 @@ def test_unstruck_conductors_stay_within_rounding_of_rest():
 
 def test_replay_memory_stays_within_what_its_batch_size_allows():
     # memory, not speed, sizes REPLAY_BATCH: at n=2000, seed 1 the traced
-    # peak of the replay is 3.1 MB with 48 rows a batch and 4.0 MB with 64
+    # peak of the replay is 3.08 MB with 64 rows a batch, each row's ring
+    # holding one outgoing wave per line end and step
     line = _study_line_strokes()
     tracemalloc.start()
     try:

@@ -639,9 +639,28 @@ def test_save_load_round_trips(tmp_path):
 
 # -- flashover prediction on the lightning study frame -----------------------------
 
-def test_svm_classifies_lightning_flashovers(lightning_reference):
-    from gridstudies.lightning import flashover_dataset
+def flashover_dataset(result):
+    """Learning frame for flashover prediction: strokes that reached the line,
+    waveshape columns numeric, termination columns one-hot."""
+    from gridstudies.lightning import PLACE_LABELS, WIRE_LABELS
 
+    keep = result.impacts.on_line
+    if not keep.any():
+        raise ValueError("no strokes reached the line")
+    s = result.sample
+    numeric = np.column_stack([s.angle_deg[keep], s.peak_ka[keep],
+                               s.front_us[keep], s.half_us[keep]])
+    names = ["PhaseAngle", "StrokePeak", "FrontTime", "HalfPeak"]
+    line = result.impacts[keep]
+    wires, wire_cats = ml.one_hot(WIRE_LABELS[w] for w in line.wire.tolist())
+    places, place_cats = ml.one_hot(PLACE_LABELS[p] for p in line.place.tolist())
+    names += [f"Wire={c}" for c in wire_cats] + [f"Tower={c}" for c in place_cats]
+    features = np.hstack([numeric, wires, places])
+    labels = result.flashover[keep].astype(int)
+    return Dataset(features, labels, tuple(names), "Flashover")
+
+
+def test_svm_classifies_lightning_flashovers(lightning_reference):
     frame = flashover_dataset(lightning_reference)
     majority = max(np.mean(frame.labels == 0), np.mean(frame.labels == 1))
     train, test = split(frame, 0.5, seed=11)
@@ -653,8 +672,6 @@ def test_svm_classifies_lightning_flashovers(lightning_reference):
 
 
 def test_flashover_frame_shape(lightning_reference):
-    from gridstudies.lightning import flashover_dataset
-
     result = lightning_reference
     frame = flashover_dataset(result)
     assert frame.n == int(result.impacts.on_line.sum())
