@@ -30,10 +30,11 @@ import csv
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .record import record
 from .report import write_columns
 
 SQRT3 = math.sqrt(3.0)
@@ -49,7 +50,7 @@ class ConvergenceError(RuntimeError):
         self.trace = tuple(float(t) for t in trace)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HourlyShape:
     """Hourly values in [lower, 1]: load and generation multipliers (lower 0;
     from_values sets the peak to 1) or a storage signal (lower -1, charging)."""
@@ -91,7 +92,7 @@ def _check_impedance(owner, z):
                          f"non-negative real part, got {z!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SourceSpec:
     kv_ll: float = 4.8
     impedance_ohm: complex = 0.05 + 0.5j
@@ -107,7 +108,7 @@ class SourceSpec:
         return self.kv_ll * 1e3 / SQRT3
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LineSegment:
     name: str
     impedance_ohm: complex = 0.5 + 0.9j
@@ -116,7 +117,7 @@ class LineSegment:
         _check_impedance(self.name, self.impedance_ohm)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LoadSpec:
     """Three-phase constant-PQ load; kw is the three-phase total rating."""
 
@@ -132,7 +133,7 @@ class LoadSpec:
             raise ValueError(f"{self.name}: power_factor outside (0, 1]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PvSpec:
     """Active-power-only generator; output is rated_kw times its shape."""
 
@@ -144,7 +145,7 @@ class PvSpec:
             raise ValueError("rated_kw must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StorageSpec:
     rated_kw: float
     rated_kwh: float
@@ -171,7 +172,7 @@ class StorageSpec:
         return math.sqrt(self.round_trip_efficiency)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Feeder:
     """Radial chain: source, then alternating line segments and loads.
 
@@ -194,8 +195,7 @@ class Feeder:
             raise ValueError("element names must be unique")
 
 
-@dataclass(frozen=True)
-class HourInputs:
+class HourInputs(NamedTuple):
     """Resolved element powers for one snapshot; load_kw are 3-phase totals."""
 
     load_kw: tuple
@@ -203,8 +203,7 @@ class HourInputs:
     storage_kw: float = 0.0
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Converged power flow. Powers per phase in kVA, losses in 3-phase kW."""
 
     bus_voltage: tuple
@@ -232,12 +231,6 @@ class Snapshot:
     @property
     def losses_kvar(self):
         return sum(self.line_losses_kvar)
-
-    def balance_error_kw(self):
-        """Source input minus loads, losses and local injections."""
-        load = 3.0 * sum(s.real for s in self.load_power_kva)
-        return self.source_kw - (load + self.losses_kw
-                                 - self.pv_kw - self.storage_kw)
 
 
 def solve_snapshot(feeder, inputs=None):
@@ -303,8 +296,7 @@ def solve_snapshot(feeder, inputs=None):
         iterations=len(trace))
 
 
-@dataclass(frozen=True)
-class Flows:
+class Flows(NamedTuple):
     """Converged power flows of many rows: Snapshot's solved fields, each an
     array with a leading row axis."""
 
@@ -438,15 +430,13 @@ def apply_storage_power(spec, soc, kw):
 
 # -- daily mode ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HourRecord:
+class HourRecord(NamedTuple):
     hour: int
     snapshot: Snapshot
     soc: float
 
 
-@dataclass(frozen=True)
-class Meter:
+class Meter(NamedTuple):
     kwh: float = 0.0
     kvarh: float = 0.0
     peak_kw: float = 0.0
@@ -469,8 +459,7 @@ class Meter:
                    peak_losses_kw=max((0.0, *loss_kw)))
 
 
-@dataclass(frozen=True)
-class DailyResult:
+class DailyResult(NamedTuple):
     feeder: Feeder
     records: tuple
 
@@ -548,16 +537,14 @@ def draw_load_kw(feeder, seed, run_index):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class McStats:
+class McStats(NamedTuple):
     mean_kw: float
     std_kw: float
     mean_kvar: float
     std_kvar: float
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     """Per-run per-phase powers, rows ordered by run index."""
 
     feeder: Feeder

@@ -52,16 +52,16 @@ when the declared initial state is the post-jump one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .nodal import NodeRegistry, stamp
+from .record import record
 
 
-@dataclass
+@record
 class DoubleRampSource:
     """Piecewise-linear surge current: 0 -> peak over the front, peak -> peak/2
     over the tail, then the tail slope continues until the current reaches
@@ -90,7 +90,7 @@ class DoubleRampSource:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass
+@record
 class BergeronLine:
     """v0 is the line's interior pre-history voltage per end; i0 the t=0
     current into the line at each end (nonzero when a source is already
@@ -188,8 +188,7 @@ class EmtNetwork(NodeRegistry):
         return EmtSimulation(self, dt)
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     times: np.ndarray
     node_traces: dict
     branch_traces: dict

@@ -24,7 +24,7 @@ phase-to-ground RMS voltage, 400 kV / sqrt(3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .phasor import (
     solve_steady_state,
 )
 from .nodal import merge_nodes
+from .record import field, record
 from .report import write_columns
 
 VOLTAGE_BASE_V = 400e3 / math.sqrt(3)  # 230940.1076758503
@@ -55,7 +56,7 @@ DATASET_HEADER = (
 )
 
 
-@dataclass
+@record
 class CaseOneConfig:
     """System surrounding the faulted line.
 
@@ -77,7 +78,7 @@ class CaseOneConfig:
     ))
 
 
-@dataclass
+@record
 class FaultCase:
     """One simulated fault: grid position (1..19, 5 km apart), type (1..11),
     and a single resistance applied per faulted phase and to ground."""
@@ -107,8 +108,7 @@ class FaultCase:
         return 100 * self.position_index + self.fault_type
 
 
-@dataclass
-class DatasetRow:
+class DatasetRow(NamedTuple):
     """Nine per-unit voltages plus distance and the combined code."""
 
     v_bus: tuple[float, float, float]

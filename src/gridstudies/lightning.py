@@ -9,11 +9,12 @@ traveling-wave network to decide whether an insulator string flashes over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .emt import BatchRows, DoubleRampSource, EmtBatch, EmtNetwork, batch_rows
+from .record import field, fields, record, replace
 from .report import write_columns
 
 LIGHT_SPEED_M_S = 299_792_458.0
@@ -38,7 +39,7 @@ EVENTS_HEADER = ("PhaseAngle", "StrokePeak", "FrontTime", "HalfPeak",
                  "Wire", "Tower", "Flashover")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LineGeometry:
     """Flat-configuration line: three phases under two shield wires.
 
@@ -110,7 +111,7 @@ def striking_distances(peak_ka) -> tuple:
     return WIRE_RADIUS_KA_COEFF * scale, GROUND_RADIUS_KA_COEFF * scale
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Impacts:
     """Where strokes terminate, one integer code per stroke in each field.
 
@@ -195,8 +196,7 @@ def exposure_width(geometry: LineGeometry, peak_ka: float,
     return 2.0 * float(exposed.sum()) * (y[1] - y[0])
 
 
-@dataclass(frozen=True)
-class CriticalCurrents:
+class CriticalCurrents(NamedTuple):
     """Largest peak currents that can still reach a phase conductor."""
 
     tower_ka: float
@@ -261,7 +261,7 @@ def calibrate_geometry(geometry: LineGeometry = DEFAULT_GEOMETRY,
     return replace(adjusted, shield_sag_m=round(0.5 * (lo + hi), 4))
 
 
-@dataclass
+@record
 class StrokeSample:
     """One batch of sampled strokes; every field is an array of length n.
     `sample[i]` is the row of stroke i alone, with scalar fields."""
@@ -315,7 +315,7 @@ def sample_strokes(n: int, seed: int,
     return StrokeSample(x, y, angle, peak, front, half, footing, strength)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StudyConfig:
     """Everything one study run depends on."""
 
@@ -455,8 +455,7 @@ def build_strike_network(stroke: StrokeSample, impact: Impacts,
     return net
 
 
-@dataclass(frozen=True)
-class EventResult:
+class EventResult(NamedTuple):
     flashover: bool = False
     close_time_s: float | None = None
     failed: bool = False
@@ -622,8 +621,7 @@ def replay_strokes(sample: StrokeSample, impacts: Impacts,
     return results
 
 
-@dataclass(frozen=True)
-class StrokeCounts:
+class StrokeCounts(NamedTuple):
     """Partition of one batch of strokes by termination and outcome."""
 
     total: int
@@ -643,8 +641,7 @@ class StrokeCounts:
     failures: int
 
 
-@dataclass(frozen=True)
-class FlashoverRate:
+class FlashoverRate(NamedTuple):
     """Exposure implied by a stroke batch and the resulting line rate."""
 
     years: int
@@ -680,8 +677,7 @@ def flashover_rate(n_strokes: int, n_flashovers: int, l1_km: float,
     return FlashoverRate(years=years, per_100km_year=rate)
 
 
-@dataclass
-class StudyResult:
+class StudyResult(NamedTuple):
     config: StudyConfig
     sample: StrokeSample
     impacts: Impacts

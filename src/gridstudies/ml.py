@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import field, record
 
 
 class ConvergenceError(RuntimeError):
@@ -35,7 +37,7 @@ class DivergenceError(RuntimeError):
 
 # -- data handling ------------------------------------------------------------
 
-@dataclass
+@record
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
@@ -104,19 +106,7 @@ class MinMaxScaler:
         return (np.asarray(features, dtype=float) - self.lo) / self._span()
 
 
-def one_hot(values) -> tuple[np.ndarray, list]:
-    """0/1 columns for the sorted distinct values."""
-    values = list(values)
-    cats = sorted(set(values))
-    index = {c: j for j, c in enumerate(cats)}
-    out = np.zeros((len(values), len(cats)))
-    for i, v in enumerate(values):
-        out[i, index[v]] = 1.0
-    return out, cats
-
-
-@dataclass
-class Agreement:
+class Agreement(NamedTuple):
     """Fractions of mismatching / matching predictions (they sum to one)."""
 
     false_fraction: float
@@ -137,7 +127,7 @@ def evaluate(model, dataset: Dataset) -> Agreement:
 KNN_BLOCK_BYTES = 1 << 18  # 0.25 MB of query-to-train differences at a time
 
 
-@dataclass
+@record
 class KnnModel:
     k: int
     features: np.ndarray
@@ -213,8 +203,7 @@ def median_pairwise_distance(features) -> float:
     return float(np.ldexp(med, e)) if med > 0 else 1.0
 
 
-@dataclass
-class BinarySvm:
+class BinarySvm(NamedTuple):
     """Two-class margin classifier; labels map (lower, higher) -> (-1, +1)."""
 
     neg_label: object
@@ -280,7 +269,7 @@ def _smo(x, y, C, sigma, tol, max_sweeps):
     return alpha, b, res
 
 
-@dataclass
+@record
 class SvmModel:
     """One binary machine per class pair; prediction is a vote with ties
     falling to the lowest class."""
@@ -350,7 +339,7 @@ def _sigmoid(z):
     return np.reciprocal(z, out=z)
 
 
-@dataclass
+@record
 class MlpModel:
     """Fully-connected logistic layers with one output unit: at or above
     0.5 it names the second of the two classes."""
@@ -531,25 +520,3 @@ def save_model(model, path):
         raise TypeError(f"cannot save {type(model).__name__}")
     with open(path, "w") as fh:
         json.dump(blob, fh)
-
-
-def load_model(path):
-    # the only check that the svm/mlp/mlp_small.json `ml` writes hold its models
-    with open(path) as fh:
-        blob = json.load(fh)
-    kind = blob.get("kind")
-    if kind == "svm":
-        model = SvmModel(blob["classes"], blob["C"], blob["sigma"])
-        for m in blob["machines"]:
-            model.machines.append(BinarySvm(
-                m["neg"], m["pos"], blob["sigma"], blob["C"],
-                np.asarray(m["sv_features"], dtype=float),
-                np.asarray(m["sv_coeff"], dtype=float),
-                m["b"], m["kkt_residual"]))
-        return model
-    if kind == "mlp":
-        return MlpModel(tuple(blob["layout"]),
-                        [np.asarray(w, dtype=float) for w in blob["weights"]],
-                        [np.asarray(b, dtype=float) for b in blob["biases"]],
-                        blob["classes"])
-    raise ValueError(f"unknown model kind {kind!r}")

@@ -18,11 +18,12 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .nodal import NodeRegistry, merge_nodes, stamp
+from .record import record
 
 PHASES = ("A", "B", "C")
 
@@ -50,8 +51,7 @@ class SingularNetworkError(ValueError):
         self.node = node
 
 
-@dataclass
-class Branch:
+class Branch(NamedTuple):
     from_node: int
     to_node: int
     series_impedance: complex
@@ -62,8 +62,7 @@ class Branch:
         return self.series_impedance == 0
 
 
-@dataclass
-class CoupledBranch:
+class CoupledBranch(NamedTuple):
     """Three-phase series element with a full 3x3 impedance matrix."""
 
     from_nodes: tuple[int, int, int]
@@ -72,8 +71,7 @@ class CoupledBranch:
     shunt_admittance_per_end: np.ndarray  # 3x3 complex, symmetric
 
 
-@dataclass
-class Source:
+class Source(NamedTuple):
     """Ideal emf behind a nonzero internal impedance (Thevenin form)."""
 
     node: int
@@ -81,7 +79,7 @@ class Source:
     internal_impedance: complex
 
 
-@dataclass
+@record
 class FaultSpec:
     """Shunt fault at a point along a line section.
 
@@ -105,8 +103,7 @@ class FaultSpec:
                              f"got {self.ground_resistance}")
 
 
-@dataclass
-class LineSectionModel:
+class LineSectionModel(NamedTuple):
     """Per-km line parameters given as positive/zero-sequence values.
 
     mutual_skew redistributes the phase-to-phase mutual impedance the way a
@@ -206,8 +203,7 @@ class PhasorNetwork(NodeRegistry):
         return copy.deepcopy(self)
 
 
-@dataclass
-class PhasorSolution:
+class PhasorSolution(NamedTuple):
     network: PhasorNetwork
     node_voltages: np.ndarray            # complex, indexed by node id; ground = 0
 

@@ -8,12 +8,12 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
+from .record import field, record
 
 TOOL_NAME = "gridstudies"
 MANIFEST_NAME = "manifest.json"
@@ -25,7 +25,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass
+@record
 class RunManifest:
     """Record of one study run, written next to its outputs.
 
@@ -69,11 +69,6 @@ def write_manifest(out_dir, manifest: RunManifest) -> str:
         json.dump(manifest.to_dict(), fh, indent=2)
         fh.write("\n")
     return path
-
-
-def read_manifest(out_dir) -> dict:
-    with open(os.path.join(str(out_dir), MANIFEST_NAME)) as fh:
-        return json.load(fh)
 
 
 def summary_block(pairs) -> list:

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .record import record
 from .report import write_columns
 
 
@@ -43,7 +44,7 @@ class NoPostFaultEquilibrium(ValueError):
     """Mechanical power exceeds the post-fault power transfer limit."""
 
 
-@dataclass
+@record
 class SmibModel:
     """Plant, transformer and line reactances, all per unit on the machine
     base.  The four-generator plant is aggregated into one machine."""
@@ -91,7 +92,7 @@ class SmibModel:
         return self.xd_prime + self.x_transformer + self.x_line1
 
 
-@dataclass
+@record
 class OperatingPoint:
     """Pre-fault P, Q delivered at the machine terminals (generator sign)."""
 
@@ -112,7 +113,7 @@ class OperatingPoint:
         return cls(s_pu * pf, s_pu * math.sqrt(max(0.0, 1.0 - pf * pf)))
 
 
-@dataclass
+@record
 class FaultEvent:
     """Bolted three-phase fault on circuit 2 at the transformer end,
     cleared by opening the circuit.  duration 0 means no fault at all."""
@@ -160,7 +161,7 @@ def init_conditions(model: SmibModel, op: OperatingPoint) -> tuple[float, float]
     return e_mag, delta0
 
 
-@dataclass
+@record
 class SwingTrace:
     times: np.ndarray
     delta_rad: np.ndarray
@@ -173,8 +174,7 @@ class SwingTrace:
                 raise ValueError("trace contains non-finite samples")
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     trace: SwingTrace
     stable: bool
     delta0_rad: float
@@ -333,8 +333,7 @@ DEFAULT_POWER_FACTORS = (0.6, 0.7, 0.8, 0.9, 0.98)
 DEFAULT_DURATIONS_S = tuple(np.linspace(0.070, 0.250, 67))
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     power_mw: float
     duration_ms: float
     stability: int  # 1 means instability, 0 stability

@@ -6,11 +6,12 @@ depends on anything beyond the standard library and numpy.
 
 from __future__ import annotations
 
-import html
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import field, record
 
 WIDTH = 640
 HEIGHT = 420
@@ -24,15 +25,14 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 
 
-@dataclass
-class ChartStyle:
+class ChartStyle(NamedTuple):
     title: str = ""
     x_label: str = ""
     y_label: str = ""
     include_zero_y: bool = False
 
 
-@dataclass
+@record
 class DataSeries:
     """One named sequence of points."""
 
@@ -66,11 +66,17 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """Text as SVG element content: &, < and > become entities; quotes
+    only need escaping inside attribute values, which take no text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-@dataclass
+@record
 class _Canvas:
     x_lo: float
     x_hi: float
@@ -113,7 +119,7 @@ def _open_canvas(xs, ys, style: ChartStyle) -> _Canvas:
     if style.title:
         p.append(f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
                  f'{FONT} font-size="16">'
-                 f'{html.escape(style.title, quote=False)}</text>')
+                 f'{_escape(style.title)}</text>')
 
     bottom = HEIGHT - MARGIN_BOTTOM
     right = WIDTH - MARGIN_RIGHT
@@ -135,12 +141,12 @@ def _open_canvas(xs, ys, style: ChartStyle) -> _Canvas:
     if style.x_label:
         p.append(f'<text x="{(MARGIN_LEFT + right) / 2}" y="{HEIGHT - 14}" '
                  f'text-anchor="middle" {FONT} font-size="13">'
-                 f'{html.escape(style.x_label, quote=False)}</text>')
+                 f'{_escape(style.x_label)}</text>')
     if style.y_label:
         y_mid = (MARGIN_TOP + bottom) / 2
         p.append(f'<text x="18" y="{y_mid}" text-anchor="middle" {FONT} '
                  f'font-size="13" transform="rotate(-90 18 {y_mid})">'
-                 f'{html.escape(style.y_label, quote=False)}</text>')
+                 f'{_escape(style.y_label)}</text>')
     return canvas
 
 
@@ -155,7 +161,7 @@ def _legend(canvas: _Canvas, labels: list):
         canvas.parts.append(f'<rect x="{x}" y="{y - 9}" width="14" height="9" '
                             f'fill="{color}"/>')
         canvas.parts.append(f'<text x="{x + 20}" y="{y}" {FONT} font-size="12">'
-                            f'{html.escape(label, quote=False)}</text>')
+                            f'{_escape(label)}</text>')
         y += 18
 
 

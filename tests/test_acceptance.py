@@ -11,7 +11,6 @@ import csv
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

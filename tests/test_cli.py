@@ -9,16 +9,13 @@ import sys
 
 import pytest
 
-from gridstudies import cli, ml, report, stability
+from gridstudies import cli, ml, stability
 from gridstudies.cli import main
+from test_report import read_manifest
 
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-def read_manifest(out):
-    return report.read_manifest(out)
 
 
 def test_fault_lab_writes_everything(tmp_path):
@@ -402,6 +399,20 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, gridstudies.cli; "
             "print([m for m in sys.modules if m.startswith('scipy') "
             "or m in ('http.client', 'urllib.request')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_or_html():
+    # dataclasses compiles each record's methods with exec, and html was
+    # one escape call: together about 25 ms and 0.5 MB of every run's
+    # start-up.  numpy comes first, so only the package's own imports count
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import gridstudies.cli; "
+            "print(sorted({'dataclasses', 'html'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr

@@ -161,7 +161,7 @@ def test_unfaulted_row_matches_dense_oracle():
 
 def test_rotation_symmetry_without_skew():
     config = fl.CaseOneConfig()
-    config.line.mutual_skew = 0.0
+    config.line = config.line._replace(mutual_skew=0.0)
     ag = fl.build_row(fl.FaultCase(7, 9), config)
     bg = fl.build_row(fl.FaultCase(7, 10), config)
     # rotating phases A->B->C maps the AG case onto the BG case
@@ -208,7 +208,7 @@ def test_lockstep_rows_match_build_row():
     # another system: transposed line, stiffer source, lighter load
     config = fl.CaseOneConfig(source_impedance=0.5 + 12.0j,
                               load_impedance=5000.0 + 2000.0j)
-    config.line.mutual_skew = 0.0
+    config.line = config.line._replace(mutual_skew=0.0)
     _assert_rows_match_build_row(_mixed_cases(4), config)
     assert fl.build_dataset([]) == []
 
@@ -249,7 +249,8 @@ def test_singular_row_raises_the_oracle_error():
 
 def test_first_bad_case_in_case_order_raises():
     config = fl.CaseOneConfig()
-    config.line.length_km = 50.0  # positions 10..19 no longer split the line
+    # positions 10..19 no longer split the line
+    config.line = config.line._replace(length_km=50.0)
     singular = fl.FaultCase(3, 2, 5e-324)
     outside = fl.FaultCase(12, 1, 1.0)
     good = [fl.FaultCase(p, t, 0.5) for p in (1, 5, 9) for t in (1, 2)]

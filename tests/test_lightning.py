@@ -1,7 +1,6 @@
 import csv
 import math
 import tracemalloc
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from gridstudies.lightning import (
     summary_lines,
     write_events_csv,
 )
+from gridstudies.record import fields, replace
 from gridstudies.report import write_text
 
 
@@ -317,25 +317,21 @@ class TestCriticalCurrents:
         # the shields sit inboard of the outer phases: pushing them outward
         # covers the phases better and lowers the limit, pulling them to
         # the center leaves the phases exposed to bigger strokes
-        from dataclasses import replace
         assert critical_currents(replace(DEFAULT_GEOMETRY,
                                          shield_y_m=3.0)).tower_ka < 17.61
         assert critical_currents(replace(DEFAULT_GEOMETRY,
                                          shield_y_m=1.0)).tower_ka > 17.63
 
     def test_deeper_shield_sag_exposes_midspan(self):
-        from dataclasses import replace
         tight = replace(DEFAULT_GEOMETRY, shield_sag_m=3.5)
         assert critical_currents(tight).span_ka < 64.0
 
     def test_unshielded_line_has_infinite_limit(self):
-        from dataclasses import replace
         naked = replace(DEFAULT_GEOMETRY, shield_y_m=25.0, shield_height_m=7.5,
                         shield_sag_m=3.5)
         assert critical_currents(naked).tower_ka == math.inf
 
     def test_calibration_recovers_defaults(self):
-        from dataclasses import replace
         start = replace(DEFAULT_GEOMETRY, shield_y_m=3.0, shield_sag_m=2.0)
         tuned = calibrate_geometry(start)
         assert tuned.shield_y_m == pytest.approx(DEFAULT_GEOMETRY.shield_y_m,

@@ -17,6 +17,7 @@ Oracles in play:
      clipped formula, bit for bit
 """
 
+import json
 import math
 import warnings
 
@@ -26,26 +27,60 @@ import pytest
 from gridstudies import faultlab, ml
 from gridstudies.ml import (
     Agreement,
+    BinarySvm,
     ConvergenceError,
     Dataset,
     DivergenceError,
     KnnModel,
     MinMaxScaler,
+    MlpModel,
+    SvmModel,
     DivergenceError as _,  # noqa: F401  (re-exported name sanity)
     _smo,
     evaluate,
     gradient_check,
     knn_fit,
-    load_model,
     median_pairwise_distance,
     mlp_init,
     mlp_train,
-    one_hot,
     rbf_kernel,
     save_model,
     split,
     svm_train,
 )
+
+
+def one_hot(values) -> tuple[np.ndarray, list]:
+    """0/1 columns for the sorted distinct values."""
+    values = list(values)
+    cats = sorted(set(values))
+    index = {c: j for j, c in enumerate(cats)}
+    out = np.zeros((len(values), len(cats)))
+    for i, v in enumerate(values):
+        out[i, index[v]] = 1.0
+    return out, cats
+
+
+def load_model(path):
+    """The model save_model wrote to path."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    kind = blob.get("kind")
+    if kind == "svm":
+        model = SvmModel(blob["classes"], blob["C"], blob["sigma"])
+        for m in blob["machines"]:
+            model.machines.append(BinarySvm(
+                m["neg"], m["pos"], blob["sigma"], blob["C"],
+                np.asarray(m["sv_features"], dtype=float),
+                np.asarray(m["sv_coeff"], dtype=float),
+                m["b"], m["kkt_residual"]))
+        return model
+    if kind == "mlp":
+        return MlpModel(tuple(blob["layout"]),
+                        [np.asarray(w, dtype=float) for w in blob["weights"]],
+                        [np.asarray(b, dtype=float) for b in blob["biases"]],
+                        blob["classes"])
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def blob_dataset(n_per=25, centers=((0.0, 0.0), (6.0, 6.0)), seed=7, spread=0.8):
@@ -652,8 +687,8 @@ def flashover_dataset(result):
                                s.front_us[keep], s.half_us[keep]])
     names = ["PhaseAngle", "StrokePeak", "FrontTime", "HalfPeak"]
     line = result.impacts[keep]
-    wires, wire_cats = ml.one_hot(WIRE_LABELS[w] for w in line.wire.tolist())
-    places, place_cats = ml.one_hot(PLACE_LABELS[p] for p in line.place.tolist())
+    wires, wire_cats = one_hot(WIRE_LABELS[w] for w in line.wire.tolist())
+    places, place_cats = one_hot(PLACE_LABELS[p] for p in line.place.tolist())
     names += [f"Wire={c}" for c in wire_cats] + [f"Tower={c}" for c in place_cats]
     features = np.hstack([numeric, wires, places])
     labels = result.flashover[keep].astype(int)

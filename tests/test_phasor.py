@@ -321,7 +321,7 @@ def test_power_balance():
     for _ in range(10):
         zs = [complex(rng.uniform(0.2, 4.0), rng.uniform(0.0, 4.0)) for _ in range(5)]
         net = ladder_network(*zs)
-        net.branches[1].shunt_admittance_per_end = 1e-4j
+        net.branches[1] = net.branches[1]._replace(shunt_admittance_per_end=1e-4j)
         sol = solve_steady_state(net)
         delivered, absorbed = sol.power_balance()
         assert abs(delivered - absorbed) < 1e-8 * max(abs(delivered), 1.0)

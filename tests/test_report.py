@@ -16,12 +16,16 @@ from gridstudies.report import (
     MANIFEST_NAME,
     RunManifest,
     config_hash,
-    read_manifest,
     summary_block,
     write_columns,
     write_manifest,
     write_text,
 )
+
+
+def read_manifest(out_dir) -> dict:
+    with open(os.path.join(str(out_dir), MANIFEST_NAME)) as fh:
+        return json.load(fh)
 
 
 def test_config_hash_ignores_key_order():

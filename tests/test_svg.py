@@ -1,3 +1,4 @@
+import html
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -68,6 +69,18 @@ class TestSeries:
                             ChartStyle(title="x < y"))
         root = _parse(svg)   # would raise on malformed XML
         assert root.tag == f"{NS}svg"
+
+    @pytest.mark.parametrize("text", ["", "plain", "a<b & c>d", "&amp;",
+                                      "\"q\" and 'p'", "<>&\"'" * 2, "µ > Δ"])
+    def test_text_is_escaped_as_html_escape_without_quotes(self, text):
+        assert svg._escape(text) == html.escape(text, quote=False)
+        doc = render_series([DataSeries([0, 1], [0, 1], text or "x")],
+                            ChartStyle(title=text, x_label=text, y_label=text))
+        # title, both axis labels and the legend entry
+        want = 4 if text else 1
+        assert doc.count(f">{html.escape(text or 'x', quote=False)}</text>") == want
+        labels = [t.text or "" for t in _all(_parse(doc), "text")]
+        assert labels.count(text or "x") == want
 
 
 class TestHistogram:
