@@ -603,14 +603,6 @@ def run_monte_carlo(feeder, n_runs, mode="internal", seed=0, table=None):
 LOAD_TABLE_HEADER = ("run", "load", "kW")
 
 
-def write_load_table(path, rows):
-    """rows: iterable of (run_index, load_name, kw)."""
-    runs, names, kw = list(zip(*rows)) or ((), (), ())
-    write_columns(path, LOAD_TABLE_HEADER,
-                  [np.array(runs, dtype=np.int64), names,
-                   np.array(kw, dtype=float)])
-
-
 def read_load_table(path):
     """Parse a run,load,kW table into one dict of load powers per run;
     runs are numbered 0..N-1 and powers are finite and non-negative."""
@@ -659,16 +651,6 @@ def check_load_table(feeder, table, n_runs):
             if not 0.0 <= row[name] < math.inf:
                 raise ValueError(f"run {run}, load {name!r}: kW must be finite, "
                                  f">= 0: {row[name]!r}")
-
-
-def synthesize_load_table(feeder, n_runs, seed):
-    """Rows for an external table, drawn with the internal distribution."""
-    rows = []
-    for run in range(n_runs):
-        kw = draw_load_kw(feeder, seed, run)
-        for ld, value in zip(feeder.loads, kw):
-            rows.append((run, ld.name, value))
-    return rows
 
 
 # -- shipped shapes and cases ----------------------------------------------------

@@ -178,10 +178,10 @@ def classify_impact(x_m, y_m, peak_ka,
 
 
 def exposure_width(geometry: LineGeometry, peak_ka: float,
-                   at_midspan: bool = False, grid_points: int = 120_000) -> float:
+                   at_midspan: bool = False) -> float:
     """Width of ground strip from which a stroke reaches a phase conductor.
 
-    Scans lateral positions on one side of the line (the geometry is
+    Scans 120 000 lateral positions on one side of the line (the geometry is
     symmetric) and doubles the width where an outer phase outcompetes both
     the shield wires and the ground plane.
     """
@@ -189,7 +189,7 @@ def exposure_width(geometry: LineGeometry, peak_ka: float,
     shields = geometry.shield_positions(at_midspan)
     phases = geometry.outer_phase_positions(at_midspan)
     reach = max(abs(p[0]) for p in phases) + rc + 2.0
-    y = np.linspace(0.0, reach, grid_points)
+    y = np.linspace(0.0, reach, 120_000)
     shield_best = np.maximum.reduce([_capture_height(y, *w, rc) for w in shields])
     phase_best = np.maximum.reduce([_capture_height(y, *w, rc) for w in phases])
     exposed = (phase_best > shield_best) & (phase_best > rg)
@@ -203,13 +203,15 @@ class CriticalCurrents(NamedTuple):
     span_ka: float
 
 
-def _critical(geometry: LineGeometry, at_midspan: bool,
-              lo: float = 1.0, hi: float = 300.0, tol: float = 0.005) -> float:
+def _critical(geometry: LineGeometry, at_midspan: bool) -> float:
+    """Bisection on [1, 300] kA, to 0.005 kA, for the largest peak current
+    with a nonzero exposure width."""
+    lo, hi = 1.0, 300.0
     if exposure_width(geometry, hi, at_midspan) > 0:
         return math.inf
     if exposure_width(geometry, lo, at_midspan) <= 0:
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > 0.005:
         mid = 0.5 * (lo + hi)
         if exposure_width(geometry, mid, at_midspan) > 0:
             lo = mid

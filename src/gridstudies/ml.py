@@ -225,6 +225,9 @@ class BinarySvm(NamedTuple):
         return out
 
 
+SMO_TOL = 1e-4  # KKT gap at which svm_train's pair optimizer stops
+
+
 def _smo(x, y, C, sigma, tol, max_sweeps):
     """Pairwise dual descent with maximal-violating-pair working sets
     (Keerthi et al. 2001), the second index by second-order gain (Fan, Chen
@@ -296,7 +299,7 @@ class SvmModel:
 
 
 def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
-              tol: float = 1e-4, max_sweeps: int = 200) -> SvmModel:
+              max_sweeps: int = 200) -> SvmModel:
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"C must be finite and positive, got {C}")
     classes = sorted(set(train.labels.tolist()))
@@ -316,7 +319,7 @@ def svm_train(train: Dataset, C: float = 1.0, sigma="auto",
             mask = (train.labels == neg) | (train.labels == pos)
             x = train.features[mask]
             y = np.where(train.labels[mask] == pos, 1.0, -1.0)
-            alpha, b, res = _smo(x, y, C, float(sigma), tol, max_sweeps)
+            alpha, b, res = _smo(x, y, C, float(sigma), SMO_TOL, max_sweeps)
             keep = alpha > 1e-10
             model.machines.append(BinarySvm(
                 neg, pos, float(sigma), C,
@@ -350,16 +353,8 @@ class MlpModel:
     classes: list
     loss_history: list = field(default_factory=list)
 
-    def forward(self, features) -> list:
-        acts = [np.atleast_2d(np.asarray(features, dtype=float))]
-        for w, b in zip(self.weights, self.biases):
-            z = acts[-1] @ w.T
-            z += b
-            acts.append(_sigmoid(z))
-        return acts
-
     def predict(self, features) -> np.ndarray:
-        out = self.forward(features)[-1]
+        out = _MlpWorkspace(self, features).forward()
         idx = (out[:, 0] >= 0.5).astype(int)
         return np.asarray([self.classes[i] for i in idx])
 
@@ -397,13 +392,18 @@ class _MlpWorkspace:
         self.deltas = [np.empty((len(x), w)) for w in widths]
         self.scratch = [np.empty((len(x), w)) for w in widths]
 
-    def loss(self, targets) -> float:
-        """Forward pass and half the summed squared error; the output error
-        stays in scratch[-1] for the backward pass."""
+    def forward(self) -> np.ndarray:
+        """Every layer's activations into acts; returns the output layer's."""
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(self.acts[k], w.T, out=self.acts[k + 1])
             z += b
             _sigmoid(z)
+        return self.acts[-1]
+
+    def loss(self, targets) -> float:
+        """Forward pass and half the summed squared error; the output error
+        stays in scratch[-1] for the backward pass."""
+        self.forward()
         err, sq = self.scratch[-1], self.deltas[-1]
         np.subtract(self.acts[-1], targets, out=err)
         np.multiply(err, err, out=sq)

@@ -1,9 +1,9 @@
 """Steady-state phasor solver for small three-phase networks.
 
-Networks are built from named nodes (node 0 is ground), series branches with
-optional shunt admittance at each end, three-phase coupled branches, Thevenin
-sources and ideal current injections.  All quantities are RMS phasors held as
-Python complex numbers.
+Networks are built from named nodes (node 0 is ground), series branches,
+three-phase coupled branches with optional shunt admittance at each end, and
+Thevenin sources.  All quantities are RMS phasors held as Python complex
+numbers.
 
 The solver assembles a complex nodal admittance matrix and solves it with
 numpy's dense solver.  Zero-impedance branches (bolted connections) are not
@@ -15,7 +15,6 @@ share the merged node structure (the fault lab's lock-step solve).
 
 from __future__ import annotations
 
-import cmath
 import copy
 import math
 from typing import NamedTuple
@@ -55,7 +54,6 @@ class Branch(NamedTuple):
     from_node: int
     to_node: int
     series_impedance: complex
-    shunt_admittance_per_end: complex = 0j
 
     @property
     def is_short(self) -> bool:
@@ -148,24 +146,21 @@ class LineSectionModel(NamedTuple):
 
 
 class PhasorNetwork(NodeRegistry):
-    """Mutable container for nodes, branches, sources and injections."""
+    """Mutable container for nodes, branches and sources."""
 
     def __init__(self):
         super().__init__()
         self.branches: list[Branch] = []
         self.coupled: list[CoupledBranch] = []
         self.sources: list[Source] = []
-        self.injections: list[tuple[int, complex]] = []
 
     def phase_nodes(self, group: str) -> tuple[int, int, int]:
         return tuple(self.node(f"{group}.{p}") for p in PHASES)
 
     # -- construction -------------------------------------------------------
 
-    def add_branch(self, from_node: str, to_node: str, series_impedance: complex,
-                   shunt_admittance_per_end: complex = 0j) -> Branch:
-        br = Branch(self.node(from_node), self.node(to_node),
-                    complex(series_impedance), complex(shunt_admittance_per_end))
+    def add_branch(self, from_node: str, to_node: str, series_impedance: complex) -> Branch:
+        br = Branch(self.node(from_node), self.node(to_node), complex(series_impedance))
         self.branches.append(br)
         return br
 
@@ -189,15 +184,12 @@ class PhasorNetwork(NodeRegistry):
         return src
 
     def add_three_phase_source(self, group: str, volts_line_to_neutral: float,
-                               internal_impedance: complex, angle_deg: float = 0.0):
+                               internal_impedance: complex):
         """Balanced positive-sequence source on nodes group.A/B/C."""
         for k, phase in enumerate(PHASES):
-            ang = math.radians(angle_deg - 120.0 * k)
+            ang = math.radians(0.0 - 120.0 * k)  # phase A at +0 degrees
             emf = volts_line_to_neutral * complex(math.cos(ang), math.sin(ang))
             self.add_source(f"{group}.{phase}", emf, internal_impedance)
-
-    def add_injection(self, node: str, amps: complex):
-        self.injections.append((self.node(node), complex(amps)))
 
     def copy(self) -> "PhasorNetwork":
         return copy.deepcopy(self)
@@ -213,41 +205,6 @@ class PhasorSolution(NamedTuple):
     def rms(self, name: str) -> float:
         return abs(self.voltage(name))
 
-    def angle_deg(self, name: str) -> float:
-        return math.degrees(cmath.phase(self.voltage(name)))
-
-    # kept: test_phasor.py's power-conservation checks (test_power_balance)
-    def power_balance(self) -> tuple[complex, complex]:
-        """(complex power delivered by ideal emfs, complex power absorbed).
-
-        Element currents follow from the node voltages; bolted branches
-        absorb nothing.
-        """
-        v = self.node_voltages
-        delivered = 0j
-        absorbed = 0j
-        net = self.network
-        for src in net.sources:
-            i = (src.emf - v[src.node]) / src.internal_impedance
-            delivered += src.emf * np.conj(i)
-            absorbed += src.internal_impedance * abs(i) ** 2
-        for (node, amps) in net.injections:
-            delivered += v[node] * np.conj(amps)
-        for br in net.branches:
-            if not br.is_short:
-                i = (v[br.from_node] - v[br.to_node]) / br.series_impedance
-                absorbed += br.series_impedance * abs(i) ** 2
-            for end in (br.from_node, br.to_node):
-                if br.shunt_admittance_per_end != 0:
-                    absorbed += abs(v[end]) ** 2 * np.conj(br.shunt_admittance_per_end)
-        for cb in net.coupled:
-            vdrop = v[list(cb.from_nodes)] - v[list(cb.to_nodes)]
-            absorbed += vdrop @ np.conj(np.linalg.solve(cb.series_impedance, vdrop))
-            for ends in (cb.from_nodes, cb.to_nodes):
-                ve = v[list(ends)]
-                absorbed += ve @ np.conj(cb.shunt_admittance_per_end @ ve)
-        return delivered, absorbed
-
 
 def nodal_system(net: PhasorNetwork, row: list[int], n: int, admittances, sections,
                  rows: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -260,19 +217,15 @@ def nodal_system(net: PhasorNetwork, row: list[int], n: int, admittances, sectio
     has shape (3, 3, *rows)).  y is laid out (n, n, *rows) and rhs
     (n, *rows), so one += adds a term to an entry of every case, and each
     entry sums its terms in one order: branches, coupled branches entry by
-    entry in (r, c) order, sources, injections.  Zero shunt terms are added
-    too: every entry starts at +0 and no sum or difference turns +0 into
-    -0, so a zero term changes no bit.
+    entry in (r, c) order, sources.  Zero shunt terms are added too: every
+    entry starts at +0 and no sum or difference turns +0 into -0, so a zero
+    term changes no bit.
     """
     y = np.zeros((n, n, *rows), dtype=complex)
     rhs = np.zeros((n, *rows), dtype=complex)
     for br, g in zip(net.branches, admittances):
-        if br.is_short:
-            continue
-        ia, ib = row[br.from_node], row[br.to_node]
-        stamp(y, ia, ib, g)
-        stamp(y, ia, -1, br.shunt_admittance_per_end)
-        stamp(y, ib, -1, br.shunt_admittance_per_end)
+        if not br.is_short:
+            stamp(y, row[br.from_node], row[br.to_node], g)
 
     for cb, (yblk, yshunt) in zip(net.coupled, sections):
         for r in range(3):
@@ -299,16 +252,12 @@ def nodal_system(net: PhasorNetwork, row: list[int], n: int, admittances, sectio
         if i >= 0:
             y[i, i] += g
             rhs[i] += src.emf * g
-    for (node, amps) in net.injections:
-        i = row[node]
-        if i >= 0:
-            rhs[i] += amps
     return y, rhs
 
 
 def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
     """Solve nodal equations; KCL residual is checked to 1e-9 (relative)."""
-    if not net.sources and not net.injections:
+    if not net.sources:
         raise SingularNetworkError("network has no sources")
 
     row, roots = merge_nodes(len(net._ids), [(br.from_node, br.to_node)
@@ -352,14 +301,14 @@ def solve_steady_state(net: PhasorNetwork) -> PhasorSolution:
 # -- faults -------------------------------------------------------------------
 
 
-def apply_fault(net: PhasorNetwork, fault: FaultSpec, line: LineSectionModel,
-                from_group: str = "bus", to_group: str = "load",
-                fault_group: str = "fault") -> PhasorNetwork:
+def apply_fault(net: PhasorNetwork, fault: FaultSpec,
+                line: LineSectionModel) -> PhasorNetwork:
     """Return a copy of `net` with the line split at the fault point.
 
-    `net` must already contain the sending nodes (from_group.A/B/C); the two
-    line sections and the fault branches for the requested fault code are
-    added to the copy.  The original network is untouched.
+    `net` must already contain the sending nodes bus.A/B/C; the line runs
+    from them through fault.A/B/C to load.A/B/C, and the fault branches for
+    the requested fault code are added at the fault nodes of the copy.  The
+    original network is untouched.
     """
     if not (0.0 < fault.distance_km < line.length_km):
         raise ValueError(
@@ -369,20 +318,20 @@ def apply_fault(net: PhasorNetwork, fault: FaultSpec, line: LineSectionModel,
     out = net.copy()
     d = fault.distance_km
     rest = line.length_km - d
-    out.add_coupled_branch(from_group, fault_group,
+    out.add_coupled_branch("bus", "fault",
                            line.series_matrix(d), line.shunt_matrix_per_end(d))
-    out.add_coupled_branch(fault_group, to_group,
+    out.add_coupled_branch("fault", "load",
                            line.series_matrix(rest), line.shunt_matrix_per_end(rest))
 
     phases, grounded = FAULT_CONNECTIONS[fault.fault_type]
-    fault_nodes = [f"{fault_group}.{PHASES[k]}" for k in phases]
+    fault_nodes = [f"fault.{PHASES[k]}" for k in phases]
     if len(phases) == 2 and not grounded:
         # isolated phase-to-phase fault: one branch carrying both resistances
         r = fault.phase_resistances[phases[0]] + fault.phase_resistances[phases[1]]
         out.add_branch(fault_nodes[0], fault_nodes[1], complex(r))
         return out
 
-    common = f"{fault_group}.common"
+    common = "fault.common"
     for k, name in zip(phases, fault_nodes):
         out.add_branch(name, common, complex(fault.phase_resistances[k]))
     if grounded:

@@ -106,11 +106,11 @@ class OperatingPoint:
             raise ValueError("reactive power must be finite")
 
     @classmethod
-    def from_power_factor(cls, pf: float, s_pu: float = 1.0) -> "OperatingPoint":
-        """Full apparent load s_pu at the given power factor, overexcited."""
+    def from_power_factor(cls, pf: float) -> "OperatingPoint":
+        """Full apparent load, 1 pu, at the given power factor, overexcited."""
         if not 0 < pf <= 1:
             raise ValueError("power factor must be in (0, 1]")
-        return cls(s_pu * pf, s_pu * math.sqrt(max(0.0, 1.0 - pf * pf)))
+        return cls(float(pf), math.sqrt(max(0.0, 1.0 - pf * pf)))
 
 
 @record
@@ -342,23 +342,23 @@ class SweepRow(NamedTuple):
 def sweep(model: SmibModel | None = None,
           durations_s=DEFAULT_DURATIONS_S,
           power_factors=DEFAULT_POWER_FACTORS,
-          dt: float = 5e-4,
-          fault_t_on: float = 0.1) -> list[SweepRow]:
+          dt: float = 5e-4) -> list[SweepRow]:
     """One verdict per (power factor, duration), apparent power fixed at
-    full load.  Rows are ordered factor-major, matching the listing shape,
-    and each verdict is simulate(..., stop_on_verdict=True)'s."""
+    full load and each fault starting at FaultEvent's default t_on.  Rows
+    are ordered factor-major, matching the listing shape, and each verdict
+    is simulate(..., stop_on_verdict=True)'s."""
     model = model or SmibModel()
     durations_s, power_factors = tuple(durations_s), tuple(power_factors)
     if not durations_s or not power_factors:
         raise ValueError("sweep grids must be non-empty")
-    flags = _lockstep(model, durations_s, power_factors, dt, fault_t_on)[0]
+    flags = _lockstep(model, durations_s, power_factors, dt)[0]
     grid = ((pf, dur) for pf in power_factors for dur in durations_s)
     return [SweepRow(pf * model.s_base_mva, float(dur) * 1e3, int(flag))
             for (pf, dur), flag in zip(grid, flags)]
 
 
 def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
-              dt: float, fault_t_on: float):
+              dt: float):
     """Integrate every sweep row at once: one loop over the dt grid steps
     arrays of the rows' d and w with simulate's rules, operation for
     operation, so each row's trajectory is bit-identical to
@@ -397,7 +397,7 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
     faults, per_pf = [], []  # per_pf: simulate's scalar constants
     for pf in power_factors:
         op = OperatingPoint.from_power_factor(pf)
-        faults += [FaultEvent(fault_t_on, float(dur)) for dur in durations_s]
+        faults += [FaultEvent(duration=float(dur)) for dur in durations_s]
         e, delta0 = init_conditions(model, op)
         pm = e * v * math.sin(delta0) / model.x_pre
         pmax_post = e * v / model.x_post
@@ -411,6 +411,7 @@ def _lockstep(model: SmibModel, durations_s: tuple, power_factors: tuple,
                        band))
     delta0, pm, pmax_pre, pmax_post, uep, v_u, band = np.repeat(
         np.array(per_pf), len(durations_s), axis=0).T
+    fault_t_on = faults[0].t_on  # the default, shared by every row
     t_clear = np.array([f.t_clear for f in faults])
     events = np.array([f.duration != 0.0 for f in faults])
     last = np.array([int(round((f.t_clear + 3.0) / dt)) for f in faults])

@@ -240,9 +240,8 @@ def render_histogram(values, bins: int = 40,
     return _close(canvas)
 
 
-def render_scatter(series: list, style: ChartStyle = ChartStyle(),
-                   radius: float = 2.2) -> str:
-    """Marker chart; one circle per point, colored per series."""
+def render_scatter(series: list, style: ChartStyle = ChartStyle()) -> str:
+    """Marker chart; one circle of radius 2.2 per point, colored per series."""
     if not series:
         raise ValueError("no series to draw")
     series = [s if isinstance(s, DataSeries) else DataSeries(*s) for s in series]
@@ -253,7 +252,7 @@ def render_scatter(series: list, style: ChartStyle = ChartStyle(),
         color = PALETTE[i % len(PALETTE)]
         for x, y in zip(s.x, s.y):
             canvas.parts.append(f'<circle cx="{canvas.px(x):.2f}" '
-                                f'cy="{canvas.py(y):.2f}" r="{radius}" '
+                                f'cy="{canvas.py(y):.2f}" r="2.2" '
                                 f'fill="{color}" fill-opacity="0.7"/>')
     _legend(canvas, [s.label for s in series])
     return _close(canvas)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import synthesize_load_table, write_load_table
 from gridstudies import cli, ml, stability
 from gridstudies.cli import main
 from test_report import read_manifest
@@ -118,8 +119,7 @@ def test_dist_external_table(tmp_path, monkeypatch):
 
     feeder = distsim.build_case("B3")
     table_path = tmp_path / "loads.csv"
-    distsim.write_load_table(table_path,
-                             distsim.synthesize_load_table(feeder, 40, seed=9))
+    write_load_table(table_path, synthesize_load_table(feeder, 40, seed=9))
     reads = []
     read = distsim.read_load_table
     monkeypatch.setattr(distsim, "read_load_table",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import synthesize_load_table, write_load_table
 from gridstudies import distsim as ds
 
 
@@ -422,9 +423,9 @@ def test_mc_rejects_storage_and_bad_mode():
 
 def test_mc_external_table_round_trip(tmp_path):
     f = ds.build_case("B3")
-    rows = ds.synthesize_load_table(f, 4, seed=3)
+    rows = synthesize_load_table(f, 4, seed=3)
     path = tmp_path / "loads.csv"
-    ds.write_load_table(path, rows)
+    write_load_table(path, rows)
     table = ds.read_load_table(path)
     assert len(table) == 4
     external = ds.run_monte_carlo(f, 4, mode="external", table=table)
@@ -513,7 +514,7 @@ def test_lockstep_mc_matches_snapshot_oracle(case, seed):
     feeder = ds.build_case(case)
     names = [ld.name for ld in feeder.loads]
     if case in ("B3", "B4"):
-        table = table_of(ds.synthesize_load_table(feeder, MC_ORACLE_RUNS, seed))
+        table = table_of(synthesize_load_table(feeder, MC_ORACLE_RUNS, seed))
         mc = ds.run_monte_carlo(feeder, MC_ORACLE_RUNS, mode="external",
                                 table=table)
         kw = [tuple(row[name] for name in names) for row in table]

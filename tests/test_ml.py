@@ -451,7 +451,7 @@ def test_gradient_check_degrades_with_h():
 # _smo is checked by what any optimum of the dual must satisfy, recomputed
 # from a fresh kernel rather than read from the optimizer's own state.
 
-TOL = 1e-4  # svm_train's default tolerance
+TOL = ml.SMO_TOL  # the tolerance svm_train runs at
 
 
 def kkt_residual(x, y, C, sigma, alpha, b):
@@ -541,9 +541,19 @@ def test_svm_converges_where_partner_scan_stalled(stability_grid, seed, C):
 # The network trains in one preallocated workspace.  The oracle below is the
 # per-array network it replaced; both must give the same bits.
 
+def oracle_forward(model, features):
+    """Every layer's activations, each in a fresh array."""
+    acts = [np.atleast_2d(np.asarray(features, dtype=float))]
+    for w, b in zip(model.weights, model.biases):
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(ml._sigmoid(z))
+    return acts
+
+
 def oracle_loss_and_grads(model, features, targets):
     """Loss and gradients with fresh arrays for every intermediate."""
-    acts = model.forward(features)
+    acts = oracle_forward(model, features)
     err = acts[-1] - targets
     loss = 0.5 * float(np.sum(err * err))
     delta = err * acts[-1]
@@ -608,6 +618,11 @@ def assert_same_network(train, layout, seed, epochs, lr):
                             oracle.weights + oracle.biases):
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
         assert mine.flags.owndata  # plain arrays, not views of the workspace
+    # predict's forward pass runs in a workspace too
+    out = oracle_forward(oracle, train.features)[-1]
+    assert ml._MlpWorkspace(model, train.features).forward().tobytes() == out.tobytes()
+    want = np.asarray([oracle.classes[i] for i in (out[:, 0] >= 0.5).astype(int)])
+    assert np.array_equal(model.predict(train.features), want)
 
 
 def test_mlp_workspace_matches_per_array_oracle_on_stability_grid(stability_grid):

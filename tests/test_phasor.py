@@ -60,6 +60,48 @@ def ladder_oracle(z0, z1, z2, z3, z4, emf=1.0 + 0j):
     return v1, v2, v3
 
 
+def power_balance(sol):
+    """(complex power delivered by the ideal emfs, complex power absorbed).
+
+    Element currents follow from the node voltages; bolted branches
+    absorb nothing."""
+    v = sol.node_voltages
+    delivered = 0j
+    absorbed = 0j
+    net = sol.network
+    for src in net.sources:
+        i = (src.emf - v[src.node]) / src.internal_impedance
+        delivered += src.emf * np.conj(i)
+        absorbed += src.internal_impedance * abs(i) ** 2
+    for br in net.branches:
+        if not br.is_short:
+            i = (v[br.from_node] - v[br.to_node]) / br.series_impedance
+            absorbed += br.series_impedance * abs(i) ** 2
+    for cb in net.coupled:
+        vdrop = v[list(cb.from_nodes)] - v[list(cb.to_nodes)]
+        absorbed += vdrop @ np.conj(np.linalg.solve(cb.series_impedance, vdrop))
+        for ends in (cb.from_nodes, cb.to_nodes):
+            ve = v[list(ends)]
+            absorbed += ve @ np.conj(cb.shunt_admittance_per_end @ ve)
+    return delivered, absorbed
+
+
+def drive_each(net, probes, z_source):
+    """Voltage at every probe with a unit emf behind z_source at one probe
+    and a zero emf behind z_source at each other probe, keyed (driven,
+    probe).  Every variant has the same nodal matrix, so a reciprocal
+    network gives v[a, b] == v[b, a]."""
+    v = {}
+    for src in probes:
+        driven = net.copy()
+        for p in probes:
+            driven.add_source(p, 1.0 + 0j if p == src else 0j, z_source)
+        sol = solve_steady_state(driven)
+        for dst in probes:
+            v[src, dst] = sol.voltage(dst)
+    return v
+
+
 # -- Group 1: assembly ---------------------------------------------------------
 
 
@@ -101,7 +143,9 @@ def test_admittance_symmetry_random_networks():
             a, b = rng.choice(len(names), size=2, replace=False)
             z = complex(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0))
             y_end = complex(0, rng.uniform(1e-4, 1e-3))
-            net.add_branch(names[a], names[b], z, y_end)
+            net.add_branch(names[a], names[b], z)
+            for end in (names[a], names[b]):  # a shunt at each end
+                net.add_branch(end, "ground", 1.0 / y_end)
         line = LineSectionModel(0.02 + 0.3j, 0.2 + 1.0j, 1e-9j, 5e-10j,
                                 length_km=50.0, mutual_skew=0.15)
         net.add_coupled_branch("p", "q", line.series_matrix(), line.shunt_matrix_per_end())
@@ -109,13 +153,7 @@ def test_admittance_symmetry_random_networks():
         for phase in "ABC":
             net.add_branch(f"q.{phase}", "ground", 2.0 + 0.5j)
         probes = ("n0", "p.B", "q.A")
-        v = {}
-        for src in probes:
-            driven = net.copy()
-            driven.add_injection(src, 1.0 + 0j)
-            sol = solve_steady_state(driven)
-            for dst in probes:
-                v[src, dst] = sol.voltage(dst)
+        v = drive_each(net, probes, 0.5 + 1.5j)
         for src in probes:
             for dst in probes:
                 assert abs(v[src, dst] - v[dst, src]) < 1e-9 * max(abs(v[src, dst]), 1.0)
@@ -135,7 +173,7 @@ def test_empty_network_rejected():
     with pytest.raises(SingularNetworkError):
         solve_steady_state(PhasorNetwork())
     bolted = PhasorNetwork()  # a source, but its only node is bolted to ground
-    bolted.add_injection("a", 1.0 + 0j)
+    bolted.add_source("a", 1.0 + 0j, 1.0 + 0j)
     bolted.add_branch("a", "ground", 0j)
     with pytest.raises(SingularNetworkError, match="bolted to ground"):
         solve_steady_state(bolted)
@@ -154,9 +192,6 @@ def skipping_oracle_voltages(net):
             continue
         ia, ib = row[br.from_node], row[br.to_node]
         stamp(y, ia, ib, 1.0 / br.series_impedance)
-        if br.shunt_admittance_per_end != 0:
-            stamp(y, ia, -1, br.shunt_admittance_per_end)
-            stamp(y, ib, -1, br.shunt_admittance_per_end)
     for cb in net.coupled:
         yblk = np.linalg.inv(cb.series_impedance)
         for r in range(3):
@@ -184,29 +219,24 @@ def skipping_oracle_voltages(net):
         if i >= 0:
             y[i, i] += g
             rhs[i] += src.emf * g
-    for (node, amps) in net.injections:
-        i = row[node]
-        if i >= 0:
-            rhs[i] += amps
     v = np.linalg.solve(y, rhs)
     return np.array([v[i] if i >= 0 else 0j for i in row])
 
 
 def assembly_network(rng):
-    """Random branches (some bolted, some with zero end shunts), a source,
-    an injection, a coupled branch whose shunt matrix is zero off the
-    diagonal and one with no shunt at all."""
+    """Random branches (some bolted), two sources, a coupled branch whose
+    shunt matrix is zero off the diagonal and one with no shunt at all."""
     net = PhasorNetwork()
     names = ["n0", "n1", "n2", "n3", "p.A", "q.B", "ground"]
     net.add_source("n0", complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1)),
                    complex(rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)))
-    net.add_injection("n2", complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    net.add_source("n2", complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                   complex(rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)))
     for _ in range(10):
         a, b = rng.choice(len(names), size=2, replace=False)
         z = 0j if rng.uniform() < 0.2 else complex(rng.uniform(0.1, 5.0),
                                                     rng.uniform(-3.0, 3.0))
-        y_end = 0j if rng.uniform() < 0.5 else complex(0, rng.uniform(1e-4, 1e-3))
-        net.add_branch(names[a], names[b], z, y_end)
+        net.add_branch(names[a], names[b], z)
     line = LineSectionModel(0.02 + 0.3j, 0.2 + 1.0j, 1e-3j, 5e-4j,
                             length_km=rng.uniform(5.0, 50.0), mutual_skew=0.15)
     net.add_coupled_branch("p", "q", line.series_matrix(),
@@ -306,14 +336,8 @@ def test_reciprocity():
         net.add_branch("b", "ground", 5 + 0j)
         return net
 
-    net_ab = build()
-    net_ab.add_injection("a", 1.0 + 0j)
-    v_b = solve_steady_state(net_ab).voltage("b")
-
-    net_ba = build()
-    net_ba.add_injection("b", 1.0 + 0j)
-    v_a = solve_steady_state(net_ba).voltage("a")
-    assert abs(v_b - v_a) < 1e-9
+    v = drive_each(build(), ("a", "b"), 2.0 + 0.5j)
+    assert abs(v["a", "b"] - v["b", "a"]) < 1e-9
 
 
 def test_power_balance():
@@ -321,9 +345,10 @@ def test_power_balance():
     for _ in range(10):
         zs = [complex(rng.uniform(0.2, 4.0), rng.uniform(0.0, 4.0)) for _ in range(5)]
         net = ladder_network(*zs)
-        net.branches[1] = net.branches[1]._replace(shunt_admittance_per_end=1e-4j)
+        for node in ("n1", "n2"):  # a capacitive shunt at each end of z1
+            net.add_branch(node, "ground", 1.0 / 1e-4j)
         sol = solve_steady_state(net)
-        delivered, absorbed = sol.power_balance()
+        delivered, absorbed = power_balance(sol)
         assert abs(delivered - absorbed) < 1e-8 * max(abs(delivered), 1.0)
 
 
@@ -335,7 +360,7 @@ def test_balanced_source_symmetric_line_balanced_load_end():
     sol = solve_steady_state(net)
     mags = [sol.rms(f"load.{p}") for p in "ABC"]
     assert max(mags) - min(mags) < 1e-9 * mags[0]
-    delivered, absorbed = sol.power_balance()
+    delivered, absorbed = power_balance(sol)
     assert abs(delivered - absorbed) < 1e-8 * abs(delivered)
 
 
@@ -390,7 +415,7 @@ def test_every_fault_code_solvable_and_sane():
                 assert mag < 0.6, (code, p, mag)
             else:
                 assert mag > 0.5, (code, p, mag)
-        delivered, absorbed = sol.power_balance()
+        delivered, absorbed = power_balance(sol)
         assert abs(delivered - absorbed) < 1e-8 * abs(delivered)
 
 
@@ -405,7 +430,7 @@ _FAULT_OHMS = st.one_of(st.just(0.0), st.floats(1e-3, 50.0))
 def test_random_faults_balance_power(code, distance, phase_ohms, ground_ohms):
     fault = FaultSpec(code, distance, phase_ohms, ground_ohms)
     sol = solve_steady_state(apply_fault(case_network(), fault, LINE))
-    delivered, absorbed = sol.power_balance()
+    delivered, absorbed = power_balance(sol)
     assert abs(delivered - absorbed) <= 1e-8 * abs(delivered)
 
 

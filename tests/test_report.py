@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import synthesize_load_table, write_load_table
 from gridstudies import __version__
 from gridstudies import cli, distsim, faultlab, lightning, stability
 from gridstudies.report import (
@@ -220,9 +221,9 @@ def test_mc_csv_matches_oracle(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_load_table_matches_oracle(tmp_path, seed):
-    rows = distsim.synthesize_load_table(distsim.build_case("B1"), 40, seed)
+    rows = synthesize_load_table(distsim.build_case("B1"), 40, seed)
     _assert_writer_matches(tmp_path,
-                           lambda p: distsim.write_load_table(p, iter(rows)),
+                           lambda p: write_load_table(p, iter(rows)),
                            lambda p: _load_table_oracle(p, rows))
 
 
@@ -271,7 +272,7 @@ def test_empty_study_tables_match_oracle(tmp_path):
                            lambda p: _dataset_oracle([], p))
     _assert_writer_matches(tmp_path, lambda p: stability.write_sweep_csv([], p),
                            lambda p: _sweep_oracle([], p))
-    _assert_writer_matches(tmp_path, lambda p: distsim.write_load_table(p, []),
+    _assert_writer_matches(tmp_path, lambda p: write_load_table(p, []),
                            lambda p: _load_table_oracle(p, []))
 
 

@@ -312,7 +312,7 @@ def _assert_lockstep_matches_simulate(pfs, durations, dt):
     each row's state at retirement is the trace's sample at that step.
     Returns the certified mask."""
     flags, steps, d, w, certified = st._lockstep(st.SmibModel(), durations,
-                                                 pfs, dt, 0.1)
+                                                 pfs, dt)
     oracle = _simulated(pfs, durations, dt)
     assert list(flags) == [r.stability_flag for r in oracle]
     length = np.array([len(r.trace.times) - 1 for r in oracle])
@@ -376,7 +376,7 @@ def test_late_slip_keeps_simulate_verdict():
     late = run(lo).trace
     assert late.delta_rad[-1] > math.pi - math.asin(pm / pmax)
     assert late.speed_dev_pu[-1] > 0
-    flags = st._lockstep(model, (lo, hi), (0.8,), 5e-4, 0.1)[0]
+    flags = st._lockstep(model, (lo, hi), (0.8,), 5e-4)[0]
     assert list(flags) == [0, 1]
 
 
@@ -386,7 +386,7 @@ def test_default_grid_retires_by_certificate():
     # integrate to step 6340-6700
     _, steps, _, _, certified = st._lockstep(
         st.SmibModel(), st.DEFAULT_DURATIONS_S, st.DEFAULT_POWER_FACTORS,
-        5e-4, 0.1)
+        5e-4)
     assert certified.all()
     assert steps.max() <= 1000
 
