@@ -425,14 +425,14 @@ CHUNK_STEPS = 32
 
 
 def _solve(inject, neg_h, bins, ginv_diag, v):
-    """Node voltages of each solve into v[:, 1:nodes]: the injections
+    """Node voltages of each solve into v[:, 1:]: the injections
     (solves, nodes, b) plus every end's -h summed at its node, times the
     G⁻¹ diagonal.  `bins` puts each end's -h at its node and solve; a
     node sums its ends in end order, as the scalar bincount does."""
     rhs = np.bincount(bins, weights=neg_h.ravel(),
                       minlength=inject.size).reshape(inject.shape)
     np.add(inject, rhs, out=rhs)
-    np.multiply(ginv_diag, rhs[:, 1:], out=v[:, 1:inject.shape[1]])
+    np.multiply(ginv_diag, rhs[:, 1:], out=v[:, 1:])
 
 
 class EmtBatch:
@@ -464,11 +464,20 @@ class EmtBatch:
     while G is diagonal no surge current reaches a held node: in exact
     arithmetic it stays at rest.  Holding it is the caller's claim that
     the full network's rounding never moves it far enough to change a
-    verdict.  The lines at held nodes leave the ring; each held node keeps
-    a row of the voltages, filled once, which the switches across it
-    read.  A row whose held voltages are not finite ends at step 1 as not
-    finite: where each held line's two ends share their pre-history, the
-    full network's voltages are not finite from step 1 on as well.
+    verdict.  The lines at held nodes leave the ring, and held nodes keep
+    no row of the voltage array: their voltages are read once per run,
+    one (held, b) array.  A row whose held voltages are not finite ends at
+    step 1 as not finite: where each held line's two ends share their
+    pre-history, the full network's voltages are not finite from step 1
+    on as well.
+
+    Each switch is judged on what moves, by the scalar rule |v_a - v_b| >=
+    strength; x - y = -(y - x) in floating point, so the gap is the same
+    bits whichever end comes first.  A switch with one held end gathers
+    its live end's voltages and subtracts the held value; one with both
+    ends solved gathers both, as the scalar stepper reads them; one across
+    two held nodes has a gap that never changes, judged once before
+    stepping: where it reaches the strength, the row ends at step 1.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row.  The outgoing
@@ -491,12 +500,12 @@ class EmtBatch:
     steps: one gather of the far-end waves, one bincount over K x nodes,
     one product by the G⁻¹ diagonal into K steps of the voltages and one
     K-column ring write (take, multiply by 2/zc, subtract -h).  D is a
-    multiple of K, so a pass never wraps.  The voltages of a chunk of
-    CHUNK_STEPS steps (rounded up to a multiple of K) are kept, (chunk,
-    nodes, b), and judged at once: a row ends on its first step with a
-    switch at its strength or a node voltage that is not finite, the
-    scalar rule.  Rows are independent, so stepping a row past its end
-    changes no other row.
+    multiple of K, so a pass never wraps.  The voltages of the solved
+    nodes (ground first) over a chunk of CHUNK_STEPS steps (rounded up to
+    a multiple of K) are kept, (chunk, solved, b), and judged at once: a
+    row ends on its first step with a switch at its strength or a node
+    voltage that is not finite, the scalar rule.  Rows are independent, so
+    stepping a row past its end changes no other row.
     """
 
     def __init__(self, like: EmtSimulation, held=()):
@@ -523,15 +532,29 @@ class EmtBatch:
             raise ValueError("a held node needs a line end")
         self._held_end = np.array([first[k] for k in self._held.tolist()],
                                   dtype=np.intp)
-        # the run's numbering: voltage rows of the solved nodes (ground
-        # first), then of the held ones; the ends left, in end order
-        self._order = np.concatenate([np.flatnonzero(~is_held), self._held])
-        self._node_row = np.empty_like(self._order)
-        self._node_row[self._order] = np.arange(nodes)
+        # the voltage rows are the solved nodes', ground first, and the held
+        # voltages the held nodes'; `_row` is a node's row in its array.
+        # The ends left keep end order
+        self._solved = np.flatnonzero(~is_held)
+        self._row = np.where(is_held, np.cumsum(is_held), np.cumsum(~is_held)) - 1
         self._kept, self._dropped = np.flatnonzero(~dropped), np.flatnonzero(dropped)
-        self._end_node = self._node_row[self._ln_ends[self._kept]]
+        self._end_node = self._row[self._ln_ends[self._kept]]
         self._end_far = (np.cumsum(~dropped) - 1)[self._ln_far[self._kept]]
-        self._solved = nodes - self._held.size
+
+        # each switch is judged on the ends that move: a switch with one
+        # held end (`_fo_rest`, its held voltage's row) gathers only its
+        # live end, a switch with both ends solved gathers both, and one
+        # across two held nodes (`_fo_fixed`) is judged once, for step 1
+        fo_a, fo_b, row = self._fo_a, self._fo_b, self._row
+        a_held, b_held = is_held[fo_a], is_held[fo_b]
+        one = np.flatnonzero(a_held != b_held)
+        both_solved = np.flatnonzero(~a_held & ~b_held)
+        self._fo_fixed = np.flatnonzero(a_held & b_held)
+        self._fo_moving = np.concatenate([one, both_solved])
+        self._fo_live = row[np.where(a_held, fo_b, fo_a)[self._fo_moving]]
+        self._fo_other = row[fo_b[both_solved]]
+        self._fo_rest = row[np.where(a_held, fo_a, fo_b)[one]]
+        self._fo_pair = row[fo_a[self._fo_fixed]], row[fo_b[self._fo_fixed]]
 
     def extend(self, rows: BatchRows):
         """Keep k more rows, given as column arrays."""
@@ -583,17 +606,17 @@ class EmtBatch:
         if moved.any() or rows.line_t0[held + count].any():
             raise ValueError("a row's held line ends do not start at their "
                              "pre-history")
-        b, solved, order = rows.node.size, self._solved, self._order
+        b, solved = rows.node.size, self._solved.size
         cols = np.arange(b)
         kept, ends, line_ends = self._kept, self._kept.size, self._end_node
-        ginv_diag = rows.ginv_diag[order[1:solved] - 1]
+        ginv_diag = rows.ginv_diag[self._solved[1:] - 1]
         zc = self._ln_zc[kept, None]
         step = np.arange(passes)[:, None]
         bins = ((step[:, None] * solved + line_ends[:, None]) * b + cols).ravel()
         # each pass's injections: the constant ones, and at the surge node
         # base + surge(t), as the scalar rhs[node] += fn(t) does
-        inject = np.repeat(rows.inject[order[:solved]][None], passes, axis=0)
-        surged = (step * solved + self._node_row[rows.node]) * b + cols
+        inject = np.repeat(rows.inject[self._solved][None], passes, axis=0)
+        surged = (step * solved + self._row[rows.node]) * b + cols
         surge_base = inject.ravel()[surged[0]]
         surge = DoubleRampSource(*rows.ramp[:, None])
 
@@ -619,12 +642,22 @@ class EmtBatch:
         halves = part.reshape(passes, 2, ends, b)
         neg_h = np.empty((passes, ends, b))
 
-        v = np.zeros((chunk, order.size, b))
-        v[:, solved:] = rows.line_v0[self._held_end]
+        # what never moves is read once: the held voltages, the held end
+        # of each one-held switch, and the verdict step 1 adds for the
+        # switches across two held nodes and for held values not finite
+        held_v = rows.line_v0[self._held_end]
+        rest = held_v[self._fo_rest]
+        pair_a, pair_b = self._fo_pair
+        fixed_over = (np.abs(held_v[pair_a] - held_v[pair_b])
+                      >= rows.strength[self._fo_fixed]).any(axis=0)
+        held_ok = np.isfinite(held_v).all(axis=0)
+        strength = rows.strength[self._fo_moving]
+        split = rest.shape[0]
+
+        v = np.zeros((chunk, solved, b))
         end = np.zeros(b, dtype=np.intp)
         finite = np.ones(b, dtype=bool)
         live = finite.copy()
-        fo_a, fo_b = self._node_row[self._fo_a], self._node_row[self._fo_b]
         for n0 in range(0, steps, chunk):
             m = np.arange(n0 + 1, n0 + chunk + 1)
             injected = surge_base + surge((m * self.dt)[:, None])
@@ -644,10 +677,16 @@ class EmtBatch:
                 v[now].take(line_ends, axis=1, out=written, mode="clip")
                 written *= two_g
                 written -= neg_h  # w = v (2/zc) + h
-            # the chunk's verdicts, read from its voltages
-            over = (np.abs(v[:judged, fo_a] - v[:judged, fo_b])
-                    >= rows.strength).any(axis=1)
+            # the chunk's verdicts: |v_a - v_b| = |v_live - v_held|, as
+            # x - y = -(y - x) in floating point
+            gap = v[:judged].take(self._fo_live, axis=1)
+            gap[:, :split] -= rest
+            gap[:, split:] -= v[:judged].take(self._fo_other, axis=1)
+            over = (np.abs(gap, out=gap) >= strength).any(axis=1)
             ok = np.isfinite(v[:judged]).all(axis=1)
+            if n0 == 0:
+                over[0] |= fixed_over
+                ok[0] &= held_ok
             stop = (over | ~ok) & live
             if stop.any():
                 hit = stop.any(axis=0)

@@ -478,12 +478,14 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
     return EventResult()
 
 
-# Line strokes per lock-step batch.  Memory, not speed, sets it: while its
-# batch runs, each row holds its ring of outgoing waves, a chunk of its node
-# voltages and its pass buffers, 43.0-45.2 kB in a shield stroke's batch
-# (tracemalloc over every shield batch at n=4000, seed 2), so a batch of 64
-# peaks near 2.9 MB.  Larger batches raise peak memory for little further
-# gain.
+# The most line strokes per lock-step batch; a struck-wire group of g
+# strokes runs as ceil(g / REPLAY_BATCH) batches whose sizes differ by at
+# most one, so 84 strokes run as two of 42, not 64 and 20.  Memory, not
+# speed, sets it: while its batch runs, each row holds its ring of outgoing
+# waves, a chunk of its solved node voltages and its pass buffers,
+# 32.9-34.3 kB in a shield stroke's batch (tracemalloc over every shield
+# batch at n=4000, seed 2), so a batch of 64 peaks near 2.2 MB.  Larger
+# batches raise peak memory for little further gain.
 REPLAY_BATCH = 64
 
 
@@ -514,7 +516,8 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
     conductor rests at its power-frequency voltage.  A batch steps the
     struck conductor (with the split node of a struck span) and holds every
     other non-ground node (EmtBatch's `held`); so a structure's strokes
-    batch by struck wire, REPLAY_BATCH at a time, in stroke order.
+    batch by struck wire, in stroke order, as the fewest batches of at most
+    REPLAY_BATCH rows, whose sizes differ by at most one.
     Every input check of build_strike_network runs first, over all
     strokes: the first stroke that fails one is built alone, which raises
     that check's ValueError before any batch steps."""
@@ -593,8 +596,7 @@ def _replay_batches(sample: StrokeSample, impacts: Impacts,
         for wire in sorted(set(wires.tolist())):
             group = strokes[wires == wire]
             held = (np.flatnonzero(rest[1:] != column.get(wire, 0)) + 1).tolist()
-            for start in range(0, group.size, REPLAY_BATCH):
-                rows = group[start:start + REPLAY_BATCH]
+            for rows in np.array_split(group, -(-group.size // REPLAY_BATCH)):
                 yield rows, template, held, fill(rows)
 
 

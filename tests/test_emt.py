@@ -594,11 +594,11 @@ def test_batch_and_scalar_fail_a_row_on_its_first_non_finite_step(x_strength):
     assert end[1] == end[2] == 1 and end[0] == end[3] > 4
 
 
-def held_network(peak, volts, strength=2e4):
+def held_network(peak, volts, strength=2e4, tower=None):
     # surge_network beside a pre-energised line p-q between two matched
     # sources: no surge reaches p or q, and a switch across b-p reads the
     # surge against p's rest voltage
-    net = surge_network(10.0, peak)
+    net = surge_network(10.0, peak, tower)
     net.add_line("p", "q", 110.0, 2.7 * DT, v0_a=volts, v0_b=volts)
     for node in "pq":
         net.set_initial_voltage(node, volts)
@@ -671,6 +671,78 @@ def test_held_nodes_are_joined_only_to_held_nodes():
         batch.add(sim)
     with pytest.raises(ValueError, match="surge"):
         batch.extend(batch_rows(sim))
+
+
+def switch_kinds_network(peak, volts, other, strength_bc, strength_qr):
+    # held_network with a tower line b-c, beside a second pre-energised
+    # line r-t at `other`: switches a-ground and b-c across solved nodes,
+    # b-p with one held end and q-r across two held nodes, whose gap
+    # |volts - other| never moves
+    net = held_network(peak, volts, tower=3 * DT)
+    net.add_line("r", "t", 110.0, 3.1 * DT, v0_a=other, v0_b=other)
+    for node in "rt":
+        net.set_initial_voltage(node, other)
+        net.add_voltage_source(node, other, 110.0)
+    net.add_flashover_switch("b", "c", strength_bc)
+    net.add_flashover_switch("q", "r", strength_qr)
+    return net
+
+
+def run_switch_kinds(cases, t_end=60 * DT):
+    """Batch the cases' networks holding p, q, r and t; check each row's
+    (end, finite) against the per-step oracle and the scalar run.
+    Returns them and the switches that flashed in the scalar runs."""
+    nets = [switch_kinds_network(*case) for case in cases]
+    sim = nets[0].assemble(DT)
+    batch = EmtBatch(sim, [sim.net.require_node(name) for name in "pqrt"])
+    for net in nets:
+        batch.add(net.assemble(DT))
+    with np.errstate(invalid="ignore"):
+        end, finite = assert_runs_as_oracle(batch, t_end)
+    switches = []
+    for net, step, ok in zip(nets, end.tolist(), finite.tolist()):
+        full = net.assemble(DT)
+        try:
+            with np.errstate(invalid="ignore"):
+                res = full.run(t_end)
+        except np.linalg.LinAlgError:
+            assert not ok and step == full.n
+            switches.append(set())
+            continue
+        assert ok and step == (round(res.flashovers[0][1] / DT)
+                               if res.flashovers else 0)
+        switches.append({k for k, _t, _stress in res.flashovers})
+    return end.tolist(), finite.tolist(), switches
+
+
+def test_a_switch_across_two_held_nodes_is_judged_for_step_1():
+    # q-r's gap is 2e4 V on every step: at a strength of 2e4 or less the
+    # row ends at step 1, as the scalar run does; a NaN surge still fails
+    # it there, and a non-finite held voltage fails it whatever q-r reads.
+    # The rows it does not end step as they would without those rows
+    ends_at_1 = [(-1e3, 1e4, -1e4, 1e12, 2e4), (-1e3, 1e4, -1e4, 1e12, 1.5e4),
+                 (math.nan, 1e4, -1e4, 1e12, 1e4),
+                 (-1e3, 1e4, math.nan, 1e12, 1e4),
+                 (-1e3, 1e4, math.inf, 1e12, 1e12)]
+    others = [(-1e3, 1e4, -1e4, 1e12, 3e4), (-0.3e3, 1e4, -1e4, 1e12, 2e4 + 1.0)]
+    end, finite, switches = run_switch_kinds(ends_at_1 + others)
+    assert end[:5] == [1] * 5 and finite == [True] * 2 + [False] * 3 + [True] * 2
+    assert switches[:2] == [{3}, {3}]
+    assert end[5:] == run_switch_kinds(others)[0] == [4, 0]
+    assert switches[5] == {1}
+
+
+def test_every_switch_kind_is_judged_in_one_run():
+    # one batch whose rows end on b-c (both ends solved, at step 9, where
+    # |v_c| alone would reach 1.5e4 V at step 8), on b-p (one end held, at
+    # step 1 from its held voltage alone or at step 4), on q-r (both held)
+    # or not at all
+    cases = [(-0.5e3, 0.0, 0.0, 1.5e4, 1e12), (-1e3, 1e4, -1e4, 1e12, 1e12),
+             (-1e3, 2.5e4, 0.0, 1e12, 1e12), (-0.3e3, 1e4, -1e4, 1e12, 1e12),
+             (-0.3e3, 1e4, -1e4, 1e12, 1.9e4)]
+    end, finite, switches = run_switch_kinds(cases)
+    assert end == [9, 4, 1, 0, 1] and all(finite)
+    assert switches == [{2}, {1}, {1}, set(), {3}]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
