@@ -8,6 +8,7 @@ not, and never writes outside the chosen output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -127,6 +128,7 @@ def _operating_point(power_mw: float):
     return stability.OperatingPoint.from_power_factor(power_mw / _S_BASE_MW)
 
 
+@functools.cache  # parsing leaves the parser as it was; a build costs ~1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridstudies",

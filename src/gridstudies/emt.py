@@ -30,16 +30,17 @@ EmtBatch steps many assembled networks of one structure in lock step, each
 row in the scalar stepper's arithmetic, so a row ends exactly where
 EmtSimulation.run ends for its network, with the same verdict.  It takes
 only networks whose G is diagonal (no resistor between two non-ground
-nodes, no L or C), so its solve multiplies each node by its G⁻¹ diagonal
-entry; its per-step arrays are node-major, one row per node across the
-batch.  A batch is made from one assembled network of the structure and
-takes its rows as column arrays (BatchRows), one column per row, so a
-caller that knows how its rows' values differ fills many rows from one
-template without assembling each; `batch_rows` reads an assembled
-network's own row.  It keeps the outgoing waves of all its rows in one
-time-major ring, prefilled with each line's pre-history, so one gather
-reads every far end's samples, and it advances K steps per numpy pass,
-K being the fewest steps between a solve and the newest sample it reads.
+nodes, no L or C) and with no line end at ground, so its solve
+multiplies each node by its G⁻¹ diagonal entry; its per-step arrays are
+node-major, one row per node across the batch.  A batch is made from one
+assembled network of the structure and takes its rows as column arrays
+(BatchRows), one column per row, so a caller that knows how its rows'
+values differ fills many rows from one template without assembling each;
+`batch_rows` reads an assembled network's own row.  It keeps the outgoing waves of all its rows in one
+time-major ring, prefilled with each line's pre-history, and advances K
+steps per numpy pass, K being the fewest steps between a solve and the
+newest sample it reads; one gather, planned once per ring column, reads
+every far end's older samples, then its newer ones, for the K steps.
 Nodes that no surge current reaches can be held: they leave the solve and
 keep their pre-history voltage.
 
@@ -51,6 +52,7 @@ when the declared initial state is the post-jump one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -383,6 +385,8 @@ def _batch_structure(sim: EmtSimulation) -> tuple:
     if any(a and b and a != b for a, b, _ohms in sim.net.resistors):
         raise ValueError("a batched network's G must be diagonal: no resistor "
                          "between two non-ground nodes")
+    if not sim._ln_ends.all():
+        raise ValueError("a batched network has no line end at ground")
     return (sim.dt, sim._base_inj.size, *(a.tobytes() for a in (
         sim._hist_idx, sim._ln_back, sim._ln_frac, sim._ln_zc, sim._fo_a,
         sim._fo_b)))
@@ -424,17 +428,6 @@ def batch_rows(sim: EmtSimulation) -> BatchRows:
 CHUNK_STEPS = 32
 
 
-def _solve(inject, neg_h, bins, ginv_diag, v):
-    """Node voltages of each solve into v[:, 1:]: the injections
-    (solves, nodes, b) plus every end's -h summed at its node, times the
-    G⁻¹ diagonal.  `bins` puts each end's -h at its node and solve; a
-    node sums its ends in end order, as the scalar bincount does."""
-    rhs = np.bincount(bins, weights=neg_h.ravel(),
-                      minlength=inject.size).reshape(inject.shape)
-    np.add(inject, rhs, out=rhs)
-    np.multiply(ginv_diag, rhs[:, 1:], out=v[:, 1:])
-
-
 class EmtBatch:
     """Rows of one network structure, stepped in lock step.
 
@@ -443,14 +436,15 @@ class EmtBatch:
     strengths and one DoubleRampSource, whose node may differ row by row.
     A batch takes only networks whose G is diagonal: every resistor goes to
     ground and lines stamp 1/Zc from each end to ground, so nodes couple
-    only through line histories.  Each row's arithmetic is
-    EmtSimulation.solve_step's, in its order, with the product G⁻¹ rhs
-    taken as one elementwise product by the diagonal: for finite rhs the
-    dense product's off-diagonal terms are exact zeros, so the voltages
-    are the same bits, up to the sign of a zero voltage.  The diagonal is
-    finite and non-zero, so a row's voltages are non-finite on exactly the
-    steps the dense product's are.  So a row ends on the step, and with
-    the verdict, that EmtSimulation.run reaches for its network.
+    only through line histories.  No line ends at ground and no row's
+    surge drives it, so ground has no row in the solve.  Each row's
+    arithmetic is EmtSimulation.solve_step's, in its order, with the
+    product G⁻¹ rhs taken as one elementwise product by the diagonal: for
+    finite rhs the dense product's off-diagonal terms are exact zeros, so
+    the voltages are the same bits, up to the sign of a zero voltage.  The
+    diagonal is finite and non-zero, so a row's voltages are non-finite on
+    exactly the steps the dense product's are.  So a row ends on the step,
+    and with the verdict, that EmtSimulation.run reaches for its network.
 
     `like`, an assembled network, gives the structure; `extend` takes rows
     as BatchRows columns and `add` one assembled network's row.  `run`
@@ -465,47 +459,56 @@ class EmtBatch:
     arithmetic it stays at rest.  Holding it is the caller's claim that
     the full network's rounding never moves it far enough to change a
     verdict.  The lines at held nodes leave the ring, and held nodes keep
-    no row of the voltage array: their voltages are read once per run,
-    one (held, b) array.  A row whose held voltages are not finite ends at
-    step 1 as not finite: where each held line's two ends share their
-    pre-history, the full network's voltages are not finite from step 1
-    on as well.
+    no row of the voltage array, nor does ground: with ground's 0 V, their
+    voltages are read once per run, one (1 + held, b) array of fixed
+    voltages.  A row whose held voltages are not finite ends at step 1 as
+    not finite: where each held line's two ends share their pre-history,
+    the full network's voltages are not finite from step 1 on as well.
 
     Each switch is judged on what moves, by the scalar rule |v_a - v_b| >=
     strength; x - y = -(y - x) in floating point, so the gap is the same
-    bits whichever end comes first.  A switch with one held end gathers
-    its live end's voltages and subtracts the held value; one with both
-    ends solved gathers both, as the scalar stepper reads them; one across
-    two held nodes has a gap that never changes, judged once before
-    stepping: where it reaches the strength, the row ends at step 1.
+    bits whichever end comes first.  A switch with one fixed end (held or
+    ground) gathers its live end's voltages and subtracts the fixed value;
+    one with both ends solved gathers both, as the scalar stepper reads
+    them; one across two fixed nodes has a gap that never changes, judged
+    once before stepping: where it reaches the strength, the row ends at
+    step 1.
 
     Per-step arrays are node-major, shape (nodes, b) for b rows, so a
     node's values over all rows are one contiguous row.  The outgoing
     waves w = v/zc + i of the ends left live in one time-major ring of
     shape (D, E, b) for E ends, whose column (m - 1) % D holds the ends'
     waves at step m.  Solve m reads the far end's waves at steps m - back
-    and m - back + 1, weighted 1 - frac and frac, both fixed per end, so
-    the gather's rows for a pass and its (K 2E, b) weight block are built
-    once per run.  D is the largest `back` rounded up to a multiple of K
-    (54 in a shield batch, whose spans are 53.68 steps).  Each column
-    starts as the pre-history wave (v0/zc, current 0) and column D - 1
-    then takes the declared t=0 waves.  A pass reads before it writes and
-    reaches back at most D steps, so a read of a step before 0 lands on a
-    column no step has written yet and returns the pre-history, as in
-    EmtSimulation's buffer.
+    and m - back + 1, weighted 1 - frac and frac, both fixed per end.  D
+    is the largest `back` rounded up to a multiple of K (54 in a shield
+    batch, whose spans are 53.68 steps).  Each column starts as the
+    pre-history wave (v0/zc, current 0) and column D - 1 then takes the
+    declared t=0 waves.  A pass reads before it writes and reaches back at
+    most D steps, so a read of a step before 0 lands on a column no step
+    has written yet and returns the pre-history, as in EmtSimulation's
+    buffer.
 
     No solve reads a ring sample newer than K = min(back) - 1 steps before
     its own step (at least 1, at most CHUNK_STEPS; 2 in a strike network,
     whose shortest line is 2.06 steps), so one numpy pass advances K
-    steps: one gather of the far-end waves, one bincount over K x nodes,
-    one product by the G⁻¹ diagonal into K steps of the voltages and one
-    K-column ring write (take, multiply by 2/zc, subtract -h).  D is a
-    multiple of K, so a pass never wraps.  The voltages of the solved
-    nodes (ground first) over a chunk of CHUNK_STEPS steps (rounded up to
-    a multiple of K) are kept, (chunk, solved, b), and judged at once: a
-    row ends on its first step with a switch at its strength or a node
-    voltage that is not finite, the scalar rule.  Rows are independent, so
-    stepping a row past its end changes no other row.
+    steps.  D is a multiple of K, so a pass never wraps, and its samples
+    depend only on the ring column it starts at: the plan (`_plan`) holds
+    one gather index per such column, the K older samples of its solves
+    before their K newer ones, so a pass takes two contiguous (K, E, b)
+    blocks from the ring, weighs them by one (2, K, E, b) block and adds
+    them into -h.  The solve is one bincount of -h at the nodes over K x
+    nodes, the injections added, one product by the G⁻¹ diagonal into K
+    steps of the voltages; then one K-column ring write (take, multiply by
+    2/zc, subtract -h).  Every array a pass touches is contiguous and
+    spelled out to its full (K, ..., b) shape, and the views each pass
+    works on are built once per run.  The voltages of the solved nodes
+    over a chunk of CHUNK_STEPS steps (rounded up to a multiple of K) are
+    kept, (chunk, solved, b), and judged at once: a row ends on its first
+    step with a switch at its strength or a node voltage that is not
+    finite, the scalar rule.  Most chunks end no row, and one check over
+    the chunk shows it; a row's switch strengths turn NaN once it has
+    ended, so its gaps reach none.  Rows are independent, so stepping a
+    row past its end changes no other row.
     """
 
     def __init__(self, like: EmtSimulation, held=()):
@@ -525,35 +528,39 @@ class EmtBatch:
         if is_held[0] or (dropped != dropped[self._ln_far]).any():
             raise ValueError("held nodes are non-ground nodes whose lines "
                              "join only held nodes")
-        self._is_held, self._held = is_held, np.flatnonzero(is_held)
+        self._held = np.flatnonzero(is_held)
         # a held node keeps the pre-history of its first line end
         first = dict(zip(self._ln_ends[::-1].tolist(), range(ends - 1, -1, -1)))
         if not set(self._held.tolist()) <= first.keys():
             raise ValueError("a held node needs a line end")
         self._held_end = np.array([first[k] for k in self._held.tolist()],
                                   dtype=np.intp)
-        # the voltage rows are the solved nodes', ground first, and the held
-        # voltages the held nodes'; `_row` is a node's row in its array.
-        # The ends left keep end order
-        self._solved = np.flatnonzero(~is_held)
-        self._row = np.where(is_held, np.cumsum(is_held), np.cumsum(~is_held)) - 1
+        # ground and the held nodes are fixed: the voltage rows are the
+        # solved nodes', and the fixed voltages ground's 0, then the held
+        # nodes'; `_row` is a node's row in its array.  The ends left keep
+        # end order
+        fixed = is_held.copy()
+        fixed[0] = True
+        self._fixed = fixed
+        self._solved = np.flatnonzero(~fixed)
+        self._row = np.where(fixed, np.cumsum(fixed), np.cumsum(~fixed)) - 1
         self._kept, self._dropped = np.flatnonzero(~dropped), np.flatnonzero(dropped)
         self._end_node = self._row[self._ln_ends[self._kept]]
         self._end_far = (np.cumsum(~dropped) - 1)[self._ln_far[self._kept]]
 
         # each switch is judged on the ends that move: a switch with one
-        # held end (`_fo_rest`, its held voltage's row) gathers only its
+        # fixed end (`_fo_rest`, its fixed voltage's row) gathers only its
         # live end, a switch with both ends solved gathers both, and one
-        # across two held nodes (`_fo_fixed`) is judged once, for step 1
+        # across two fixed nodes (`_fo_fixed`) is judged once, for step 1
         fo_a, fo_b, row = self._fo_a, self._fo_b, self._row
-        a_held, b_held = is_held[fo_a], is_held[fo_b]
-        one = np.flatnonzero(a_held != b_held)
-        both_solved = np.flatnonzero(~a_held & ~b_held)
-        self._fo_fixed = np.flatnonzero(a_held & b_held)
+        a_fixed, b_fixed = fixed[fo_a], fixed[fo_b]
+        one = np.flatnonzero(a_fixed != b_fixed)
+        both_solved = np.flatnonzero(~a_fixed & ~b_fixed)
+        self._fo_fixed = np.flatnonzero(a_fixed & b_fixed)
         self._fo_moving = np.concatenate([one, both_solved])
-        self._fo_live = row[np.where(a_held, fo_b, fo_a)[self._fo_moving]]
+        self._fo_live = row[np.where(a_fixed, fo_b, fo_a)[self._fo_moving]]
         self._fo_other = row[fo_b[both_solved]]
-        self._fo_rest = row[np.where(a_held, fo_a, fo_b)[one]]
+        self._fo_rest = row[np.where(a_fixed, fo_a, fo_b)[one]]
         self._fo_pair = row[fo_a[self._fo_fixed]], row[fo_b[self._fo_fixed]]
 
     def extend(self, rows: BatchRows):
@@ -562,8 +569,8 @@ class EmtBatch:
         if [c.shape for c in rows] != [(k,), (3, k),
                                        *((h, k) for h in self._heights)]:
             raise ValueError("rows do not match the batch's structure")
-        if self._is_held[rows.node].any():
-            raise ValueError("a row's surge drives a held node")
+        if self._fixed[rows.node].any():
+            raise ValueError("a row's surge drives a held node or ground")
         self._blocks.append(rows)
 
     def add(self, sim: EmtSimulation):
@@ -574,17 +581,28 @@ class EmtBatch:
 
     def _plan(self, t_end: float) -> SimpleNamespace:
         """How `run` steps to t_end: `steps`; `passes`, K; `chunk`, the
-        steps judged at once, and `depth`, D, both multiples of K."""
+        steps judged at once, and `depth`, D, both multiples of K; and
+        `gather`, (D / K, 2 K E), the ring rows a pass reads, by the ring
+        column it starts at: for each of its K solves every end's far-end
+        sample `back` steps before it (the older block), then for each
+        solve the sample one step later (the newer block)."""
         if not 0 < t_end < math.inf:
             raise ValueError("t_end must be finite and positive")
         back = self._ln_back[self._kept]
         # solve m reads the samples of steps m - back and m - back + 1
         passes = min(max(int(back.min(initial=CHUNK_STEPS + 1)) - 1, 1),
                      CHUNK_STEPS)
+        depth = -(-int(back.max(initial=1)) // passes) * passes
+        ends = back.size
+        gather = np.empty((depth // passes, 2, passes, ends), dtype=np.intp)
+        t = np.arange(depth)[:, None]
+        for block, newer in zip(gather.transpose(1, 0, 2, 3), (0, 1)):
+            block[:] = ((t + newer - back) % depth * ends
+                        + self._end_far).reshape(-1, passes, ends)
         return SimpleNamespace(
             steps=int(math.ceil(t_end / self.dt - 1e-12)), passes=passes,
-            chunk=-(-CHUNK_STEPS // passes) * passes,
-            depth=-(-int(back.max(initial=1)) // passes) * passes)
+            chunk=-(-CHUNK_STEPS // passes) * passes, depth=depth,
+            gather=gather.reshape(depth // passes, -1))
 
     def run(self, t_end: float) -> tuple:
         """Step every row from its initial state to t_end, or to the first
@@ -609,81 +627,114 @@ class EmtBatch:
         b, solved = rows.node.size, self._solved.size
         cols = np.arange(b)
         kept, ends, line_ends = self._kept, self._kept.size, self._end_node
-        ginv_diag = rows.ginv_diag[self._solved[1:] - 1]
-        zc = self._ln_zc[kept, None]
         step = np.arange(passes)[:, None]
         bins = ((step[:, None] * solved + line_ends[:, None]) * b + cols).ravel()
         # each pass's injections: the constant ones, and at the surge node
-        # base + surge(t), as the scalar rhs[node] += fn(t) does
+        # base + surge(t), as the scalar rhs[node] += fn(t) does.  It and
+        # the G⁻¹ diagonal are spelled out over the pass's K steps: against
+        # a block repeated by broadcasting numpy runs about half as fast
         inject = np.repeat(rows.inject[self._solved][None], passes, axis=0)
+        inject = inject.reshape(-1)
+        ginv_diag = np.tile(rows.ginv_diag[self._solved - 1].ravel(), passes)
         surged = (step * solved + self._row[rows.node]) * b + cols
-        surge_base = inject.ravel()[surged[0]]
+        surge_base = inject[surged[0]]
         surge = DoubleRampSource(*rows.ramp[:, None])
 
         # the ring of outgoing waves, filled with the pre-history, then
         # column D - 1 with the t=0 waves
+        zc = self._ln_zc[kept, None]
         ring = np.empty((depth, ends, b))
         ring[:] = rows.line_v0[kept] / zc
         ring[depth - 1] = rows.line_t0[kept] / zc + rows.line_t0[kept + count]
         flat = ring.reshape(-1, b)
-        # the pass after step s gathers rows at[s % D: s % D + K]: per
-        # solve, each end's far-end wave `back` steps before it, then one
-        # step later, which weigh 1 - frac and frac
-        back, frac = self._ln_back[kept], self._ln_frac[kept]
-        t = np.arange(depth)[:, None]
-        at = np.concatenate([(t - back) % depth, (t + 1 - back) % depth], axis=1)
-        at = at * ends + np.tile(self._end_far, 2)
-        weight = np.tile(np.concatenate([1.0 - frac, frac]), passes)
-        # spelled out to full rows: against a (rows, 1) column numpy runs
-        # one short inner loop per row
-        weight = weight.repeat(b).reshape(-1, b)
-        two_g = np.repeat(2.0 / self._ln_zc[kept], b).reshape(ends, b)
-        part = np.empty_like(weight)
-        halves = part.reshape(passes, 2, ends, b)
-        neg_h = np.empty((passes, ends, b))
+        # a pass gathers its older samples, then its newer ones, as two
+        # contiguous (K, E, b) blocks, and weighs them 1 - frac and frac
+        frac = self._ln_frac[kept]
+        weight = np.repeat([1.0 - frac, frac], passes, axis=0)
+        weight = np.repeat(weight.ravel(), b).reshape(-1, b)
+        two_g = np.tile(2.0 / self._ln_zc[kept], passes)
+        two_g = np.repeat(two_g, b).reshape(passes, ends, b)
+        # -h = older + newer then replaces the older block
+        part = np.empty((2, passes, ends, b))
+        gathered, (neg_h, newer) = part.reshape(-1, b), part
+        neg_flat = neg_h.reshape(-1)
 
-        # what never moves is read once: the held voltages, the held end
-        # of each one-held switch, and the verdict step 1 adds for the
-        # switches across two held nodes and for held values not finite
-        held_v = rows.line_v0[self._held_end]
-        rest = held_v[self._fo_rest]
+        # what never moves is read once: the fixed voltages (ground's 0,
+        # then the held ones), the fixed end of each one-fixed switch, and
+        # the verdict step 1 adds for the switches across two fixed nodes
+        # and for held values not finite
+        fixed_v = np.zeros((1 + self._held.size, b))
+        fixed_v[1:] = rows.line_v0[self._held_end]
+        rest = fixed_v[self._fo_rest]
         pair_a, pair_b = self._fo_pair
-        fixed_over = (np.abs(held_v[pair_a] - held_v[pair_b])
+        fixed_over = (np.abs(fixed_v[pair_a] - fixed_v[pair_b])
                       >= rows.strength[self._fo_fixed]).any(axis=0)
-        held_ok = np.isfinite(held_v).all(axis=0)
+        held_ok = np.isfinite(fixed_v).all(axis=0)
+        # NaN from a row's end on: no gap reaches it
         strength = rows.strength[self._fo_moving]
         split = rest.shape[0]
+        other = self._fo_other if self._fo_other.size else None
 
-        v = np.zeros((chunk, solved, b))
+        def reached(chunk_v):
+            """(steps, b): whether a switch of the row reaches its strength
+            on the step, or None where no live row's switch does.  |v_a -
+            v_b| = |v_live - v_fixed|, as x - y = -(y - x) in floating
+            point.  The gaps are freed on return, so the next chunk's do
+            not meet them"""
+            gap = chunk_v.take(self._fo_live, axis=1)
+            if split:
+                gap[:, :split] -= rest
+            if other is not None:
+                gap[:, split:] -= chunk_v.take(other, axis=1)
+            over = np.abs(gap, out=gap) >= strength
+            return over.any(axis=1) if over.any() else None
+
+        v = np.empty((chunk, solved, b))
+        injected = np.empty((chunk, b))
+        # the views of each pass, built once: by its place in a chunk, its
+        # surge values and voltages; by the ring column it starts at, its
+        # gather rows and the ring block it writes
+        in_chunk = [(injected[j:j + passes], v[j:j + passes],
+                     v[j:j + passes].reshape(-1))
+                    for j in range(0, chunk, passes)]
+        in_ring = itertools.cycle(zip(plan.gather, (
+            ring[c:c + passes] for c in range(0, depth, passes))))
         end = np.zeros(b, dtype=np.intp)
         finite = np.ones(b, dtype=bool)
         live = finite.copy()
         for n0 in range(0, steps, chunk):
             m = np.arange(n0 + 1, n0 + chunk + 1)
-            injected = surge_base + surge((m * self.dt)[:, None])
+            np.add(surge_base, surge((m * self.dt)[:, None]), out=injected)
             judged = min(chunk, steps - n0)
-            for j in range(0, judged, passes):
-                now = slice(j, j + passes)
-                col = (n0 + j) % depth
+            # zip draws the ring columns in step order, one per pass: it
+            # stops at the chunk's last pass before drawing another
+            for (surge_now, now, solved_v), (at, written) in zip(
+                    in_chunk[:-(-judged // passes)], in_ring):
                 # in-range indices: mode "clip" spares the buffered copy
                 # numpy makes of `out` in its default "raise" mode
-                flat.take(at[col:col + passes].ravel(), axis=0, out=part,
-                          mode="clip")
-                part *= weight
-                np.add(halves[:, 0], halves[:, 1], out=neg_h)
-                inject.ravel()[surged] = injected[now]
-                _solve(inject, neg_h, bins, ginv_diag, v[now])
-                written = ring[col:col + passes]
-                v[now].take(line_ends, axis=1, out=written, mode="clip")
+                flat.take(at, axis=0, out=gathered, mode="clip")
+                gathered *= weight
+                np.add(neg_h, newer, out=neg_h)
+                # the solve: the injections plus every end's -h summed at
+                # its node in end order, as the scalar bincount does,
+                # times the G⁻¹ diagonal
+                inject[surged] = surge_now
+                rhs = np.bincount(bins, weights=neg_flat, minlength=inject.size)
+                np.add(inject, rhs, out=rhs)
+                np.multiply(ginv_diag, rhs, out=solved_v)
+                now.take(line_ends, axis=1, out=written, mode="clip")
                 written *= two_g
                 written -= neg_h  # w = v (2/zc) + h
-            # the chunk's verdicts: |v_a - v_b| = |v_live - v_held|, as
-            # x - y = -(y - x) in floating point
-            gap = v[:judged].take(self._fo_live, axis=1)
-            gap[:, :split] -= rest
-            gap[:, split:] -= v[:judged].take(self._fo_other, axis=1)
-            over = (np.abs(gap, out=gap) >= strength).any(axis=1)
-            ok = np.isfinite(v[:judged]).all(axis=1)
+            del rhs  # not kept beside the verdict's gaps
+            # the chunk's verdicts; most chunks end no row, and one check
+            # over the chunk finds them
+            chunk_v = v[:judged]
+            over = reached(chunk_v)
+            if over is None:
+                if n0 and np.isfinite(chunk_v).all():
+                    continue
+                over = np.zeros((judged, b), dtype=bool)
+            ok = np.isfinite(chunk_v).all(axis=1)
             if n0 == 0:
                 over[0] |= fixed_over
                 ok[0] &= held_ok
@@ -693,6 +744,7 @@ class EmtBatch:
                 first = stop.argmax(axis=0)[hit]
                 end[hit] = n0 + 1 + first
                 finite[hit] = ok[first, cols[hit]]
+                strength[:, hit] = np.nan
                 live &= ~hit
                 if not live.any():
                     break

@@ -483,8 +483,8 @@ def simulate_event(stroke: StrokeSample, impact: Impacts,
 # most one, so 84 strokes run as two of 42, not 64 and 20.  Memory, not
 # speed, sets it: while its batch runs, each row holds its ring of outgoing
 # waves, a chunk of its solved node voltages and its pass buffers,
-# 32.9-34.3 kB in a shield stroke's batch (tracemalloc over every shield
-# batch at n=4000, seed 2), so a batch of 64 peaks near 2.2 MB.  Larger
+# 31.0-32.4 kB in a shield stroke's batch (tracemalloc over every shield
+# batch at n=4000, seed 2), so a batch of 64 peaks near 2.1 MB.  Larger
 # batches raise peak memory for little further gain.
 REPLAY_BATCH = 64
 

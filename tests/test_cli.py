@@ -430,3 +430,54 @@ def test_ml_study_loads_no_numpy_ma(tmp_path):
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_one_process_runs_each_main_call_as_a_fresh_process(tmp_path):
+    # main builds its parser once per process: after a study and a refused
+    # flag, the next study parses, runs and exits as in a process of its
+    # own, to the same exit codes, messages and output bytes
+    calls = [["stability", "--power-mw", "1776", "--duration-ms", "100"],
+             ["dist", "--case", "A4", "--no-such-flag"],
+             ["dist", "--case", "A4", "--runs", "-1"],
+             ["dist", "--case", "A4"]]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import contextlib, io, json, sys; from gridstudies import cli\n"
+            "got = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            rc = cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            rc = exc.code\n"
+            "    got.append((rc, err.getvalue()))\n"
+            "print(json.dumps([got, cli._build_parser.cache_info().misses]))")
+    outs = {way: [str(tmp_path / way / str(k)) for k in range(len(calls))]
+            for way in ("one", "own")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         json.dumps([argv + ["--out", out] for argv, out in
+                     zip(calls, outs["one"])])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    together, builds = json.loads(proc.stdout.splitlines()[-1])
+    assert builds == 1
+    alone = []
+    for argv, out in zip(calls, outs["own"]):
+        own = subprocess.run([sys.executable, "-m", "gridstudies.cli", *argv,
+                              "--out", out], capture_output=True, text=True,
+                             env=env)
+        alone.append([own.returncode, own.stderr])
+    assert [rc for rc, _err in together] == [rc for rc, _err in alone] == [
+        0, 2, 2, 0]
+    assert [err for _rc, err in together] == [err for _rc, err in alone]
+    assert "--no-such-flag" in together[1][1] and "runs" in together[2][1]
+    for one, own in zip(outs["one"], outs["own"]):
+        names = sorted(os.listdir(own)) if os.path.isdir(own) else []
+        assert names == (sorted(os.listdir(one)) if os.path.isdir(one) else [])
+        for name in names:
+            if name != "manifest.json":  # holds run times
+                with open(os.path.join(one, name), "rb") as a, \
+                        open(os.path.join(own, name), "rb") as b:
+                    assert a.read() == b.read(), name

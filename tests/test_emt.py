@@ -20,9 +20,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridstudies.emt import (BatchRows, DoubleRampSource, EmtBatch, EmtNetwork,
-                             EmtSimulation, batch_rows)
+from gridstudies.emt import (CHUNK_STEPS, BatchRows, DoubleRampSource, EmtBatch,
+                             EmtNetwork, EmtSimulation, batch_rows)
 
 DT = 1e-3
 
@@ -514,6 +516,15 @@ def test_batch_takes_one_structure():
         EmtBatch(coupled.assemble(DT))
     with pytest.raises(ValueError, match="diagonal"):
         batch.add(coupled.assemble(DT))
+    # ground has no row in the solve: no line may end there and no row's
+    # surge may drive it
+    shorted = surge_network(10.0)
+    shorted.add_line("b", "ground", ZC, 3 * DT)
+    with pytest.raises(ValueError, match="line end at ground"):
+        EmtBatch(shorted.assemble(DT))
+    grounded = batch_rows(surge_network(10.0).assemble(DT))
+    with pytest.raises(ValueError, match="surge drives a held node or ground"):
+        batch.extend(grounded._replace(node=np.array([0])))
 
 
 def test_column_intake_runs_as_added_rows():
@@ -730,6 +741,11 @@ def test_a_switch_across_two_held_nodes_is_judged_for_step_1():
     assert switches[:2] == [{3}, {3}]
     assert end[5:] == run_switch_kinds(others)[0] == [4, 0]
     assert switches[5] == {1}
+    # alone in a batch where no moving switch nears its strength and every
+    # solved voltage stays finite, such a row still ends at step 1
+    alone = [(-0.3e3, 1e4, -1e4, 1e12, 2e4), (-0.3e3, 1e4, math.inf, 1e12, 1e12)]
+    assert [run_switch_kinds([case])[:2] for case in alone] == [
+        ([1], [True]), ([1], [False])]
 
 
 def test_every_switch_kind_is_judged_in_one_run():
@@ -774,6 +790,57 @@ def test_passes_run_as_the_per_step_oracle_on_study_batches(seed):
         assert_runs_as_oracle(batch, config.t_end_s)
         wires.add(wire)
     assert lightning.SHIELD in wires and (len(wires) > 1) == (seed == 2)
+
+
+def chain_network(delays, held, footing, peak, strength):
+    # a surge into a, then lines a-b-c-d of the given delays (in steps)
+    # down to a footing; switches a-ground, a-b and c-b.  With `held`, a
+    # pre-energised line p-q beside them that the batch holds, and a
+    # switch across b-p
+    net = EmtNetwork()
+    net.add_current_source("a", DoubleRampSource(peak, 2 * DT, 40 * DT))
+    for near, far, steps in zip("abc", "bcd", delays):
+        net.add_line(near, far, ZC, steps * DT)
+    net.add_resistor("abcd"[len(delays)], "ground", footing)
+    net.add_flashover_switch("a", "ground", strength)
+    net.add_flashover_switch("a", "b", 1.5 * strength)
+    if len(delays) > 1:
+        net.add_flashover_switch("c", "b", 0.5 * strength)
+    if held:
+        net.add_line("p", "q", 110.0, 2.7 * DT, v0_a=held, v0_b=held)
+        for node in "pq":
+            net.set_initial_voltage(node, held)
+            net.add_voltage_source(node, held, 110.0)
+        net.add_flashover_switch("b", "p", strength)
+    return net
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(delays=st.lists(st.floats(1.0, 60.0), min_size=1, max_size=3),
+       held=st.sampled_from([0.0, 3e4]),
+       rows=st.lists(st.tuples(st.floats(1.0, 1e4), st.floats(-3e3, -1e2),
+                               st.floats(3.0, 6.5).map(lambda x: 10.0 ** x)),
+                     min_size=1, max_size=5))
+@example(delays=[1.0], held=0.0, rows=[(10.0, -1e3, 6e5)])  # K = 1
+@example(delays=[2.06, 53.68], held=3e4,  # a shield batch's K and D
+         rows=[(10.0, -1e3, 1e5), (1e4, -2e3, 2e4)])
+@example(delays=[41.5, 59.2, 33.0], held=0.0,  # K = CHUNK_STEPS
+         rows=[(30.0, -1e3, 1e5), (1e3, -3e3, 2e4), (5.0, -1e2, 1e3)])
+def test_pass_plans_run_as_the_per_step_oracle(delays, held, rows):
+    # any line delays from 1 to 60 steps: K from 1 to CHUNK_STEPS, a ring
+    # depth that is or is not a multiple of the chunk, gathers that wrap
+    # the ring; each row ends where the per-step loop ends it
+    nets = [chain_network(delays, held, *row) for row in rows]
+    sim = nets[0].assemble(DT)
+    pinned = [sim.net.require_node(name) for name in "pq"] if held else []
+    batch = EmtBatch(sim, pinned)
+    for net in nets:
+        batch.add(net.assemble(DT))
+    plan = batch._plan(150 * DT)
+    back = batch._ln_back[batch._kept]
+    assert 1 <= plan.passes <= max(min(back.min() - 1, CHUNK_STEPS), 1)
+    assert plan.depth % plan.passes == 0 and plan.depth >= back.max()
+    assert_runs_as_oracle(batch, 150 * DT)
 
 
 class VIStepper(EmtSimulation):
