@@ -794,9 +794,9 @@ def test_passes_run_as_the_per_step_oracle_on_study_batches(seed):
 
 def chain_network(delays, held, footing, peak, strength):
     # a surge into a, then lines a-b-c-d of the given delays (in steps)
-    # down to a footing; switches a-ground, a-b and c-b.  With `held`, a
-    # pre-energised line p-q beside them that the batch holds, and a
-    # switch across b-p
+    # down to a footing; switches a-ground, a-b and c-b.  With `held`
+    # volts (0 for none), a pre-energised line p-q beside them that the
+    # batch holds, and a switch across b-p
     net = EmtNetwork()
     net.add_current_source("a", DoubleRampSource(peak, 2 * DT, 40 * DT))
     for near, far, steps in zip("abc", "bcd", delays):
